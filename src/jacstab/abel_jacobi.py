@@ -30,6 +30,7 @@ from .graph import DualGraph, VineCurve, enumerate_vines
 from .stability import (
     SheafDatum,
     epsilon_stream,
+    exact_rational,
     is_nondegenerate,
     is_small_perturbation,
     is_stable,
@@ -87,7 +88,7 @@ class VinePhiTable:
     def __init__(self, g: int, n: int, entries):
         self.g = int(g)
         self.n = int(n)
-        self.entries = {vine: Fraction(x) for vine, x in entries.items()}
+        self.entries = {vine: exact_rational(x) for vine, x in entries.items()}
 
     def get(self, vine: VineCurve) -> Fraction:
         return self.entries[vine]
@@ -114,7 +115,7 @@ class VinePhiTable:
         for row in data["entries"]:
             vine = VineCurve(row["e"], row["g1"], tuple(sorted(row["S"])),
                              row["g2"], n, g)
-            entries[vine] = Fraction(row["phi"])
+            entries[vine] = row["phi"]
         return cls(g, n, entries)
 
 

@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .graph import VineCurve, enumerate_vines
-from .stability import PhiVector, SheafDatum, datum_to_dict, stable_sheaf_data
+from .stability import (PhiVector, SheafDatum, datum_to_dict, exact_rational,
+                        stable_sheaf_data)
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class AtlasRecord:
 
 def walls(vine: VineCurve, window: tuple[Fraction, Fraction]) -> WallSet:
     """Wall positions x with x + e/2 integral, inside the closed window."""
-    lo, hi = Fraction(window[0]), Fraction(window[1])
+    lo, hi = exact_rational(window[0]), exact_rational(window[1])
     if lo > hi:
         raise ValueError("window lo must be <= hi")
     half_e = Fraction(vine.e, 2)
@@ -65,11 +66,8 @@ def walls(vine: VineCurve, window: tuple[Fraction, Fraction]) -> WallSet:
 
 def vine_phi(vine: VineCurve, x: Fraction) -> PhiVector:
     graph = vine.to_graph()
-    return PhiVector(graph, {0: Fraction(x), 1: -Fraction(x)})
-
-
-def _is_wall(vine: VineCurve, x: Fraction) -> bool:
-    return (x + Fraction(vine.e, 2)).denominator == 1
+    x = exact_rational(x)
+    return PhiVector(graph, {0: x, 1: -x})
 
 
 def chambers(vine: VineCurve, window: tuple[Fraction, Fraction],
@@ -82,9 +80,6 @@ def chambers(vine: VineCurve, window: tuple[Fraction, Fraction],
     out = []
     for a, b in zip(cuts, cuts[1:]):
         rep = (a + b) / 2
-        width = b - a
-        while _is_wall(vine, rep):  # guard; cannot occur for this arrangement
-            rep += width / 1000
         phi = PhiVector(graph, {0: rep, 1: -rep})
         table = tuple(stable_sheaf_data(graph, phi, 0, include_nonfree))
         half_e = Fraction(vine.e, 2)
@@ -114,7 +109,7 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
     if g < 1 or n < 1:
         raise ValueError("require g >= 1 and n >= 1")
     vines = enumerate_vines(g, n, 1)
-    work = [(g, n, v, (Fraction(window[0]), Fraction(window[1])),
+    work = [(g, n, v, (exact_rational(window[0]), exact_rational(window[1])),
              include_nonfree) for v in vines]
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -18,7 +18,7 @@ import click
 from . import abel_jacobi, stability, verify
 from . import graph as graph_mod
 from .atlas import atlas as build_atlas, atlas_to_csv, atlas_to_json, walls
-from .errors import JacstabError
+from .errors import JacstabError, PreconditionError
 
 log = logging.getLogger("jacstab")
 
@@ -34,21 +34,14 @@ def _fail(message: str) -> None:
     sys.exit(1)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    if "." in text:
-        raise click.UsageError(
-            "rationals must be given as p/q strings, not decimals: %r" % text)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError("bad rational %r: %s" % (text, exc))
-
-
 def _parse_window(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split("..")
     if len(parts) != 2:
         raise click.UsageError("window must be lo..hi, e.g. -3..3")
-    return _parse_fraction(parts[0]), _parse_fraction(parts[1])
+    try:
+        return stability.exact_rational(parts[0]), stability.exact_rational(parts[1])
+    except PreconditionError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:

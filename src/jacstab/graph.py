@@ -159,14 +159,18 @@ class DualGraph:
         return tuple(out)
 
     @cached_property
-    def _subcurve_index(self) -> dict[frozenset[int], _SubcurveData]:
-        return {d.vertex_set: d for d in self.subcurve_data}
+    def _subcurve_index(self) -> dict[frozenset[int], int]:
+        return {d.vertex_set: i for i, d in enumerate(self.subcurve_data)}
+
+    def subcurve_position(self, c0: Subcurve) -> int:
+        """Index of the subcurve in :attr:`subcurve_data`."""
+        i = self._subcurve_index.get(c0.vertex_set)
+        if i is None:
+            raise InvalidSubcurveError("subcurve not proper/nonempty: %s" % set(c0.vertex_set))
+        return i
 
     def subcurve_info(self, c0: Subcurve) -> _SubcurveData:
-        data = self._subcurve_index.get(c0.vertex_set)
-        if data is None:
-            raise InvalidSubcurveError("subcurve not proper/nonempty: %s" % set(c0.vertex_set))
-        return data
+        return self.subcurve_data[self.subcurve_position(c0)]
 
 
 def validate(graph: DualGraph) -> list[str]:

@@ -12,7 +12,10 @@ and ``F`` is phi-stable when, for every nonempty proper subcurve,
 
     | deg_C0(F) - phi(C0) + delta_C0(F)/2 |  <  (cr(C0) - delta_C0(F)) / 2
 
-(semistable with <=).  All arithmetic is exact (``fractions.Fraction``).
+(semistable with <=).  All arithmetic is exact and float-free: a
+:class:`PhiVector` keeps its values over one common denominator ``q``, and
+every subcurve test runs on the integers ``q*phi(C0)``
+(:meth:`PhiVector.subcurve_sums`) with the inequality scaled by ``2q``.
 
 Wall criterion
 --------------
@@ -30,9 +33,11 @@ cross-checked against the brute-force equality search
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain, combinations
-from math import ceil, floor
+from math import lcm
+from numbers import Rational
 
 from .errors import (
     DegenerateParameterError,
@@ -44,17 +49,62 @@ from .errors import (
 from .graph import DualGraph, Subcurve, VineCurve, complement, subcurves
 
 
+_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
+
+
+def exact_rational(x) -> Fraction:
+    """``x`` as a Fraction: an int, a Fraction, or a "p/q" (or integer) string.
+
+    Floats and decimal strings are refused, because ``Fraction(0.1)`` is
+    ``3602879701896397/36028797018963968``, not 1/10.
+    """
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, Rational):
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise PreconditionError("bad rational %r: zero denominator" % x)
+    raise PreconditionError(
+        "rationals must be given as p/q strings, not decimals or floats: %r"
+        % (x,))
+
+
 class PhiVector:
-    """Exact rational vertex weights summing to zero on one graph."""
+    """Exact rational vertex weights summing to zero on one graph.
+
+    ``values`` maps vertex ids to Fractions.  The same vector is also kept
+    scaled to integers: ``q`` is the lcm of the denominators and
+    ``values[v] == numerators[v] / q``.
+    """
 
     def __init__(self, graph: DualGraph, values):
         self.graph = graph
-        self.values = {vid: Fraction(x) for vid, x in values.items()}
+        self.values = {vid: exact_rational(x) for vid, x in values.items()}
         if set(self.values) != set(graph.vertex_ids):
             raise MismatchedGraphError("phi values must cover exactly the vertex set")
-        if sum(self.values.values()) != 0:
+        self.q = q = lcm(*(x.denominator for x in self.values.values()))
+        self.numerators = {vid: x.numerator * (q // x.denominator)
+                           for vid, x in self.values.items()}
+        if sum(self.numerators.values()) != 0:
             raise ValueError("phi values must sum to 0, got %s"
                              % sum(self.values.values()))
+        self._sums = None
+
+    def subcurve_sums(self, graph: DualGraph) -> tuple[int, ...]:
+        """``q * phi(C0)`` for every subcurve, in ``graph.subcurve_data`` order.
+
+        ``graph`` is ``self.graph`` or a graph with the same signature, which
+        lists its subcurves in the same order; taking the caller's graph
+        spares building a second subcurve table.  Computed once per vector.
+        """
+        if self._sums is None:
+            nums = self.numerators.__getitem__
+            self._sums = tuple(sum(map(nums, info.vertices))
+                               for info in graph.subcurve_data)
+        return self._sums
 
     def __repr__(self):
         return "PhiVector(%s)" % {k: str(v) for k, v in sorted(self.values.items())}
@@ -110,8 +160,8 @@ def delta_on(F: SheafDatum, c0: Subcurve) -> int:
 
 def phi_of(phi: PhiVector, c0: Subcurve) -> Fraction:
     """Exact rational sum of phi over the subcurve's vertices."""
-    info = phi.graph.subcurve_info(c0)
-    return sum((phi.values[v] for v in info.vertices), Fraction(0))
+    graph = phi.graph
+    return Fraction(phi.subcurve_sums(graph)[graph.subcurve_position(c0)], phi.q)
 
 
 def _check_same_graph(graph, *objs):
@@ -121,27 +171,25 @@ def _check_same_graph(graph, *objs):
 
 
 def _phi_context(graph, phi):
-    # Scaled to integers: with phi(C0) = p/q, the inequality
-    # |deg - p/q + delta/2| < (cr - delta)/2 becomes
-    # |2q*deg - 2p + q*delta| < q*(cr - delta).
-    ctx = []
-    for info in graph.subcurve_data:
-        x = sum(phi.values[v] for v in info.vertices)
-        ctx.append((info.vertices, info.internal, info.crossing,
-                    len(info.crossing), 2 * x.numerator, x.denominator))
-    return ctx
+    # Scaled to integers: with phi(C0) = s/q, the inequality
+    # |deg - s/q + delta/2| < (cr - delta)/2 becomes
+    # |2q*deg - 2s + q*delta| < q*(cr - delta).
+    q = phi.q
+    return [(info.vertices, info.internal, info.crossing,
+             len(info.crossing), 2 * s, q)
+            for info, s in zip(graph.subcurve_data, phi.subcurve_sums(graph))]
 
 
 def _satisfies_ctx(ctx, F, strict: bool) -> bool:
     S, D = F.S, F.D
-    for verts, internal, crossing, cr, twop, q in ctx:
+    for verts, internal, crossing, cr, twos, q in ctx:
         deg = sum(D[v] for v in verts)
         if S:
             deg += len(S & internal)
             delta = len(S & crossing)
         else:
             delta = 0
-        lhs = abs(2 * q * deg - twop + q * delta)
+        lhs = abs(2 * q * deg - twos + q * delta)
         rhs = q * (cr - delta)
         if lhs > rhs or (strict and lhs == rhs):
             return False
@@ -167,11 +215,14 @@ def is_semistable(graph: DualGraph, phi: PhiVector, F: SheafDatum) -> bool:
 
 
 def is_nondegenerate(graph: DualGraph, phi: PhiVector) -> bool:
-    """Closed-form wall test: degenerate iff some phi(C0) + cr(C0)/2 in Z."""
+    """Closed-form wall test: degenerate iff some phi(C0) + cr(C0)/2 in Z.
+
+    With phi(C0) = s/q that is (2s + q*cr) divisible by 2q.
+    """
     _check_same_graph(graph, phi)
-    for info in graph.subcurve_data:
-        x = sum(phi.values[v] for v in info.vertices)
-        if (x + Fraction(len(info.crossing), 2)).denominator == 1:
+    q = phi.q
+    for info, s in zip(graph.subcurve_data, phi.subcurve_sums(graph)):
+        if (2 * s + q * len(info.crossing)) % (2 * q) == 0:
             return False
     return True
 
@@ -181,32 +232,33 @@ def find_equality_witness(graph: DualGraph, phi: PhiVector):
 
     Independent oracle for :func:`is_nondegenerate`: scans every subcurve,
     every delta in [0, cr] and every integer degree in the window
-    |deg - phi + delta/2| <= (cr + 1)/2.  Returns (C0, deg, delta) or None.
+    |deg - phi + delta/2| <= (cr + 1)/2, testing the equality scaled by 2q:
+    |2q*deg - 2s + q*delta| == q*(cr - delta) with phi(C0) = s/q.
+    Returns (C0, deg, delta) or None.
     """
     _check_same_graph(graph, phi)
-    for info in graph.subcurve_data:
+    q = phi.q
+    for info, s in zip(graph.subcurve_data, phi.subcurve_sums(graph)):
         cr = len(info.crossing)
-        x = sum(phi.values[v] for v in info.vertices)
         for delta in range(cr + 1):
-            center = x - Fraction(delta, 2)
-            half = Fraction(cr + 1, 2)
-            lo = ceil(center - half)
-            hi = floor(center + half)
-            for deg in range(lo, hi + 1):
-                if abs(deg - x + Fraction(delta, 2)) == Fraction(cr - delta, 2):
+            # 2q * (center -+ half) with center = s/q - delta/2, half = (cr+1)/2
+            low = 2 * s - q * delta - q * (cr + 1)
+            high = 2 * s - q * delta + q * (cr + 1)
+            for deg in range(-(-low // (2 * q)), high // (2 * q) + 1):
+                if abs(2 * q * deg - 2 * s + q * delta) == q * (cr - delta):
                     return (Subcurve(info.vertex_set), deg, delta)
     return None
 
 
 def is_small_perturbation(graph: DualGraph, phi: PhiVector) -> bool:
-    """|phi(C0)| < cr(C0)/2 for every subcurve.
+    """|phi(C0)| < cr(C0)/2 for every subcurve, i.e. |2s| < q*cr.
 
     Does not imply nondegeneracy; check that separately.
     """
     _check_same_graph(graph, phi)
-    for info in graph.subcurve_data:
-        x = sum(phi.values[v] for v in info.vertices)
-        if not abs(2 * x) < len(info.crossing):
+    q = phi.q
+    for info, s in zip(graph.subcurve_data, phi.subcurve_sums(graph)):
+        if not abs(2 * s) < q * len(info.crossing):
             return False
     return True
 
@@ -221,9 +273,9 @@ def equivalent_small_perturbation_check(graph: DualGraph, phi: PhiVector) -> boo
     return is_stable(graph, phi, trivial)
 
 
-def _integer_window(center: Fraction, half: Fraction) -> range:
-    """Integers strictly inside (center - half, center + half)."""
-    return range(floor(center - half) + 1, ceil(center + half))
+def _integer_window(low: int, high: int, den: int) -> range:
+    """Integers strictly inside (low/den, high/den), for den > 0."""
+    return range(low // den + 1, -(-high // den))
 
 
 def _edge_subsets(graph):
@@ -251,6 +303,7 @@ def stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
     results = []
     subsets = _edge_subsets(graph) if include_nonfree else [()]
     ctx = _phi_context(graph, phi)
+    q = phi.q
 
     if len(vids) == 1:
         # No proper subcurves: D is pinned by the total degree and every
@@ -273,9 +326,11 @@ def stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
             cr = len(info.crossing)
             delta = len(Sset & info.crossing)
             loops_in_S = len(Sset & info.internal)
-            center = phi.values[vid] - Fraction(delta, 2)
-            half = Fraction(cr - delta, 2)
-            window = [deg - loops_in_S for deg in _integer_window(center, half)]
+            # 2q * (center -+ half) with center = phi(v) - delta/2 and
+            # half = (cr - delta)/2
+            twos = 2 * phi.numerators[vid]
+            window = [deg - loops_in_S for deg in _integer_window(
+                twos - q * cr, twos + q * (cr - 2 * delta), 2 * q)]
             if not window:
                 feasible = False
                 break
@@ -365,7 +420,7 @@ def phi_to_dict(phi: PhiVector) -> dict:
 
 
 def phi_from_dict(graph: DualGraph, data: dict) -> PhiVector:
-    return PhiVector(graph, {int(vid): Fraction(val)
+    return PhiVector(graph, {int(vid): val
                              for vid, val in data["values"].items()})
 
 

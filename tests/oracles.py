@@ -1,5 +1,6 @@
 """Independent brute-force oracles used only by the tests."""
 
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -29,3 +30,28 @@ def count_spanning_trees_exhaustive(graph):
         if acyclic:
             count += 1
     return count
+
+
+# --- Fraction references for the scaled-integer phi kernel -----------------
+#
+# These re-sum phi as Fractions per subcurve, the way jacstab.stability did
+# before it kept phi over one common denominator.
+
+def fraction_subcurve_sum(phi, info):
+    """phi(C0) for one entry of graph.subcurve_data, summed as Fractions."""
+    return sum((phi.values[v] for v in info.vertices), Fraction(0))
+
+
+def fraction_is_nondegenerate(graph, phi):
+    """No subcurve has phi(C0) + cr(C0)/2 in Z."""
+    for info in graph.subcurve_data:
+        x = fraction_subcurve_sum(phi, info)
+        if (x + Fraction(len(info.crossing), 2)).denominator == 1:
+            return False
+    return True
+
+
+def fraction_is_small_perturbation(graph, phi):
+    """|phi(C0)| < cr(C0)/2 for every subcurve."""
+    return all(abs(2 * fraction_subcurve_sum(phi, info)) < len(info.crossing)
+               for info in graph.subcurve_data)

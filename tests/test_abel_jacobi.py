@@ -17,6 +17,7 @@ from jacstab.corpus import random_stable_graph
 from jacstab.errors import (
     IncompleteTableError,
     JacstabError,
+    PreconditionError,
     TrivialTwistError,
 )
 from jacstab.graph import DualGraph, enumerate_vines, make_vine
@@ -193,3 +194,10 @@ def test_phi_table_round_trip():
     back = VinePhiTable.from_dict(table.to_dict())
     assert back.entries == table.entries
     assert back.to_dict() == table.to_dict()
+
+
+def test_phi_table_decimal_rejected():
+    data = construct_prop_phi(2, 2, 1, 2, seed=3).to_dict()
+    data["entries"][0]["phi"] = "0.3"
+    with pytest.raises(PreconditionError):
+        VinePhiTable.from_dict(data)

@@ -11,6 +11,7 @@ from jacstab.atlas import (
     vine_phi,
     walls,
 )
+from jacstab.errors import PreconditionError
 from jacstab.graph import enumerate_vines, make_vine
 from jacstab.stability import stable_sheaf_data
 
@@ -39,6 +40,10 @@ class TestWalls:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             walls(vine(2), (Fraction(1), Fraction(0)))
+
+    def test_float_window_rejected(self):
+        with pytest.raises(PreconditionError):
+            walls(vine(2), (-0.5, 1))
 
 
 class TestChambers:

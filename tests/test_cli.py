@@ -104,6 +104,19 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert "p/q" in proc.stderr
 
+    def test_zero_denominator_rejected(self):
+        proc = run_cli("walls", "--g", "2", "--n", "1", "--window", "1/0..1")
+        assert proc.returncode == 2
+        assert "zero denominator" in proc.stderr
+
+    def test_decimal_phi_file_rejected(self, vine_files, tmp_path):
+        gpath, _ = vine_files
+        ppath = tmp_path / "decimal_phi.json"
+        ppath.write_text(json.dumps({"values": {"0": "0.3", "1": "-0.3"}}))
+        proc = run_cli("stable", "--graph", str(gpath), "--phi", str(ppath))
+        assert proc.returncode == 1
+        assert "p/q" in proc.stderr
+
     def test_missing_required_flag(self):
         proc = run_cli("vines", "--g", "2")
         assert proc.returncode == 2

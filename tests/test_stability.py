@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import (
+    fraction_is_nondegenerate,
+    fraction_is_small_perturbation,
+    fraction_subcurve_sum,
+)
 
 from jacstab.corpus import (
     random_nondegenerate_phi,
     random_phi,
+    random_wall_phi,
     stable_graph_corpus,
 )
 from jacstab.errors import (
@@ -15,7 +21,14 @@ from jacstab.errors import (
     PreconditionError,
     UnknownEdgeError,
 )
-from jacstab.graph import DualGraph, Subcurve, complement, make_vine, subcurves
+from jacstab.graph import (
+    DualGraph,
+    Subcurve,
+    complement,
+    make_vine,
+    spanning_tree_count,
+    subcurves,
+)
 from jacstab.stability import (
     PhiVector,
     SheafDatum,
@@ -24,6 +37,7 @@ from jacstab.stability import (
     degree_on,
     delta_on,
     equivalent_small_perturbation_check,
+    exact_rational,
     find_equality_witness,
     is_nondegenerate,
     is_semistable,
@@ -80,6 +94,93 @@ class TestPhiOf:
         phi = vine_phi2(other, Fraction(1, 7))
         with pytest.raises(MismatchedGraphError):
             is_stable(g, phi, SheafDatum(g, (), {0: 0, 1: 0}))
+
+
+class TestExactInput:
+    @pytest.mark.parametrize("x,expected", [
+        (3, Fraction(3)), (Fraction(3, 10), Fraction(3, 10)),
+        ("3/10", Fraction(3, 10)), ("-7", Fraction(-7)), (" 2/4 ", Fraction(1, 2)),
+    ])
+    def test_exact_rationals_accepted(self, x, expected):
+        assert exact_rational(x) == expected
+
+    @pytest.mark.parametrize("x", [0.5, "0.5", "1e-3", "1/0", "abc", None])
+    def test_inexact_or_malformed_rejected(self, x):
+        with pytest.raises(PreconditionError):
+            exact_rational(x)
+
+    def test_float_phi_rejected(self):
+        g = vine_graph(2)
+        with pytest.raises(PreconditionError):
+            PhiVector(g, {0: 0.1, 1: -0.1})
+
+    def test_decimal_phi_dict_rejected(self):
+        g = vine_graph(2)
+        with pytest.raises(PreconditionError):
+            phi_from_dict(g, {"values": {"0": "0.3", "1": "-0.3"}})
+
+
+def _spread(vertices, total, rng):
+    """Values on ``vertices`` summing to ``total`` with mixed denominators."""
+    vals = {v: Fraction(rng.randint(-9, 9), rng.choice((3, 5, 7, 15)))
+            for v in vertices[:-1]}
+    vals[vertices[-1]] = total - sum(vals.values(), Fraction(0))
+    return vals
+
+
+def _kernel_phis(graph, rng):
+    """(phi, on_wall) pairs: single-denominator, wall and mixed-denominator."""
+    yield random_phi(graph, rng), False
+    vids = sorted(graph.vertex_ids)
+    if len(vids) == 1:
+        return
+    yield random_wall_phi(graph, rng), True
+    yield PhiVector(graph, _spread(vids, Fraction(0), rng)), False
+    # a wall of one subcurve, with mixed denominators on both sides
+    info = rng.choice(graph.subcurve_data)
+    target = rng.randint(-2, 2) - Fraction(len(info.crossing), 2)
+    outside = sorted(set(vids) - info.vertex_set)
+    vals = _spread(list(info.vertices), target, rng)
+    vals.update(_spread(outside, -target, rng))
+    yield PhiVector(graph, vals), True
+    if len(vids) >= 3:
+        vals = {v: Fraction(0) for v in vids}
+        vals.update(zip(vids, (Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15))))
+        yield PhiVector(graph, vals), False
+
+
+def test_integer_kernel_matches_fraction_reference():
+    rng = random.Random(2024)
+    mixed = walls = 0
+    for graph in stable_graph_corpus(4, 7):
+        trees = spanning_tree_count(graph)
+        for phi, on_wall in _kernel_phis(graph, rng):
+            assert all(Fraction(phi.numerators[v], phi.q) == x
+                       for v, x in phi.values.items())
+            mixed += len({x.denominator for x in phi.values.values()}) > 1
+            for info, s in zip(graph.subcurve_data, phi.subcurve_sums(graph)):
+                x = fraction_subcurve_sum(phi, info)
+                assert Fraction(s, phi.q) == x
+                assert phi_of(phi, Subcurve(info.vertex_set)) == x
+            nondegenerate = fraction_is_nondegenerate(graph, phi)
+            if on_wall:
+                assert not nondegenerate
+                walls += 1
+            assert is_nondegenerate(graph, phi) == nondegenerate
+            assert is_small_perturbation(graph, phi) == \
+                fraction_is_small_perturbation(graph, phi)
+            witness = find_equality_witness(graph, phi)
+            assert (witness is None) == nondegenerate
+            if witness is not None:
+                c0, deg, delta = witness
+                info = graph.subcurve_info(c0)
+                assert abs(deg - fraction_subcurve_sum(phi, info)
+                           + Fraction(delta, 2)) \
+                    == Fraction(len(info.crossing) - delta, 2)
+            else:
+                # exercises the integer singleton windows of stable_sheaf_data
+                assert len(stable_sheaf_data(graph, phi, 0)) == trees
+    assert mixed > 3000 and walls > 2000
 
 
 class TestStability:
