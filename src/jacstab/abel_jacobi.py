@@ -24,13 +24,15 @@ from .errors import (
     IncompleteTableError,
     JacstabError,
     PhiConstructionError,
+    PreconditionError,
     TrivialTwistError,
 )
-from .graph import DualGraph, VineCurve, enumerate_vines
+from .graph import DualGraph, VineCurve, enumerate_vines, make_vine, vine_to_dict
 from .stability import (
     SheafDatum,
     epsilon_stream,
     exact_rational,
+    first_admissible,
     is_nondegenerate,
     is_small_perturbation,
     is_stable,
@@ -101,8 +103,7 @@ class VinePhiTable:
             "g": self.g,
             "n": self.n,
             "entries": [
-                {"g1": v.g1, "g2": v.g2, "e": v.e, "S": list(v.S),
-                 "phi": str(x)}
+                {**vine_to_dict(v), "phi": str(x)}
                 for v, x in sorted(self.entries.items(),
                                    key=lambda kv: (kv[0].e, kv[0].g1, kv[0].S))
             ],
@@ -110,41 +111,78 @@ class VinePhiTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VinePhiTable":
+        """Rows may name either side first; each becomes its canonical vine,
+        with phi negated when the sides swap."""
         g, n = data["g"], data["n"]
         entries = {}
         for row in data["entries"]:
-            vine = VineCurve(row["e"], row["g1"], tuple(sorted(row["S"])),
-                             row["g2"], n, g)
-            entries[vine] = row["phi"]
+            S = sorted(row["S"])
+            vine = make_vine(row["g1"], row["g2"], row["e"], S, n)
+            phi = exact_rational(row["phi"])
+            entries[vine] = phi if list(vine.S) == S else -phi
         return cls(g, n, entries)
 
 
 @dataclass(frozen=True)
 class ExtendsResult:
+    """Answer of :func:`sigma_extends` and :func:`classify_extension`, with
+    the phi table checked or the chamber certificate of a "no"."""
+
     extends: bool
     witness: VineCurve | None
     witness_bidegree: int | None = None
+    phi_table: VinePhiTable | None = None
+    certificate: ChamberCertificate | None = None
+
+    def to_report(self) -> dict:
+        report = {
+            "extends": self.extends,
+            "witness_vine": None if self.witness is None else {
+                **vine_to_dict(self.witness),
+                "bidegree": [self.witness_bidegree, -self.witness_bidegree],
+            },
+            "phi_table": self.phi_table.to_dict() if self.phi_table else None,
+            "note": SCOPE_NOTE,
+        }
+        if self.certificate is not None:
+            report["certificate"] = {
+                "chambers": [
+                    {"lo": str(lo), "hi": str(hi),
+                     "stable_bidegrees": list(degs)}
+                    for lo, hi, degs in self.certificate.chambers
+                ]
+            }
+        return report
+
+
+ClassificationResult = ExtendsResult
 
 
 def sigma_extends(g: int, n: int, aj: AJDatum,
                   table: VinePhiTable) -> ExtendsResult:
     """Check stability of the Abel-Jacobi multidegree on all e >= 2 vines.
 
-    The table must cover every such vine; the first failing vine (canonical
-    order) is returned as witness.
+    The table must cover every such vine with a nondegenerate small
+    perturbation (else :class:`PreconditionError` names the first vine that
+    is not); the first failing vine (canonical order) is returned as witness.
     """
     aj.check()
     vines = enumerate_vines(g, n, 2)
     missing = table.missing_for(vines)
     if missing:
         raise IncompleteTableError(missing)
-    for vine in vines:
-        graph = vine.to_graph()
-        D = aj_multidegree(graph, aj)
-        phi = vine_phi(vine, table.get(vine))
-        if not is_stable(graph, phi, SheafDatum(graph, frozenset(), D)):
-            return ExtendsResult(False, vine, D[0])
-    return ExtendsResult(True, None)
+    phis = [vine_phi(vine, table.get(vine)) for vine in vines]
+    for vine, phi in zip(vines, phis):
+        if not (is_small_perturbation(phi.graph, phi)
+                and is_nondegenerate(phi.graph, phi)):
+            raise PreconditionError(
+                "phi(%s) = %s is not a nondegenerate small perturbation"
+                % (vine, table.get(vine)))
+    for vine, phi in zip(vines, phis):
+        D = aj_multidegree(phi.graph, aj)
+        if not is_stable(phi.graph, phi, SheafDatum(phi.graph, frozenset(), D)):
+            return ExtendsResult(False, vine, D[0], table)
+    return ExtendsResult(True, None, None, table)
 
 
 def construct_prop_phi(g: int, n: int, i: int, j: int,
@@ -172,18 +210,13 @@ def construct_prop_phi(g: int, n: int, i: int, j: int,
         graph = vine.to_graph()
         bundle = SheafDatum(graph, frozenset(),
                             aj_multidegree(graph, target))
-        eps_iter = epsilon_stream(seed)
-        for attempt in range(50):
-            x = base + next(eps_iter)
-            phi = vine_phi(vine, x)
-            if (is_nondegenerate(graph, phi)
-                    and is_small_perturbation(graph, phi)
-                    and is_stable(graph, phi, bundle)):
-                entries[vine] = x
-                break
-        else:
-            raise PhiConstructionError(
-                "no admissible perturbation for %s" % vine)
+        phi = first_admissible(
+            (vine_phi(vine, base + eps) for eps in epsilon_stream(seed)),
+            lambda phi: (is_nondegenerate(graph, phi)
+                         and is_small_perturbation(graph, phi)
+                         and is_stable(graph, phi, bundle)),
+            "no admissible perturbation for %s" % vine)
+        entries[vine] = phi.values[0]
     return VinePhiTable(g, n, entries)
 
 
@@ -195,38 +228,6 @@ class ChamberCertificate:
     bidegree: int
     # (lo, hi, line-bundle side-1 degrees) per small-perturbation chamber
     chambers: tuple[tuple[Fraction, Fraction, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
-class ClassificationResult:
-    extends: bool
-    witness: VineCurve | None
-    witness_bidegree: int | None
-    phi_table: VinePhiTable | None
-    certificate: ChamberCertificate | None
-
-    def to_report(self) -> dict:
-        report = {
-            "extends": self.extends,
-            "witness_vine": None,
-            "phi_table": self.phi_table.to_dict() if self.phi_table else None,
-            "note": SCOPE_NOTE,
-        }
-        if self.witness is not None:
-            report["witness_vine"] = {
-                "g1": self.witness.g1, "g2": self.witness.g2,
-                "e": self.witness.e, "S": list(self.witness.S),
-                "bidegree": [self.witness_bidegree, -self.witness_bidegree],
-            }
-        if self.certificate is not None:
-            report["certificate"] = {
-                "chambers": [
-                    {"lo": str(lo), "hi": str(hi),
-                     "stable_bidegrees": list(degs)}
-                    for lo, hi, degs in self.certificate.chambers
-                ]
-            }
-        return report
 
 
 def _unit_difference_markings(a: tuple[int, ...]):
@@ -258,7 +259,7 @@ def certify_unstable_on_vine(vine: VineCurve, m: int) -> ChamberCertificate | No
 
 
 def classify_extension(g: int, n: int, aj: AJDatum,
-                       seed: int = 0) -> ClassificationResult:
+                       seed: int = 0) -> ExtendsResult:
     """Decide whether the Abel-Jacobi section extends over some
     small-perturbation stability table, with constructive evidence.
 
@@ -279,13 +280,13 @@ def classify_extension(g: int, n: int, aj: AJDatum,
         if not result.extends:
             raise PhiConstructionError(
                 "constructed table fails on %s" % result.witness)
-        return ClassificationResult(True, None, None, table, None)
+        return result
 
     for vine in enumerate_vines(g, n, 2):
         m = vine_bidegree(vine, aj)
         cert = certify_unstable_on_vine(vine, m)
         if cert is not None:
-            return ClassificationResult(False, vine, m, None, cert)
+            return ExtendsResult(False, vine, m, None, cert)
     raise JacstabError(
         "no obstructing vine found for a non-unit twist; "
         "classification criterion violated")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from .graph import VineCurve, enumerate_vines
+from .graph import VineCurve, enumerate_vines, vine_to_dict
 from .stability import (PhiVector, SheafDatum, datum_to_dict, exact_rational,
                         stable_sheaf_data)
 
@@ -65,9 +65,8 @@ def walls(vine: VineCurve, window: tuple[Fraction, Fraction]) -> WallSet:
 
 
 def vine_phi(vine: VineCurve, x: Fraction) -> PhiVector:
-    graph = vine.to_graph()
     x = exact_rational(x)
-    return PhiVector(graph, {0: x, 1: -x})
+    return PhiVector(vine.to_graph(), {0: x, 1: -x})
 
 
 def chambers(vine: VineCurve, window: tuple[Fraction, Fraction],
@@ -76,12 +75,11 @@ def chambers(vine: VineCurve, window: tuple[Fraction, Fraction],
     wall_set = walls(vine, window)
     lo, hi = wall_set.lo, wall_set.hi
     cuts = sorted({lo, hi} | {w for w in wall_set.walls if lo < w < hi})
-    graph = vine.to_graph()
     out = []
     for a, b in zip(cuts, cuts[1:]):
         rep = (a + b) / 2
-        phi = PhiVector(graph, {0: rep, 1: -rep})
-        table = tuple(stable_sheaf_data(graph, phi, 0, include_nonfree))
+        phi = vine_phi(vine, rep)
+        table = tuple(stable_sheaf_data(phi.graph, phi, 0, include_nonfree))
         half_e = Fraction(vine.e, 2)
         out.append(Chamber(a, b, rep, table,
                            a >= -half_e and b <= half_e))
@@ -122,10 +120,6 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
 
 # --- serialization ---------------------------------------------------------
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def table_string(chamber: Chamber) -> str:
     """Canonical compact rendering of a stable table, e.g. ``(0,0) (1,-1)``.
 
@@ -144,15 +138,14 @@ def record_to_dict(record: AtlasRecord) -> dict:
     return {
         "g": record.g,
         "n": record.n,
-        "vine": {"g1": record.vine.g1, "g2": record.vine.g2,
-                 "e": record.vine.e, "S": list(record.vine.S)},
-        "window": [_frac(record.wall_set.lo), _frac(record.wall_set.hi)],
-        "walls": [_frac(w) for w in record.wall_set.walls],
+        "vine": vine_to_dict(record.vine),
+        "window": [str(record.wall_set.lo), str(record.wall_set.hi)],
+        "walls": [str(w) for w in record.wall_set.walls],
         "chambers": [
             {
-                "lo": _frac(c.lo),
-                "hi": _frac(c.hi),
-                "representative": _frac(c.representative),
+                "lo": str(c.lo),
+                "hi": str(c.hi),
+                "representative": str(c.representative),
                 "is_small_perturbation": c.is_small_perturbation,
                 "stable_table": [datum_to_dict(F) for F in c.stable_table],
             }
@@ -190,7 +183,7 @@ def atlas_to_csv(records: list[AtlasRecord]) -> str:
             writer.writerow([
                 r.g, r.n, r.vine.g1, r.vine.g2, r.vine.e,
                 ";".join(map(str, r.vine.S)),
-                _frac(c.lo), _frac(c.hi),
+                str(c.lo), str(c.hi),
                 int(c.is_small_perturbation), table_string(c),
             ])
     return buf.getvalue()

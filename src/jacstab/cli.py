@@ -91,8 +91,7 @@ def vines(g, n, min_edges, fmt, out):
     except (JacstabError, ValueError) as exc:
         _fail(str(exc))
     if fmt == "json":
-        payload = [{"g1": v.g1, "g2": v.g2, "e": v.e, "S": list(v.S)}
-                   for v in found]
+        payload = [graph_mod.vine_to_dict(v) for v in found]
         _emit(json.dumps(payload, indent=2) + "\n", out)
     else:
         _emit("\n".join(str(v) for v in found) + "\n", out)
@@ -158,8 +157,7 @@ def walls_cmd(g, n, window, fmt, out):
     except (JacstabError, ValueError) as exc:
         _fail(str(exc))
     if fmt == "json":
-        payload = [{"vine": {"g1": w.vine.g1, "g2": w.vine.g2,
-                             "e": w.vine.e, "S": list(w.vine.S)},
+        payload = [{"vine": graph_mod.vine_to_dict(w.vine),
                     "walls": [str(x) for x in w.walls]} for w in sets]
         _emit(json.dumps(payload, indent=2) + "\n", out)
     else:
@@ -227,18 +225,7 @@ def extends_cmd(g, n, k, a_text, phi_path, seed, fmt, out):
             JacstabError) as exc:
         _fail(str(exc))
     if fmt == "json":
-        payload = {
-            "extends": result.extends,
-            "witness_vine": None if result.witness is None else {
-                "g1": result.witness.g1, "g2": result.witness.g2,
-                "e": result.witness.e, "S": list(result.witness.S),
-                "bidegree": [result.witness_bidegree,
-                             -result.witness_bidegree],
-            },
-            "phi_table": table.to_dict(),
-            "note": abel_jacobi.SCOPE_NOTE,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", out)
+        _emit(json.dumps(result.to_report(), indent=2) + "\n", out)
     else:
         lines = ["extends: %s" % ("yes" if result.extends else "no")]
         if result.witness is not None:

@@ -16,6 +16,9 @@ from itertools import combinations
 
 from .errors import InvalidGraphError, InvalidSubcurveError
 
+# Most vertices whose 2^V - 2 subcurves DualGraph.subcurve_data enumerates.
+MAX_SUBCURVE_VERTICES = 16
+
 
 @dataclass(frozen=True)
 class Vertex:
@@ -88,7 +91,8 @@ class DualGraph:
     @cached_property
     def signature(self) -> tuple:
         """Structural identity: two graphs with equal signatures are the
-        same dual graph (used to detect mixed-graph operations)."""
+        same dual graph.  Operations on phis and sheaf data compare graphs
+        by identity, not by signature."""
         return (self.g, self.n, self.vertices, self.edges)
 
     @cached_property
@@ -140,8 +144,12 @@ class DualGraph:
         """Incidence data for all nonempty proper vertex subsets.
 
         Deterministic order: by subset size, then by sorted vertex tuple.
+        Raises :class:`InvalidGraphError` above ``MAX_SUBCURVE_VERTICES``.
         """
         ids = sorted(self.vertex_ids)
+        if len(ids) > MAX_SUBCURVE_VERTICES:
+            raise InvalidGraphError("%d vertices, subcurve limit is %d"
+                                    % (len(ids), MAX_SUBCURVE_VERTICES))
         out = []
         for size in range(1, len(ids)):
             for combo in combinations(ids, size):
@@ -244,17 +252,26 @@ class VineCurve:
         return tuple(sorted(set(range(1, self.n + 1)) - set(self.S)))
 
     def to_graph(self) -> DualGraph:
-        """Two-vertex dual graph: vertex 0 is side 1, vertex 1 is side 2."""
-        return DualGraph.build(
-            [(0, self.g1, self.S), (1, self.g2, self.side2_markings)],
-            [(0, 1)] * self.e,
-            self.n,
-            self.g,
-        )
+        """Two-vertex dual graph: vertex 0 is side 1, vertex 1 is side 2.
+        Built once per instance, so all phis and data on the vine share it."""
+        graph = self.__dict__.get("_graph")
+        if graph is None:
+            graph = DualGraph.build(
+                [(0, self.g1, self.S), (1, self.g2, self.side2_markings)],
+                [(0, 1)] * self.e,
+                self.n,
+                self.g,
+            )
+            object.__setattr__(self, "_graph", graph)
+        return graph
 
     def __str__(self):
         return "vine(g1=%d, g2=%d, e=%d, S={%s})" % (
             self.g1, self.g2, self.e, ",".join(map(str, self.S)))
+
+
+def vine_to_dict(vine: VineCurve) -> dict:
+    return {"g1": vine.g1, "g2": vine.g2, "e": vine.e, "S": list(vine.S)}
 
 
 def _side_stable(h: int, e: int, marks: int) -> bool:
@@ -298,27 +315,33 @@ def enumerate_vines(g: int, n: int, min_edges: int) -> list[VineCurve]:
 def spanning_tree_count(graph: DualGraph) -> int:
     """Number of spanning trees of the underlying multigraph, loops ignored.
 
-    Matrix-tree theorem with exact integer arithmetic (sympy determinant).
+    Matrix-tree theorem: the reduced Laplacian's determinant by fraction-free
+    Bareiss elimination (Bareiss 1968), every division exact.  That matrix is
+    positive definite for a connected graph, so no pivot is zero.
     """
     if not graph.is_connected():
         raise InvalidGraphError("graph not connected")
     nv = len(graph.vertices)
     if nv == 1:
         return 1
-    import sympy
-
     index = {vid: i for i, vid in enumerate(sorted(graph.vertex_ids))}
-    lap = sympy.zeros(nv, nv)
+    lap = [[0] * nv for _ in range(nv)]
     for e in graph.edges:
         if e.is_loop:
             continue
         a, b = index[e.ends[0]], index[e.ends[1]]
-        lap[a, a] += 1
-        lap[b, b] += 1
-        lap[a, b] -= 1
-        lap[b, a] -= 1
-    minor = lap[1:, 1:]
-    return int(minor.det())
+        lap[a][a] += 1
+        lap[b][b] += 1
+        lap[a][b] -= 1
+        lap[b][a] -= 1
+    m = [row[1:] for row in lap[1:]]
+    prev = 1
+    for k in range(nv - 2):
+        for i in range(k + 1, nv - 1):
+            for j in range(k + 1, nv - 1):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return m[-1][-1]
 
 
 # --- JSON schema -----------------------------------------------------------

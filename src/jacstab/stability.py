@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice, takewhile
 from math import lcm
 from numbers import Rational
 
@@ -93,17 +93,13 @@ class PhiVector:
                              % sum(self.values.values()))
         self._sums = None
 
-    def subcurve_sums(self, graph: DualGraph) -> tuple[int, ...]:
-        """``q * phi(C0)`` for every subcurve, in ``graph.subcurve_data`` order.
-
-        ``graph`` is ``self.graph`` or a graph with the same signature, which
-        lists its subcurves in the same order; taking the caller's graph
-        spares building a second subcurve table.  Computed once per vector.
-        """
+    def subcurve_sums(self) -> tuple[int, ...]:
+        """``q * phi(C0)`` for every subcurve, in ``self.graph.subcurve_data``
+        order.  Computed once per vector."""
         if self._sums is None:
             nums = self.numerators.__getitem__
             self._sums = tuple(sum(map(nums, info.vertices))
-                               for info in graph.subcurve_data)
+                               for info in self.graph.subcurve_data)
         return self._sums
 
     def __repr__(self):
@@ -160,13 +156,12 @@ def delta_on(F: SheafDatum, c0: Subcurve) -> int:
 
 def phi_of(phi: PhiVector, c0: Subcurve) -> Fraction:
     """Exact rational sum of phi over the subcurve's vertices."""
-    graph = phi.graph
-    return Fraction(phi.subcurve_sums(graph)[graph.subcurve_position(c0)], phi.q)
+    return Fraction(phi.subcurve_sums()[phi.graph.subcurve_position(c0)], phi.q)
 
 
 def _check_same_graph(graph, *objs):
     for obj in objs:
-        if obj.graph is not graph and obj.graph.signature != graph.signature:
+        if obj.graph is not graph:
             raise MismatchedGraphError("object attached to a different graph")
 
 
@@ -177,7 +172,7 @@ def _phi_context(graph, phi):
     q = phi.q
     return [(info.vertices, info.internal, info.crossing,
              len(info.crossing), 2 * s, q)
-            for info, s in zip(graph.subcurve_data, phi.subcurve_sums(graph))]
+            for info, s in zip(graph.subcurve_data, phi.subcurve_sums())]
 
 
 def _satisfies_ctx(ctx, F, strict: bool) -> bool:
@@ -221,7 +216,7 @@ def is_nondegenerate(graph: DualGraph, phi: PhiVector) -> bool:
     """
     _check_same_graph(graph, phi)
     q = phi.q
-    for info, s in zip(graph.subcurve_data, phi.subcurve_sums(graph)):
+    for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
         if (2 * s + q * len(info.crossing)) % (2 * q) == 0:
             return False
     return True
@@ -238,7 +233,7 @@ def find_equality_witness(graph: DualGraph, phi: PhiVector):
     """
     _check_same_graph(graph, phi)
     q = phi.q
-    for info, s in zip(graph.subcurve_data, phi.subcurve_sums(graph)):
+    for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
         cr = len(info.crossing)
         for delta in range(cr + 1):
             # 2q * (center -+ half) with center = s/q - delta/2, half = (cr+1)/2
@@ -257,7 +252,7 @@ def is_small_perturbation(graph: DualGraph, phi: PhiVector) -> bool:
     """
     _check_same_graph(graph, phi)
     q = phi.q
-    for info, s in zip(graph.subcurve_data, phi.subcurve_sums(graph)):
+    for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
         if not abs(2 * s) < q * len(info.crossing):
             return False
     return True
@@ -379,14 +374,32 @@ def verify_support_lemma(graph: DualGraph, phi: PhiVector):
     return True
 
 
-def epsilon_stream(seed: int):
-    """Deterministic small rationals 1/(100*p) over successive primes p."""
-    import sympy
+# Primes in order, grown by trial division as draws reach further; shared by
+# every stream, so each prime is found once per process.
+_PRIMES = [2, 3]
 
-    k = (int(seed) % 997) + 1
+
+def epsilon_stream(seed: int):
+    """Deterministic small rationals 1/(100*p) over successive primes p,
+    starting at the ``(seed % 997 + 1)``-th prime."""
+    k = int(seed) % 997
     while True:
-        yield Fraction(1, 100 * sympy.prime(k))
+        while len(_PRIMES) <= k:
+            c = _PRIMES[-1] + 2
+            while not all(c % p for p in takewhile(lambda p: p * p <= c, _PRIMES)):
+                c += 2
+            _PRIMES.append(c)
+        yield Fraction(1, 100 * _PRIMES[k])
         k += 1
+
+
+def first_admissible(candidates, ok, failure: str):
+    """The first of at most 50 candidates satisfying ``ok``; raises
+    :class:`PhiConstructionError` with ``failure`` if none does."""
+    for candidate in islice(candidates, 50):
+        if ok(candidate):
+            return candidate
+    raise PhiConstructionError(failure)
 
 
 def make_t_stable_phi(vine: VineCurve, t: int, seed: int = 0) -> PhiVector:
@@ -397,16 +410,12 @@ def make_t_stable_phi(vine: VineCurve, t: int, seed: int = 0) -> PhiVector:
     """
     graph = vine.to_graph()
     target = SheafDatum(graph, frozenset(), {0: t, 1: -t})
-    eps_iter = epsilon_stream(seed)
-    for _ in range(50):
-        x = t + next(eps_iter)
-        phi = PhiVector(graph, {0: x, 1: -x})
-        if not is_nondegenerate(graph, phi):
-            continue
-        if is_stable(graph, phi, target):
-            return phi
-    raise PhiConstructionError("no admissible perturbation found for %s, t=%d"
-                               % (vine, t))
+    return first_admissible(
+        (PhiVector(graph, {0: t + eps, 1: -t - eps})
+         for eps in epsilon_stream(seed)),
+        lambda phi: (is_nondegenerate(graph, phi)
+                     and is_stable(graph, phi, target)),
+        "no admissible perturbation found for %s, t=%d" % (vine, t))
 
 
 # --- JSON schemas ----------------------------------------------------------

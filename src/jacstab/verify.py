@@ -43,8 +43,6 @@ from .stability import (
     SheafDatum,
 )
 
-SUITES = ("cor25", "support-lemma", "tree-count", "wall-criterion", "prop41")
-
 
 @dataclass
 class SuiteResult:
@@ -74,22 +72,6 @@ def _per_graph_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
 
 
-def _map_graphs(fn, graphs, jobs):
-    work = list(enumerate(graphs))
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, work, chunksize=32))
-    return [fn(item) for item in work]
-
-
-def _collect(suite, results):
-    cases = sum(c for c, _ in results)
-    for _, bad in results:
-        if bad is not None:
-            return SuiteResult(suite, False, cases, bad)
-    return SuiteResult(suite, True, cases)
-
-
 # --- cor25: small perturbation <=> trivial bundle stable -------------------
 
 def _cor25_one(args, trials=50, seed=0):
@@ -107,12 +89,6 @@ def _cor25_one(args, trials=50, seed=0):
             return cases, "%r phi=%r: inequality route %s, trivial-bundle route %s" % (
                 graph, phi, lhs, rhs)
     return cases, None
-
-
-def suite_cor25(max_vertices=4, max_edges=7, trials=50, seed=0, jobs=1):
-    graphs = stable_graph_corpus(max_vertices, max_edges)
-    fn = partial(_cor25_one, trials=trials, seed=seed)
-    return _collect("cor25", _map_graphs(fn, graphs, jobs))
 
 
 # --- Wall criterion: closed form vs brute-force equality search ------------
@@ -137,12 +113,6 @@ def _wall_one(args, trials=50, seed=0):
     return cases, None
 
 
-def suite_wall_criterion(max_vertices=4, max_edges=7, trials=50, seed=0, jobs=1):
-    graphs = stable_graph_corpus(max_vertices, max_edges)
-    fn = partial(_wall_one, trials=trials, seed=seed)
-    return _collect("wall-criterion", _map_graphs(fn, graphs, jobs))
-
-
 # --- Support lemma shadow ---------------------------------------------------
 
 def _support_one(args, trials=5, seed=0):
@@ -160,12 +130,6 @@ def _support_one(args, trials=5, seed=0):
     return cases, None
 
 
-def suite_support_lemma(max_vertices=4, max_edges=7, trials=5, seed=0, jobs=1):
-    graphs = stable_graph_corpus(max_vertices, max_edges)
-    fn = partial(_support_one, trials=trials, seed=seed)
-    return _collect("support-lemma", _map_graphs(fn, graphs, jobs))
-
-
 # --- Spanning-tree count of stable multidegrees ------------------------------
 
 def _tree_one(args, trials=50, seed=0):
@@ -181,12 +145,6 @@ def _tree_one(args, trials=50, seed=0):
             return cases, "%r phi=%r: %d stable multidegrees, %d spanning trees" % (
                 graph, phi, got, expected)
     return cases, None
-
-
-def suite_tree_count(max_vertices=4, max_edges=7, trials=50, seed=0, jobs=1):
-    graphs = stable_graph_corpus(max_vertices, max_edges)
-    fn = partial(_tree_one, trials=trials, seed=seed)
-    return _collect("tree-count", _map_graphs(fn, graphs, jobs))
 
 
 # --- prop41: extension classification round trip ------------------------------
@@ -227,7 +185,7 @@ def _recheck_certificate(cert) -> bool:
     return True
 
 
-def suite_prop41(max_genus=3, max_markings=3, seed=0, **_ignored):
+def suite_prop41(max_genus=3, max_markings=3, seed=0):
     cases = 0
     for g in range(1, max_genus + 1):
         for n in range(1, max_markings + 1):
@@ -271,17 +229,32 @@ def suite_prop41(max_genus=3, max_markings=3, seed=0, **_ignored):
     return SuiteResult("prop41", True, cases)
 
 
+# Corpus suites: name -> (check of one indexed graph, cap on its trials).
+_CORPUS_SUITES = {
+    "cor25": (_cor25_one, None),
+    "support-lemma": (_support_one, 5),
+    "tree-count": (_tree_one, None),
+    "wall-criterion": (_wall_one, None),
+}
+SUITES = (*_CORPUS_SUITES, "prop41")
+
+
 def run_suite(name: str, max_vertices=4, max_edges=7, trials=50,
               seed=0, jobs=1) -> SuiteResult:
-    if name == "cor25":
-        return suite_cor25(max_vertices, max_edges, trials, seed, jobs)
-    if name == "support-lemma":
-        return suite_support_lemma(max_vertices, max_edges,
-                                   min(trials, 5), seed, jobs)
-    if name == "tree-count":
-        return suite_tree_count(max_vertices, max_edges, trials, seed, jobs)
-    if name == "wall-criterion":
-        return suite_wall_criterion(max_vertices, max_edges, trials, seed, jobs)
+    """Run one suite; prop41 sweeps twists, not the graph corpus, and reads
+    only the seed."""
     if name == "prop41":
         return suite_prop41(seed=seed)
-    raise ValueError("unknown suite %r; expected one of %s" % (name, SUITES))
+    if name not in _CORPUS_SUITES:
+        raise ValueError("unknown suite %r; expected one of %s" % (name, SUITES))
+    one, cap = _CORPUS_SUITES[name]
+    fn = partial(one, trials=trials if cap is None else min(trials, cap),
+                 seed=seed)
+    work = list(enumerate(stable_graph_corpus(max_vertices, max_edges)))
+    if jobs > 1 and len(work) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(fn, work, chunksize=32))
+    else:
+        results = [fn(item) for item in work]
+    bad = next((b for _, b in results if b is not None), None)
+    return SuiteResult(name, bad is None, sum(c for c, _ in results), bad)

@@ -5,6 +5,8 @@ import pytest
 
 from jacstab.abel_jacobi import (
     AJDatum,
+    ClassificationResult,
+    ExtendsResult,
     VinePhiTable,
     aj_multidegree,
     certify_unstable_on_vine,
@@ -194,6 +196,39 @@ def test_phi_table_round_trip():
     back = VinePhiTable.from_dict(table.to_dict())
     assert back.entries == table.entries
     assert back.to_dict() == table.to_dict()
+
+
+def test_one_report_for_both_result_names():
+    # classify_extension and sigma_extends answer with the same type
+    table = construct_prop_phi(2, 2, 1, 2)
+    checked = sigma_extends(2, 2, AJDatum(0, (1, -1), 2, 2), table)
+    classified = classify_extension(2, 2, AJDatum(0, (1, -1), 2, 2))
+    assert isinstance(checked, ClassificationResult)
+    assert isinstance(classified, ExtendsResult)
+    assert checked.to_report() == classified.to_report()
+
+
+def test_phi_table_swapped_row_is_canonicalized():
+    table = construct_prop_phi(2, 2, 1, 2, seed=3)
+    data = table.to_dict()
+    row = {"g1": 0, "g2": 1, "e": 2, "S": [1], "phi": "351/700"}
+    data["entries"][data["entries"].index(row)] = \
+        {"g1": 1, "g2": 0, "e": 2, "S": [2], "phi": "-351/700"}
+    back = VinePhiTable.from_dict(data)
+    assert back.entries == table.entries
+    assert sigma_extends(2, 2, AJDatum(0, (1, -1), 2, 2), back).extends
+
+
+@pytest.mark.parametrize("on_bidegree", [True, False])
+def test_sigma_extends_refuses_inadmissible_table(on_bidegree):
+    # bidegree + 1/101 is 2 + 1/101 on vine(0, 1, 2, {1}), outside the
+    # small-perturbation interval (-1, 1); 0 lies on a wall of every e = 2 vine
+    aj = AJDatum(0, (2, -2), 2, 2)
+    table = VinePhiTable(2, 2, {
+        v: vine_bidegree(v, aj) + Fraction(1, 101) if on_bidegree else 0
+        for v in enumerate_vines(2, 2, 1)})
+    with pytest.raises(PreconditionError, match=r"vine\(g1=0, g2=1, e=2, S=\{1\}\)"):
+        sigma_extends(2, 2, aj, table)
 
 
 def test_phi_table_decimal_rejected():

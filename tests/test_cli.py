@@ -98,6 +98,53 @@ class TestClassify:
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+G1N2_TABLE = {"g": 1, "n": 2, "entries": [
+    {"g1": 0, "g2": 1, "e": 1, "S": [1, 2], "phi": "0"},
+    {"g1": 0, "g2": 0, "e": 2, "S": [1], "phi": "101/200"},
+]}
+NOTE = ("phi table is per-vine; whether it lifts to a global stability "
+        "parameter is not decided here")
+
+
+class TestExtends:
+    def test_yes_json_bytes(self):
+        proc = run_cli("extends", "--g", "1", "--n", "2", "--a", "1,-1",
+                       "--format", "json")
+        assert proc.returncode == 0
+        assert proc.stdout == json.dumps({
+            "extends": True,
+            "witness_vine": None,
+            "phi_table": G1N2_TABLE,
+            "note": NOTE,
+        }, indent=2) + "\n"
+
+    def test_no_json_bytes_from_given_table(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(G1N2_TABLE))
+        proc = run_cli("extends", "--g", "1", "--n", "2", "--a", "2,-2",
+                       "--phi", str(path), "--format", "json")
+        assert proc.returncode == 0
+        assert proc.stdout == json.dumps({
+            "extends": False,
+            "witness_vine": {"g1": 0, "g2": 0, "e": 2, "S": [1],
+                             "bidegree": [2, -2]},
+            "phi_table": G1N2_TABLE,
+            "note": NOTE,
+        }, indent=2) + "\n"
+
+    def test_table_off_small_perturbation_exits_1(self, tmp_path):
+        # the vine's bidegree 2 plus 1/101 is no small perturbation
+        table = {"g": 1, "n": 2, "entries": [
+            {"g1": 0, "g2": 0, "e": 2, "S": [1], "phi": "203/101"}]}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        proc = run_cli("extends", "--g", "1", "--n", "2", "--a", "2,-2",
+                       "--phi", str(path))
+        assert proc.returncode == 1
+        assert "vine(g1=0, g2=0, e=2, S={1})" in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestUsageErrors:
     def test_decimal_rational_rejected(self):
         proc = run_cli("walls", "--g", "2", "--n", "1", "--window", "-1.5..1")
@@ -159,6 +206,17 @@ class TestOtherCommands:
                        "--k", "1", "--a", "2")
         assert proc.returncode == 1
         assert "provide a table" in proc.stderr
+
+    def test_walls_json_bytes(self):
+        proc = run_cli("walls", "--g", "1", "--n", "2", "--window", "-1..1",
+                       "--format", "json")
+        assert proc.returncode == 0
+        assert proc.stdout == json.dumps([
+            {"vine": {"g1": 0, "g2": 1, "e": 1, "S": [1, 2]},
+             "walls": ["-1/2", "1/2"]},
+            {"vine": {"g1": 0, "g2": 0, "e": 2, "S": [1]},
+             "walls": ["-1", "0", "1"]},
+        ], indent=2) + "\n"
 
     def test_verify_small_suite(self):
         proc = run_cli("verify", "--suite", "tree-count",

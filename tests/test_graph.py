@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
+import jacstab
 from jacstab.errors import InvalidGraphError, InvalidSubcurveError
 from jacstab.graph import (
+    MAX_SUBCURVE_VERTICES,
     DualGraph,
     Subcurve,
     VineCurve,
@@ -88,6 +94,15 @@ class TestSubcurves:
         g = DualGraph.build([(0, 1, (1,))], [], 1)
         assert list(subcurves(g)) == []
 
+    def test_vertex_ceiling_fails_fast(self):
+        assert MAX_SUBCURVE_VERTICES >= 10
+        path = DualGraph.build([(i, 1, (1,) if i == 0 else ()) for i in range(40)],
+                               [(i, i + 1) for i in range(39)], 1)
+        start = time.monotonic()
+        with pytest.raises(InvalidGraphError, match="40 vertices"):
+            list(subcurves(path))
+        assert time.monotonic() - start < 1
+
     def test_deterministic_order(self):
         g = triangle()
         assert [sorted(c.vertex_set) for c in subcurves(g)] == [
@@ -120,6 +135,11 @@ class TestEnumerateVines:
     def test_canonical_orientation(self):
         for v in enumerate_vines(3, 2, 1):
             assert (v.g1, v.S) <= (v.g2, v.side2_markings)
+
+    def test_graph_built_once_per_vine(self):
+        vine = make_vine(0, 1, 2, (1,), 1)
+        assert vine.to_graph() is vine.to_graph()
+        assert vine == make_vine(0, 1, 2, (1,), 1)
 
     def test_genus_formula(self):
         for v in enumerate_vines(3, 3, 1):
@@ -158,6 +178,23 @@ class TestSpanningTreeCount:
             if len(graph.edges) <= 8:
                 assert spanning_tree_count(graph) == \
                     count_spanning_trees_exhaustive(graph)
+
+
+def test_runtime_does_not_import_sympy():
+    code = "\n".join([
+        "import sys",
+        "from jacstab import AJDatum, DualGraph, classify_extension, spanning_tree_count",
+        "assert classify_extension(3, 2, AJDatum(0, (1, -1), 3, 2)).extends",
+        "g = DualGraph.build([(0, 1, (1,)), (1, 1, ()), (2, 1, ()), (3, 1, ())],",
+        "                    [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 1)",
+        "assert spanning_tree_count(g) == 8",
+        "assert 'sympy' not in sys.modules",
+    ])
+    src = os.path.dirname(os.path.dirname(jacstab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_dualizing_degree_identity():

@@ -36,6 +36,7 @@ from jacstab.stability import (
     datum_to_dict,
     degree_on,
     delta_on,
+    epsilon_stream,
     equivalent_small_perturbation_check,
     exact_rational,
     find_equality_witness,
@@ -158,7 +159,7 @@ def test_integer_kernel_matches_fraction_reference():
             assert all(Fraction(phi.numerators[v], phi.q) == x
                        for v, x in phi.values.items())
             mixed += len({x.denominator for x in phi.values.values()}) > 1
-            for info, s in zip(graph.subcurve_data, phi.subcurve_sums(graph)):
+            for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
                 x = fraction_subcurve_sum(phi, info)
                 assert Fraction(s, phi.q) == x
                 assert phi_of(phi, Subcurve(info.vertex_set)) == x
@@ -392,6 +393,16 @@ class TestMakeTStablePhi:
         g = vine.to_graph()
         assert is_nondegenerate(g, phi)
         assert is_stable(g, phi, SheafDatum(g, (), {0: t, 1: -t}))
+
+    def test_epsilon_stream_values(self):
+        # 1/(100 p) over the primes from the (seed % 997 + 1)-th on
+        draws = epsilon_stream(0)
+        assert [next(draws) for _ in range(3)] == \
+            [Fraction(1, 200), Fraction(1, 300), Fraction(1, 500)]
+        draws = epsilon_stream(996)
+        first_50 = [next(draws) for _ in range(50)]
+        assert first_50[0] == Fraction(1, 788300)
+        assert first_50[49] == Fraction(1, 835300)
 
     def test_deterministic(self):
         vine = make_vine(0, 1, 2, (1,), 1)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from jacstab.verify import _per_graph_rng, run_suite
+from jacstab.verify import SUITES, _per_graph_rng, run_suite
 
 CORPUS_SUITES = ("cor25", "wall-criterion", "support-lemma", "tree-count")
 
@@ -15,6 +15,24 @@ def test_jobs_do_not_change_result(suite):
                        seed=1, jobs=2)
     assert serial.passed, serial.counterexample
     assert serial == pooled
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_suite_dispatches(suite):
+    result = run_suite(suite, max_vertices=2, max_edges=3, trials=2, seed=1)
+    assert result.suite == suite
+    assert result.passed, result.counterexample
+
+
+def test_support_lemma_caps_trials_at_five():
+    capped = run_suite("support-lemma", max_vertices=2, max_edges=3, trials=50)
+    five = run_suite("support-lemma", max_vertices=2, max_edges=3, trials=5)
+    assert capped == five
+
+
+def test_unknown_suite_rejected():
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suite("cor26")
 
 
 def test_per_graph_seed_is_replayable():
