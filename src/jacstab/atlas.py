@@ -4,6 +4,11 @@ For a two-vertex graph the stability parameter is determined by the single
 value x = phi(side 1), so the decomposition is an arrangement of points on a
 line: the walls are exactly {m - e/2 : m integer}.  Each chamber carries the
 (constant) table of stable sheaf data computed at its midpoint.
+
+Walls and chamber tables depend on a vine only through its edge count e, so
+an atlas searches chambers once per edge count and gives every other vine
+with that e the same tables on its own graph; the JSON export renders each
+distinct chambers-and-deltas content once.
 """
 
 from __future__ import annotations
@@ -11,14 +16,20 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
 from math import ceil, floor
+from operator import attrgetter
 
-from .graph import VineCurve, enumerate_vines, vine_to_dict
+from .errors import InvalidGraphError
+from .graph import MAX_NONFREE_EDGES, VineCurve, enumerate_vines, vine_to_dict
 from .stability import (PhiVector, SheafDatum, datum_to_dict, exact_rational,
                         stable_sheaf_data)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -86,36 +97,57 @@ def chambers(vine: VineCurve, window: tuple[Fraction, Fraction],
     return out
 
 
-def _record_for_vine(args) -> AtlasRecord:
-    g, n, vine, window, include_nonfree = args
-    wall_set = walls(vine, window)
-    chs = tuple(chambers(vine, window, include_nonfree))
+def _records_for_edge_count(args) -> list[AtlasRecord]:
+    """Records for vines that share one edge count, in the given order.
+
+    Walls and stable tables depend on a vine only through e, so ``chambers``
+    searches the first vine alone; every other vine gets its own walls and
+    the same tables rebuilt on its own graph.
+    """
+    g, n, vines, window, include_nonfree = args
+    first = tuple(chambers(vines[0], window, include_nonfree))
     deltas = []
-    for left, right in zip(chs, chs[1:]):
+    for left, right in zip(first, first[1:]):
         lk, rk = set(left.table_keys), set(right.table_keys)
         deltas.append((tuple(sorted(rk - lk)), tuple(sorted(lk - rk))))
-    return AtlasRecord(g, n, vine, wall_set, chs, tuple(deltas))
+    deltas = tuple(deltas)
+    records = []
+    for vine in vines:
+        graph = vine.to_graph()
+        chs = first if vine is vines[0] else tuple(
+            replace(c, stable_table=tuple(SheafDatum(graph, F.S, F.D)
+                                          for F in c.stable_table))
+            for c in first)
+        records.append(AtlasRecord(g, n, vine, walls(vine, window), chs,
+                                   deltas))
+    return records
 
 
 def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
           include_nonfree: bool = False, jobs: int = 1) -> list[AtlasRecord]:
     """Records for every vine of (g, n), in canonical vine order.
 
-    Deterministic regardless of the job count: records are computed per
-    vine and re-sorted canonically before returning.
+    One chamber search per edge count.  Deterministic regardless of the job
+    count: a pool maps over the edge counts in vine order and keeps it.
     """
     if g < 1 or n < 1:
         raise ValueError("require g >= 1 and n >= 1")
     vines = enumerate_vines(g, n, 1)
-    work = [(g, n, v, (exact_rational(window[0]), exact_rational(window[1])),
-             include_nonfree) for v in vines]
+    if include_nonfree and vines and vines[-1].e > MAX_NONFREE_EDGES:
+        # fail before the smaller edge counts are searched
+        raise InvalidGraphError("%s: %d edges, non-free limit is %d"
+                                % (vines[-1], vines[-1].e, MAX_NONFREE_EDGES))
+    window = (exact_rational(window[0]), exact_rational(window[1]))
+    work = [(g, n, list(group), window, include_nonfree)
+            for _, group in groupby(vines, key=attrgetter("e"))]
+    log.debug("atlas g=%d n=%d: %d vines, %d chamber searches",
+              g, n, len(vines), len(work))
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_record_for_vine, work))
+            groups = list(pool.map(_records_for_edge_count, work))
     else:
-        records = [_record_for_vine(w) for w in work]
-    records.sort(key=lambda r: (r.vine.e, r.vine.g1, r.vine.S))
-    return records
+        groups = [_records_for_edge_count(w) for w in work]
+    return [r for group in groups for r in group]
 
 
 # --- serialization ---------------------------------------------------------
@@ -134,13 +166,18 @@ def table_string(chamber: Chamber) -> str:
     return " ".join(parts)
 
 
-def record_to_dict(record: AtlasRecord) -> dict:
+def _vine_fields(record: AtlasRecord) -> dict:
     return {
         "g": record.g,
         "n": record.n,
         "vine": vine_to_dict(record.vine),
         "window": [str(record.wall_set.lo), str(record.wall_set.hi)],
         "walls": [str(w) for w in record.wall_set.walls],
+    }
+
+
+def _chamber_fields(record: AtlasRecord) -> dict:
+    return {
         "chambers": [
             {
                 "lo": str(c.lo),
@@ -159,15 +196,40 @@ def record_to_dict(record: AtlasRecord) -> dict:
     }
 
 
+def record_to_dict(record: AtlasRecord) -> dict:
+    return {**_vine_fields(record), **_chamber_fields(record)}
+
+
+def _members(fields: dict, depth: int) -> str:
+    """The members of ``fields`` as they read in an indent=2 document where
+    the dict sits at ``depth``: its standalone rendering with every newline
+    followed by 2*depth spaces, without the braces."""
+    text = json.dumps(fields, indent=2).replace("\n", "\n" + "  " * depth)
+    return text[1:-(2 * depth + 2)]
+
+
 def atlas_to_json(records: list[AtlasRecord]) -> str:
+    """``json.dumps({"g", "n", "records": [record_to_dict(r), ...]},
+    indent=2)`` plus a newline.
+
+    Vines with one edge count share their chambers and deltas, so each
+    distinct chambers-and-deltas content is rendered once per call and
+    spliced into every record (at depth 2) that has it.
+    """
     if not records:
         return json.dumps({"records": []}, indent=2) + "\n"
-    payload = {
-        "g": records[0].g,
-        "n": records[0].n,
-        "records": [record_to_dict(r) for r in records],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    rendered = {}
+    texts = []
+    for r in records:
+        key = (tuple((c.lo, c.hi, c.representative, c.is_small_perturbation,
+                      c.table_keys) for c in r.chambers), r.deltas)
+        chamber_text = rendered.get(key)
+        if chamber_text is None:
+            chamber_text = rendered[key] = _members(_chamber_fields(r), 2)
+        texts.append("{%s,%s\n    }" % (_members(_vine_fields(r), 2),
+                                         chamber_text))
+    return ('{\n  "g": %d,\n  "n": %d,\n  "records": [\n    %s\n  ]\n}\n'
+            % (records[0].g, records[0].n, ",\n    ".join(texts)))
 
 
 CSV_COLUMNS = ["g", "n", "g1", "g2", "e", "S", "chamber_lo", "chamber_hi",

@@ -18,6 +18,8 @@ from .errors import InvalidGraphError, InvalidSubcurveError
 
 # Most vertices whose 2^V - 2 subcurves DualGraph.subcurve_data enumerates.
 MAX_SUBCURVE_VERTICES = 16
+# Most edges whose 2^E subsets a non-free stable_sheaf_data search enumerates.
+MAX_NONFREE_EDGES = 16
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,6 @@ class DualGraph:
         return tuple(v.id for v in self.vertices)
 
     @cached_property
-    def vertex_by_id(self) -> dict[int, Vertex]:
-        return {v.id: v for v in self.vertices}
-
-    @cached_property
     def edge_by_id(self) -> dict[int, Edge]:
         return {e.id: e for e in self.edges}
 
@@ -112,14 +110,6 @@ class DualGraph:
         return sum(
             (e.ends[0] == vid) + (e.ends[1] == vid) for e in self.edges
         )
-
-    @cached_property
-    def loops_at(self) -> dict[int, frozenset[int]]:
-        out = {v.id: set() for v in self.vertices}
-        for e in self.edges:
-            if e.is_loop:
-                out[e.ends[0]].add(e.id)
-        return {vid: frozenset(s) for vid, s in out.items()}
 
     def is_connected(self) -> bool:
         if not self.vertices:

@@ -41,12 +41,13 @@ from numbers import Rational
 
 from .errors import (
     DegenerateParameterError,
+    InvalidGraphError,
     MismatchedGraphError,
     PhiConstructionError,
     PreconditionError,
     UnknownEdgeError,
 )
-from .graph import DualGraph, Subcurve, VineCurve, complement, subcurves
+from .graph import MAX_NONFREE_EDGES, DualGraph, Subcurve, VineCurve
 
 
 _RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
@@ -275,6 +276,9 @@ def _integer_window(low: int, high: int, den: int) -> range:
 
 def _edge_subsets(graph):
     eids = sorted(graph.edge_by_id)
+    if len(eids) > MAX_NONFREE_EDGES:
+        raise InvalidGraphError("%d edges, non-free limit is %d"
+                                % (len(eids), MAX_NONFREE_EDGES))
     return chain.from_iterable(combinations(eids, k) for k in range(len(eids) + 1))
 
 
@@ -284,7 +288,9 @@ def stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
 
     Requires phi nondegenerate (stable = semistable, so the list is
     unambiguous).  With ``include_nonfree=False`` only line bundles (S
-    empty) are returned.  The search is bounded: the singleton-subcurve
+    empty) are returned; with ``include_nonfree=True`` the search runs over
+    all 2^E edge subsets, so graphs above ``MAX_NONFREE_EDGES`` edges raise
+    :class:`InvalidGraphError`.  The search is bounded: the singleton-subcurve
     inequality pins each D(v) to a finite window; the last vertex is solved
     from the total-degree constraint.  Output is canonically ordered by
     (sorted S, D).

@@ -15,7 +15,6 @@ from itertools import product
 
 from .abel_jacobi import (
     AJDatum,
-    certify_unstable_on_vine,
     classify_extension,
     sigma_extends,
     vine_bidegree,

@@ -1,5 +1,6 @@
 """Independent brute-force oracles used only by the tests."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -55,3 +56,16 @@ def fraction_is_small_perturbation(graph, phi):
     """|phi(C0)| < cr(C0)/2 for every subcurve."""
     return all(abs(2 * fraction_subcurve_sum(phi, info)) < len(info.crossing)
                for info in graph.subcurve_data)
+
+
+# --- stdlib reference for the atlas JSON export ----------------------------
+
+def atlas_json_reference(records):
+    """The whole atlas document rendered by one ``json.dumps(indent=2)``."""
+    from jacstab.atlas import record_to_dict
+
+    if not records:
+        return json.dumps({"records": []}, indent=2) + "\n"
+    payload = {"g": records[0].g, "n": records[0].n,
+               "records": [record_to_dict(r) for r in records]}
+    return json.dumps(payload, indent=2) + "\n"

@@ -1,6 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
+from oracles import atlas_json_reference
 
 from jacstab.atlas import (
     atlas,
@@ -11,8 +13,8 @@ from jacstab.atlas import (
     vine_phi,
     walls,
 )
-from jacstab.errors import PreconditionError
-from jacstab.graph import enumerate_vines, make_vine
+from jacstab.errors import InvalidGraphError, PreconditionError
+from jacstab.graph import MAX_NONFREE_EDGES, enumerate_vines, make_vine
 from jacstab.stability import stable_sheaf_data
 
 
@@ -115,6 +117,35 @@ class TestAtlas:
         assert atlas_to_json(atlas(3, 1, window)) == \
             atlas_to_json(atlas(3, 1, window, jobs=4))
 
+    def test_jobs_do_not_change_nonfree_output(self):
+        window = (Fraction(-2), Fraction(2))
+        assert atlas_to_json(atlas(4, 2, window, True)) == \
+            atlas_to_json(atlas(4, 2, window, True, jobs=2))
+
+    @pytest.mark.parametrize("nonfree", [False, True])
+    def test_records_match_direct_chamber_search(self, nonfree):
+        # one search per edge count; every vine's tables equal its own
+        # search and live on its own graph
+        window = (Fraction(-5, 2), Fraction(7, 3))
+        records = atlas(5, 2, window, nonfree)
+        assert len({r.vine.e for r in records}) < len(records)
+        for r in records:
+            direct = tuple(chambers(r.vine, window, nonfree))
+            graph = r.vine.to_graph()
+            assert [c.table_keys for c in r.chambers] == \
+                [c.table_keys for c in direct]
+            assert all(F.graph is graph
+                       for c in r.chambers for F in c.stable_table)
+            assert r.chambers == direct
+            assert r.wall_set == walls(r.vine, window)
+
+    def test_nonfree_edge_ceiling_fails_fast(self):
+        # g = MAX_NONFREE_EDGES has a vine with g + 1 edges
+        start = time.monotonic()
+        with pytest.raises(InvalidGraphError, match="non-free limit"):
+            atlas(MAX_NONFREE_EDGES, 1, (Fraction(-1), Fraction(1)), True)
+        assert time.monotonic() - start < 1
+
     def test_json_deterministic(self):
         window = (Fraction(-1), Fraction(1))
         assert atlas_to_json(atlas(2, 1, window)) == \
@@ -125,6 +156,26 @@ class TestAtlas:
         records = atlas(2, 1, window)
         lines = atlas_to_csv(records).splitlines()
         assert len(lines) == 1 + sum(len(r.chambers) for r in records)
+
+    @pytest.mark.parametrize("g, n, window, nonfree", [
+        (2, 1, (Fraction(-3), Fraction(3)), False),
+        (6, 3, (Fraction(-3), Fraction(3)), False),
+        (4, 2, (Fraction(-3), Fraction(3)), True),
+        (5, 2, (Fraction(-5, 2), Fraction(7, 3)), True),
+        (4, 3, (Fraction(1, 3), Fraction(1, 3)), False),
+        (1, 1, (Fraction(-1), Fraction(1)), False),
+    ])
+    def test_json_matches_stdlib_reference(self, g, n, window, nonfree):
+        records = atlas(g, n, window, nonfree)
+        assert atlas_to_json(records) == atlas_json_reference(records)
+
+    def test_json_of_mixed_windows_matches_stdlib_reference(self):
+        # vines with one e but another window or include_nonfree have other
+        # chambers, so shared renderings must be keyed on content, not e
+        mixed = (atlas(3, 1, (Fraction(-2), Fraction(2)))
+                 + atlas(3, 1, (Fraction(-1, 2), Fraction(1)))
+                 + atlas(3, 1, (Fraction(-2), Fraction(2)), True))
+        assert atlas_to_json(mixed) == atlas_json_reference(mixed)
 
     def test_bad_context(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +182,20 @@ class TestAtlasCommand:
             assert proc.returncode == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_debug_log_goes_to_stderr(self):
+        golden = Path(__file__).parent / "golden" / "atlas_g2_n1.json"
+        proc = run_cli("atlas", "--g", "2", "--n", "1", "--window", "-3..3",
+                       env={**os.environ, "JACSTAB_LOG": "DEBUG"})
+        assert proc.returncode == 0
+        assert "atlas g=2 n=1: 3 vines, 3 chamber searches" in proc.stderr
+        assert proc.stdout.encode("utf-8") == golden.read_bytes()
+
+    def test_nonfree_edge_ceiling_exits_at_once(self):
+        proc = run_cli("atlas", "--g", "30", "--n", "1", "--window", "-1..1",
+                       "--include-nonfree", timeout=10)
+        assert proc.returncode == 1
+        assert "31 edges, non-free limit is 16" in proc.stderr
 
     def test_csv_format(self):
         proc = run_cli("atlas", "--g", "2", "--n", "1",

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,13 @@ from jacstab.corpus import (
 )
 from jacstab.errors import (
     DegenerateParameterError,
+    InvalidGraphError,
     MismatchedGraphError,
     PreconditionError,
     UnknownEdgeError,
 )
 from jacstab.graph import (
+    MAX_NONFREE_EDGES,
     DualGraph,
     Subcurve,
     complement,
@@ -355,6 +358,16 @@ class TestStableSheafData:
         for F in data:
             assert total_degree(F) == 1
         assert stable_sheaf_data(g, phi, 5, include_nonfree=True) == []
+
+    def test_nonfree_edge_ceiling_fails_fast(self):
+        e = MAX_NONFREE_EDGES + 1
+        g = vine_graph(e)
+        phi = vine_phi2(g, Fraction(1, 3))
+        assert len(stable_sheaf_data(g, phi, 0)) == e  # line bundles still run
+        start = time.monotonic()
+        with pytest.raises(InvalidGraphError, match="%d edges" % e):
+            stable_sheaf_data(g, phi, 0, include_nonfree=True)
+        assert time.monotonic() - start < 1
 
     def test_edge_id_permutation_invariance(self):
         # permuting ids within a parallel class changes nothing
