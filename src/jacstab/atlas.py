@@ -8,7 +8,8 @@ line: the walls are exactly {m - e/2 : m integer}.  Each chamber carries the
 Walls and chamber tables depend on a vine only through its edge count e, so
 an atlas searches chambers once per edge count and gives every other vine
 with that e the same tables on its own graph; the JSON export renders each
-distinct chambers-and-deltas content once.
+distinct chambers-and-deltas content once.  An atlas is built serially in
+one process.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import csv
 import io
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import ceil, floor
@@ -97,38 +97,14 @@ def chambers(vine: VineCurve, window: tuple[Fraction, Fraction],
     return out
 
 
-def _records_for_edge_count(args) -> list[AtlasRecord]:
-    """Records for vines that share one edge count, in the given order.
-
-    Walls and stable tables depend on a vine only through e, so ``chambers``
-    searches the first vine alone; every other vine gets its own walls and
-    the same tables rebuilt on its own graph.
-    """
-    g, n, vines, window, include_nonfree = args
-    first = tuple(chambers(vines[0], window, include_nonfree))
-    deltas = []
-    for left, right in zip(first, first[1:]):
-        lk, rk = set(left.table_keys), set(right.table_keys)
-        deltas.append((tuple(sorted(rk - lk)), tuple(sorted(lk - rk))))
-    deltas = tuple(deltas)
-    records = []
-    for vine in vines:
-        graph = vine.to_graph()
-        chs = first if vine is vines[0] else tuple(
-            replace(c, stable_table=tuple(SheafDatum(graph, F.S, F.D)
-                                          for F in c.stable_table))
-            for c in first)
-        records.append(AtlasRecord(g, n, vine, walls(vine, window), chs,
-                                   deltas))
-    return records
-
-
 def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
           include_nonfree: bool = False, jobs: int = 1) -> list[AtlasRecord]:
     """Records for every vine of (g, n), in canonical vine order.
 
-    One chamber search per edge count.  Deterministic regardless of the job
-    count: a pool maps over the edge counts in vine order and keeps it.
+    Walls and stable tables depend on a vine only through e, so ``chambers``
+    searches the first vine of each edge count alone; every other vine gets
+    its own walls and the same tables rebuilt on its own graph.  Runs
+    serially: ``jobs`` is accepted for compatibility and has no effect.
     """
     if g < 1 or n < 1:
         raise ValueError("require g >= 1 and n >= 1")
@@ -138,16 +114,28 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
         raise InvalidGraphError("%s: %d edges, non-free limit is %d"
                                 % (vines[-1], vines[-1].e, MAX_NONFREE_EDGES))
     window = (exact_rational(window[0]), exact_rational(window[1]))
-    work = [(g, n, list(group), window, include_nonfree)
-            for _, group in groupby(vines, key=attrgetter("e"))]
+    groups = [list(group) for _, group in groupby(vines, key=attrgetter("e"))]
     log.debug("atlas g=%d n=%d: %d vines, %d chamber searches",
-              g, n, len(vines), len(work))
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(_records_for_edge_count, work))
-    else:
-        groups = [_records_for_edge_count(w) for w in work]
-    return [r for group in groups for r in group]
+              g, n, len(vines), len(groups))
+    records = []
+    for group in groups:
+        first = tuple(chambers(group[0], window, include_nonfree))
+        deltas = []
+        for left, right in zip(first, first[1:]):
+            lk, rk = set(left.table_keys), set(right.table_keys)
+            deltas.append((tuple(sorted(rk - lk)), tuple(sorted(lk - rk))))
+        deltas = tuple(deltas)
+        for vine in group:
+            graph = vine.to_graph()
+            chs = first if vine is group[0] else tuple(
+                Chamber(c.lo, c.hi, c.representative,
+                        tuple(SheafDatum(graph, F.S, F.D)
+                              for F in c.stable_table),
+                        c.is_small_perturbation)
+                for c in first)
+            records.append(AtlasRecord(g, n, vine, walls(vine, window), chs,
+                                       deltas))
+    return records
 
 
 # --- serialization ---------------------------------------------------------

@@ -174,12 +174,13 @@ def walls_cmd(g, n, window, fmt, out):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1,
+              help="Accepted for compatibility; the atlas runs serially.")
 def atlas_cmd(g, n, window, include_nonfree, fmt, out, jobs):
     """Wall-and-chamber atlas over all vines of (g, n); deterministic."""
     lo, hi = _parse_window(window)
     try:
-        records = build_atlas(g, n, (lo, hi), include_nonfree, jobs)
+        records = build_atlas(g, n, (lo, hi), include_nonfree)
         text = (atlas_to_json(records) if fmt == "json"
                 else atlas_to_csv(records))
     except (JacstabError, ValueError) as exc:
@@ -279,9 +280,12 @@ def classify(g, n, k, a_text, seed, fmt, out):
 @click.option("--jobs", type=int, default=1, show_default=True)
 def verify_cmd(suite, max_vertices, max_edges, trials, seed, jobs):
     """Run a named property suite; print pass/fail and any counterexample."""
-    result = verify.run_suite(suite, max_vertices=max_vertices,
-                              max_edges=max_edges, trials=trials,
-                              seed=seed, jobs=jobs)
+    try:
+        result = verify.run_suite(suite, max_vertices=max_vertices,
+                                  max_edges=max_edges, trials=trials,
+                                  seed=seed, jobs=jobs)
+    except JacstabError as exc:
+        _fail(str(exc))
     click.echo(result.summary())
     if not result.passed:
         sys.exit(1)

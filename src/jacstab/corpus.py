@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
+from .errors import PhiConstructionError
 from .graph import DualGraph
 from .stability import PhiVector, is_nondegenerate, is_small_perturbation
 
@@ -98,14 +99,21 @@ def stable_graph_corpus(max_vertices: int = 4, max_edges: int = 7,
     return graphs
 
 
+def _balanced_phi(graph: DualGraph, rng: random.Random, q: int,
+                  bound: int) -> PhiVector:
+    """Phi with numerators over ``q`` drawn from [-bound, bound] on every
+    vertex but the last (in id order); the last one balances the sum."""
+    vids = sorted(graph.vertex_ids)
+    nums = [rng.randint(-bound, bound) for _ in vids[:-1]]
+    vals = {vid: Fraction(x, q) for vid, x in zip(vids, nums)}
+    vals[vids[-1]] = Fraction(-sum(nums), q)
+    return PhiVector(graph, vals)
+
+
 def random_phi(graph: DualGraph, rng: random.Random, spread: int = 3) -> PhiVector:
     """Random exact rational phi summing to zero."""
     q = rng.choice(_DENOMINATORS)
-    vids = sorted(graph.vertex_ids)
-    vals = {vid: Fraction(rng.randint(-spread * q, spread * q), q)
-            for vid in vids[:-1]}
-    vals[vids[-1]] = -sum(vals.values(), Fraction(0))
-    return PhiVector(graph, vals)
+    return _balanced_phi(graph, rng, q, spread * q)
 
 
 def random_nondegenerate_phi(graph: DualGraph, rng: random.Random,
@@ -114,7 +122,7 @@ def random_nondegenerate_phi(graph: DualGraph, rng: random.Random,
         phi = random_phi(graph, rng, spread)
         if is_nondegenerate(graph, phi):
             return phi
-    raise RuntimeError("failed to sample a nondegenerate phi")
+    raise PhiConstructionError("failed to sample a nondegenerate phi")
 
 
 def random_small_perturbation_phi(graph: DualGraph,
@@ -122,21 +130,15 @@ def random_small_perturbation_phi(graph: DualGraph,
     """Random nondegenerate phi with |phi(C0)| < cr(C0)/2 everywhere."""
     nv = len(graph.vertices)
     if nv == 1:
-        phi = PhiVector(graph, {graph.vertex_ids[0]: Fraction(0)})
-        return phi
+        return PhiVector(graph, {graph.vertex_ids[0]: Fraction(0)})
     min_cr = min(len(info.crossing) for info in graph.subcurve_data)
-    vids = sorted(graph.vertex_ids)
     for _ in range(1000):
         q = rng.choice(_DENOMINATORS)
         # numerator box keeps every subcurve sum inside the bound
-        bound = max(1, (min_cr * q) // (4 * nv))
-        vals = {vid: Fraction(rng.randint(-bound, bound), q)
-                for vid in vids[:-1]}
-        vals[vids[-1]] = -sum(vals.values(), Fraction(0))
-        phi = PhiVector(graph, vals)
+        phi = _balanced_phi(graph, rng, q, max(1, (min_cr * q) // (4 * nv)))
         if is_small_perturbation(graph, phi) and is_nondegenerate(graph, phi):
             return phi
-    raise RuntimeError("failed to sample a small-perturbation phi")
+    raise PhiConstructionError("failed to sample a small-perturbation phi")
 
 
 def random_wall_phi(graph: DualGraph, rng: random.Random) -> PhiVector | None:

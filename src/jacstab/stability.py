@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, combinations, islice, takewhile
+from itertools import chain, combinations, islice, product, takewhile
 from math import lcm
 from numbers import Rational
+from operator import attrgetter
 
 from .errors import (
     DegenerateParameterError,
@@ -114,11 +115,12 @@ class SheafDatum:
         self.graph = graph
         self.S = frozenset(S)
         self.D = {vid: int(d) for vid, d in D.items()}
-        known_edges = set(graph.edge_by_id)
-        if not self.S <= known_edges:
+        edges = graph.edge_by_id.keys()
+        if not self.S <= edges:
             raise UnknownEdgeError("unknown edge ids in S: %s"
-                                   % sorted(self.S - known_edges))
-        if set(self.D) != set(graph.vertex_ids):
+                                   % sorted(self.S - edges))
+        vids = graph.vertex_ids
+        if len(self.D) != len(vids) or not all(map(self.D.__contains__, vids)):
             raise MismatchedGraphError("multidegree must cover exactly the vertex set")
 
     @property
@@ -176,8 +178,7 @@ def _phi_context(graph, phi):
             for info, s in zip(graph.subcurve_data, phi.subcurve_sums())]
 
 
-def _satisfies_ctx(ctx, F, strict: bool) -> bool:
-    S, D = F.S, F.D
+def _satisfies_ctx(ctx, S, D, strict: bool) -> bool:
     for verts, internal, crossing, cr, twos, q in ctx:
         deg = sum(D[v] for v in verts)
         if S:
@@ -193,7 +194,7 @@ def _satisfies_ctx(ctx, F, strict: bool) -> bool:
 
 
 def _satisfies(graph, phi, F, strict: bool) -> bool:
-    return _satisfies_ctx(_phi_context(graph, phi), F, strict)
+    return _satisfies_ctx(_phi_context(graph, phi), F.S, F.D, strict)
 
 
 def is_stable(graph: DualGraph, phi: PhiVector, F: SheafDatum) -> bool:
@@ -290,10 +291,13 @@ def stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
     unambiguous).  With ``include_nonfree=False`` only line bundles (S
     empty) are returned; with ``include_nonfree=True`` the search runs over
     all 2^E edge subsets, so graphs above ``MAX_NONFREE_EDGES`` edges raise
-    :class:`InvalidGraphError`.  The search is bounded: the singleton-subcurve
-    inequality pins each D(v) to a finite window; the last vertex is solved
-    from the total-degree constraint.  Output is canonically ordered by
-    (sorted S, D).
+    :class:`InvalidGraphError`.  The search is bounded and flat: the
+    singleton-subcurve inequality pins each D(v) to a finite window, the
+    search runs over the product of all windows but the last, and the last
+    vertex is solved from the total-degree constraint and kept only if it
+    lies in its own window.  Each candidate is tested on its (S, D) and
+    becomes a :class:`SheafDatum` only if it is stable.  Output is
+    canonically ordered by (sorted S, D).
     """
     _check_same_graph(graph, phi)
     if not is_nondegenerate(graph, phi):
@@ -312,51 +316,37 @@ def stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
         v = vids[0]
         for S in subsets:
             results.append(SheafDatum(graph, S, {v: d - len(S)}))
-        results.sort(key=lambda F: F.key)
+        results.sort(key=attrgetter("key"))
         return results
 
     singleton = {info.vertices[0]: info
                  for info in graph.subcurve_data if len(info.vertices) == 1}
 
     for S in subsets:
-        Sset = frozenset(S)
+        S = frozenset(S)
         windows = []
-        feasible = True
         for vid in vids:
             info = singleton[vid]
             cr = len(info.crossing)
-            delta = len(Sset & info.crossing)
-            loops_in_S = len(Sset & info.internal)
+            delta = len(S & info.crossing)
+            loops_in_S = len(S & info.internal)
             # 2q * (center -+ half) with center = phi(v) - delta/2 and
             # half = (cr - delta)/2
             twos = 2 * phi.numerators[vid]
-            window = [deg - loops_in_S for deg in _integer_window(
-                twos - q * cr, twos + q * (cr - 2 * delta), 2 * q)]
-            if not window:
-                feasible = False
-                break
-            windows.append(window)
-        if not feasible:
+            windows.append([deg - loops_in_S for deg in _integer_window(
+                twos - q * cr, twos + q * (cr - 2 * delta), 2 * q)])
+        if not all(windows):
             continue
-        target = d - len(Sset)
-        last = windows[-1]
-        last_set = set(last)
+        target = d - len(S)
+        last = set(windows[-1])
+        for head in product(*windows[:-1]):
+            rest = target - sum(head)
+            if rest in last:
+                D = dict(zip(vids, head + (rest,)))
+                if _satisfies_ctx(ctx, S, D, strict=True):
+                    results.append(SheafDatum(graph, S, D))
 
-        def assign(i, partial, acc):
-            if i == len(vids) - 1:
-                rest = target - acc
-                if rest in last_set:
-                    D = dict(zip(vids, partial + [rest]))
-                    F = SheafDatum(graph, Sset, D)
-                    if _satisfies_ctx(ctx, F, strict=True):
-                        results.append(F)
-                return
-            for dv in windows[i]:
-                assign(i + 1, partial + [dv], acc + dv)
-
-        assign(0, [], 0)
-
-    results.sort(key=lambda F: F.key)
+    results.sort(key=attrgetter("key"))
     return results
 
 

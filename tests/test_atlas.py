@@ -1,3 +1,4 @@
+import concurrent.futures
 import time
 from fractions import Fraction
 
@@ -121,6 +122,16 @@ class TestAtlas:
         window = (Fraction(-2), Fraction(2))
         assert atlas_to_json(atlas(4, 2, window, True)) == \
             atlas_to_json(atlas(4, 2, window, True, jobs=2))
+
+    def test_jobs_start_no_process_pool(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("atlas started a process pool")
+
+        window = (Fraction(-2), Fraction(2))
+        serial = atlas_to_json(atlas(4, 2, window, True, jobs=1))
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor,
+                            "__init__", refuse)
+        assert atlas_to_json(atlas(4, 2, window, True, jobs=4)) == serial
 
     @pytest.mark.parametrize("nonfree", [False, True])
     def test_records_match_direct_chamber_search(self, nonfree):

@@ -5,6 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from jacstab import cli, verify
+from jacstab.errors import PhiConstructionError
 
 
 def run_cli(*args, **kwargs):
@@ -240,3 +244,14 @@ class TestOtherCommands:
                        "--trials", "3", "--seed", "1")
         assert proc.returncode == 0
         assert proc.stdout.startswith("tree-count: pass")
+
+    def test_verify_sampling_failure_exits_cleanly(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise PhiConstructionError("failed to sample a nondegenerate phi")
+
+        monkeypatch.setattr(verify, "run_suite", fail)
+        result = CliRunner().invoke(cli.main, ["verify", "--suite", "cor25"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == \
+            "error: failed to sample a nondegenerate phi\n"

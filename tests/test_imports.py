@@ -1,8 +1,9 @@
-"""Every name a jacstab module imports is used in that module.
+"""Every name a jacstab module imports is used in that module, and every
+module-level private name is used somewhere in the package.
 
-No linter runs on this repository, so this AST scan keeps unused imports
-from creeping back.  ``__init__.py`` is skipped: its imports are the public
-re-exports.
+No linter runs on this repository, so these AST scans keep unused imports
+and orphaned private helpers from creeping back.  ``__init__.py`` is
+skipped by the import scan: its imports are the public re-exports.
 """
 
 import ast
@@ -29,3 +30,40 @@ def test_every_import_is_used():
     assert len(modules) >= 8
     unused = {p.name: unused_imports(p) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def private_definitions(tree):
+    """Module-level private functions, classes and constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def references(tree):
+    """Names read anywhere in the module, as a bare name, an attribute or
+    an imported name."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+    return used
+
+
+def test_every_private_name_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(references, trees.values()))
+    dead = {name: sorted(private_definitions(tree) - used)
+            for name, tree in trees.items()}
+    assert {name: names for name, names in dead.items() if names} == {}

@@ -216,6 +216,19 @@ class TestStability:
         with pytest.raises(UnknownEdgeError):
             SheafDatum(g, {99}, {0: 0, 1: 0})
 
+    def test_unknown_edge_ids_listed(self):
+        g = vine_graph(2)
+        with pytest.raises(UnknownEdgeError,
+                           match=r"unknown edge ids in S: \[7, 99\]$"):
+            SheafDatum(g, {99, 1, 7}, {0: 0, 1: 0})
+
+    @pytest.mark.parametrize("D", [{0: 0}, {0: 0, 1: 0, 2: 0}, {0: 0, 2: 0},
+                                   {}])
+    def test_multidegree_must_cover_exactly_the_vertices(self, D):
+        g = vine_graph(2)
+        with pytest.raises(MismatchedGraphError, match="multidegree"):
+            SheafDatum(g, (), D)
+
     def test_single_vertex_vacuously_stable(self):
         g = DualGraph.build([(0, 1, (1,))], [(0, 0)], 1)
         phi = PhiVector(g, {0: Fraction(0)})
