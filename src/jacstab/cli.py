@@ -51,12 +51,16 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise click.UsageError("expected comma-separated integers, got %r" % text)
 
 
-def _load_graph(path: str) -> graph_mod.DualGraph:
+def _read_graph(path: str) -> graph_mod.DualGraph:
     try:
         with open(path, encoding="utf-8") as fh:
-            g = graph_mod.graph_from_json(fh.read())
-    except (OSError, json.JSONDecodeError) as exc:
+            return graph_mod.graph_from_json(fh.read())
+    except (OSError, json.JSONDecodeError, JacstabError) as exc:
         _fail("cannot read graph %s: %s" % (path, exc))
+
+
+def _load_graph(path: str) -> graph_mod.DualGraph:
+    g = _read_graph(path)
     diags = graph_mod.validate(g)
     if diags:
         _fail("invalid graph %s: %s" % (path, "; ".join(diags)))
@@ -102,11 +106,7 @@ def vines(g, n, min_edges, fmt, out):
               required=True)
 def check(graph_path):
     """Validate a graph JSON file; print diagnostics."""
-    try:
-        with open(graph_path, encoding="utf-8") as fh:
-            g = graph_mod.graph_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, JacstabError) as exc:
-        _fail("cannot read graph: %s" % exc)
+    g = _read_graph(graph_path)
     diags = graph_mod.validate(g)
     if diags:
         for d in diags:

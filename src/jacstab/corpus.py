@@ -1,9 +1,11 @@
 """Graph corpora and randomized samplers for the property suites.
 
 The exhaustive corpus enumerates every connected stable dual graph within
-the given vertex/edge/genus/marking bounds, deduplicated under vertex
-relabeling (brute force over the <= 4! permutations; no general
-isomorphism machinery is needed at this size).
+the given vertex/edge/genus/marking bounds, one per class under vertex
+relabeling, by orderly generation (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998): candidates come in lexicographic
+order and one is kept exactly when no relabeling makes it smaller.  Each
+vertex adds at least 1 to 2g - 2 + n, which caps the vertex count.
 """
 
 from __future__ import annotations
@@ -13,26 +15,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 from .errors import PhiConstructionError
-from .graph import DualGraph
+from .graph import DualGraph, _connected, _side_stable
 from .stability import PhiVector, is_nondegenerate, is_small_perturbation
 
 _DENOMINATORS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _connected(num_vertices: int, ends: tuple[tuple[int, int], ...]) -> bool:
-    if num_vertices == 1:
-        return True
-    parent = list(range(num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in ends:
-        parent[find(a)] = find(b)
-    return len({find(v) for v in range(num_vertices)}) == 1
 
 
 def _relabel(ends, perm):
@@ -40,62 +26,63 @@ def _relabel(ends, perm):
 
 
 def _edge_multiset_classes(num_vertices: int, num_edges: int):
-    """Connected edge multisets up to relabeling, with their automorphisms."""
+    """Connected edge multisets up to relabeling, with their automorphisms;
+    each is the first, hence smallest, member of its class."""
     pair_types = [(i, j) for i in range(num_vertices)
                   for j in range(i, num_vertices)]
     perms = list(permutations(range(num_vertices)))
-    seen = set()
-    for combo in combinations_with_replacement(pair_types, num_edges):
-        ends = tuple(sorted(combo))
+    for ends in combinations_with_replacement(pair_types, num_edges):
         if not _connected(num_vertices, ends):
             continue
-        canon = min(_relabel(ends, p) for p in perms)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        auts = [p for p in perms if _relabel(canon, p) == canon]
-        yield canon, auts
+        auts = []
+        for p in perms:
+            image = _relabel(ends, p)
+            if image < ends:
+                break
+            if image == ends:
+                auts.append(p)
+        else:
+            yield ends, auts
 
 
 def stable_graph_corpus(max_vertices: int = 4, max_edges: int = 7,
                         max_genus: int = 3, max_markings: int = 2) -> list[DualGraph]:
     """All connected stable graphs within the bounds, up to relabeling."""
     graphs = []
-    for nv in range(1, max_vertices + 1):
+    for nv in range(1, min(max_vertices, 2 * max_genus - 2 + max_markings) + 1):
         min_e = nv - 1
         max_e = min(max_edges, nv + max_genus - 1)  # keeps b1 <= max_genus
         for ne in range(min_e, max_e + 1):
+            b1 = ne - nv + 1
             for ends, auts in _edge_multiset_classes(nv, ne):
-                b1 = ne - nv + 1
-                h_budget = max_genus - b1
-                if h_budget < 0:
-                    continue
-                inverses = [{p[v]: v for v in range(nv)} for p in auts]
+                valence = [0] * nv
+                for a, b in ends:
+                    valence[a] += 1
+                    valence[b] += 1
                 for n in range(1, max_markings + 1):
-                    seen = set()
-                    for hs in product(range(h_budget + 1), repeat=nv):
+                    # kept when no automorphism maps (hs, assign) to a smaller
+                    # pair; auts is a group, so hs o p covers every image
+                    for hs in product(range(max_genus - b1 + 1), repeat=nv):
                         g = sum(hs) + b1
                         if not 1 <= g <= max_genus:
                             continue
+                        if any(tuple(hs[v] for v in p) < hs for p in auts):
+                            continue
+                        fixing = [p for p in auts
+                                  if tuple(hs[v] for v in p) == hs]
                         for assign in product(range(nv), repeat=n):
-                            marks = tuple(
-                                tuple(sorted(i + 1 for i in range(n)
-                                             if assign[i] == v))
-                                for v in range(nv))
-                            key = min(
-                                tuple((hs[inv[v]], marks[inv[v]])
-                                      for v in range(nv))
-                                for inv in inverses)
-                            if key in seen:
+                            if any(tuple(p[v] for v in assign) < assign
+                                   for p in fixing):
                                 continue
-                            seen.add(key)
-                            graph = DualGraph.build(
-                                [(v, hs[v], marks[v]) for v in range(nv)],
-                                ends, n, g)
-                            if any(2 * hs[v] - 2 + graph.valence(v)
-                                   + len(marks[v]) <= 0 for v in range(nv)):
+                            if not all(_side_stable(hs[v], valence[v],
+                                                    assign.count(v))
+                                       for v in range(nv)):
                                 continue
-                            graphs.append(graph)
+                            graphs.append(DualGraph.build(
+                                [(v, hs[v], [i + 1 for i in range(n)
+                                             if assign[i] == v])
+                                 for v in range(nv)],
+                                ends, n, g))
     return graphs
 
 
@@ -177,7 +164,7 @@ def random_stable_graph(rng: random.Random, max_vertices: int = 5) -> DualGraph:
     while changed:
         changed = False
         for v in range(nv):
-            if 2 * hs[v] - 2 + graph.valence(v) + len(marks[v]) <= 0:
+            if not _side_stable(hs[v], graph.valence(v), len(marks[v])):
                 hs[v] += 1
                 changed = True
         if sum(hs) + len(ends) - nv + 1 < 1:

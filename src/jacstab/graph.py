@@ -22,6 +22,25 @@ MAX_SUBCURVE_VERTICES = 16
 MAX_NONFREE_EDGES = 16
 
 
+def _connected(num_vertices: int, ends) -> bool:
+    """Union-find over vertices 0..num_vertices-1; False for no vertices."""
+    parent = list(range(num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in ends:
+        parent[find(a)] = find(b)
+    return len({find(v) for v in range(num_vertices)}) == 1
+
+
+def _side_stable(h: int, e: int, marks: int) -> bool:
+    return 2 * h - 2 + e + marks > 0
+
+
 @dataclass(frozen=True)
 class Vertex:
     id: int
@@ -112,22 +131,11 @@ class DualGraph:
         )
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adj = {v.id: set() for v in self.vertices}
-        for e in self.edges:
-            a, b = e.ends
-            if a in adj and b in adj:
-                adj[a].add(b)
-                adj[b].add(a)
-        seen = {self.vertices[0].id}
-        stack = [self.vertices[0].id]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        """False for no vertices or a repeated id; ignores unknown ends."""
+        index = {vid: i for i, vid in enumerate(self.vertex_ids)}
+        return _connected(len(self.vertices), [
+            (index[a], index[b]) for a, b in (e.ends for e in self.edges)
+            if a in index and b in index])
 
     @cached_property
     def subcurve_data(self) -> tuple[_SubcurveData, ...]:
@@ -195,7 +203,7 @@ def validate(graph: DualGraph) -> list[str]:
     if graph.g != total_h + len(graph.edges) - len(graph.vertices) + 1:
         diags.append("genus formula violated")
     for v in graph.vertices:
-        if 2 * v.h - 2 + graph.valence(v.id) + len(v.markings) <= 0:
+        if not _side_stable(v.h, graph.valence(v.id), len(v.markings)):
             diags.append("vertex instability at vertex %d" % v.id)
         if v.h < 0:
             diags.append("negative genus at vertex %d" % v.id)
@@ -262,10 +270,6 @@ class VineCurve:
 
 def vine_to_dict(vine: VineCurve) -> dict:
     return {"g1": vine.g1, "g2": vine.g2, "e": vine.e, "S": list(vine.S)}
-
-
-def _side_stable(h: int, e: int, marks: int) -> bool:
-    return 2 * h - 2 + e + marks > 0
 
 
 def make_vine(g1: int, g2: int, e: int, S, n: int) -> VineCurve:
@@ -359,7 +363,7 @@ def graph_from_dict(data: dict) -> DualGraph:
         edges = [Edge(e["id"], (min(e["ends"]), max(e["ends"])))
                  for e in data["edges"]]
         return DualGraph(vertices, edges, data["n"], data["genus"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError("malformed graph JSON: %s" % exc) from exc
 
 

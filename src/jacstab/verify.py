@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -251,6 +250,8 @@ def run_suite(name: str, max_vertices=4, max_edges=7, trials=50,
                  seed=seed)
     work = list(enumerate(stable_graph_corpus(max_vertices, max_edges)))
     if jobs > 1 and len(work) > 1:
+        # imported here so that importing the CLI does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(fn, work, chunksize=32))
     else:

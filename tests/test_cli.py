@@ -75,6 +75,23 @@ class TestStable:
         assert "degenerate parameter" in proc.stderr
 
 
+    @pytest.mark.parametrize("graph", [
+        {},
+        {"genus": 1, "n": 1, "vertices": [{"id": 0, "h": 1, "markings": [1]}],
+         "edges": [{"id": 0, "ends": []}]},
+    ])
+    def test_malformed_graph_exits_1(self, vine_files, tmp_path, graph):
+        _, ppath = vine_files
+        gpath = tmp_path / "bad.json"
+        gpath.write_text(json.dumps(graph))
+        for args in (("stable", "--graph", str(gpath), "--phi", str(ppath)),
+                     ("check", "--graph", str(gpath))):
+            proc = run_cli(*args)
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error:")
+            assert "Traceback" not in proc.stderr
+
+
 class TestClassify:
     def test_unit_difference_text(self):
         proc = run_cli("classify", "--g", "2", "--n", "2",
@@ -255,3 +272,13 @@ class TestOtherCommands:
         assert result.stdout == ""
         assert result.stderr == \
             "error: failed to sample a nondegenerate phi\n"
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # verify imports its process pool only when --jobs > 1 asks for one
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, jacstab.cli; "
+         "assert 'multiprocessing' not in sys.modules, 'multiprocessing'"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

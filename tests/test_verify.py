@@ -24,6 +24,15 @@ def test_every_suite_dispatches(suite):
     assert result.passed, result.counterexample
 
 
+@pytest.mark.parametrize("suite,cases", [
+    ("cor25", 1300), ("wall-criterion", 2582), ("support-lemma", 1300),
+    ("tree-count", 1300)])
+def test_corpus_suites_pass_on_five_vertices(suite, cases):
+    result = run_suite(suite, max_vertices=5, max_edges=6, trials=1)
+    assert result.passed, result.counterexample
+    assert result.cases == cases
+
+
 def test_support_lemma_caps_trials_at_five():
     capped = run_suite("support-lemma", max_vertices=2, max_edges=3, trials=50)
     five = run_suite("support-lemma", max_vertices=2, max_edges=3, trials=5)
