@@ -90,11 +90,10 @@ def _balanced_phi(graph: DualGraph, rng: random.Random, q: int,
                   bound: int) -> PhiVector:
     """Phi with numerators over ``q`` drawn from [-bound, bound] on every
     vertex but the last (in id order); the last one balances the sum."""
-    vids = sorted(graph.vertex_ids)
+    vids = graph.vertex_order
     nums = [rng.randint(-bound, bound) for _ in vids[:-1]]
-    vals = {vid: Fraction(x, q) for vid, x in zip(vids, nums)}
-    vals[vids[-1]] = Fraction(-sum(nums), q)
-    return PhiVector(graph, vals)
+    nums.append(-sum(nums))
+    return PhiVector._from_numerators(graph, q, dict(zip(vids, nums)))
 
 
 def random_phi(graph: DualGraph, rng: random.Random, spread: int = 3) -> PhiVector:
@@ -118,7 +117,7 @@ def random_small_perturbation_phi(graph: DualGraph,
     nv = len(graph.vertices)
     if nv == 1:
         return PhiVector(graph, {graph.vertex_ids[0]: Fraction(0)})
-    min_cr = min(len(info.crossing) for info in graph.subcurve_data)
+    min_cr = min(info.cr for info in graph.subcurve_data)
     for _ in range(1000):
         q = rng.choice(_DENOMINATORS)
         # numerator box keeps every subcurve sum inside the bound
@@ -133,7 +132,7 @@ def random_wall_phi(graph: DualGraph, rng: random.Random) -> PhiVector | None:
     if len(graph.vertices) < 2:
         return None
     info = rng.choice(graph.subcurve_data)
-    cr = len(info.crossing)
+    cr = info.cr
     target = Fraction(rng.randint(-2, 2)) - Fraction(cr, 2)
     inside = sorted(info.vertex_set)
     outside = sorted(set(graph.vertex_ids) - info.vertex_set)

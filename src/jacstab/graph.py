@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 
 from .errors import InvalidGraphError, InvalidSubcurveError
 
@@ -65,14 +66,45 @@ class Subcurve:
     vertex_set: frozenset[int]
 
 
-@dataclass(frozen=True)
-class _SubcurveData:
-    """Precomputed incidence data for one subcurve (internal)."""
+def _edge_ids(edge_order, mask) -> tuple[int, ...]:
+    """The ids of the edges in ``mask``, in ``edge_order`` order."""
+    if not mask:
+        return ()
+    return tuple(eid for i, eid in enumerate(edge_order) if mask >> i & 1)
 
-    vertex_set: frozenset[int]
-    vertices: tuple[int, ...]
-    crossing: frozenset[int]   # edge ids with exactly one endpoint inside
-    internal: frozenset[int]   # edge ids with both endpoints inside (loops incl.)
+
+class _SubcurveData:
+    """Precomputed incidence data for one subcurve (internal); immutable by
+    convention.
+
+    ``positions`` index the subcurve's vertices in ``DualGraph.vertex_order``
+    and bit ``i`` of an edge mask stands for ``edge_order[i]``.  The sets
+    are built on each read; the subcurve tests use the masks.
+    """
+
+    __slots__ = ("vertices", "positions", "cr", "crossing_mask",
+                 "internal_mask", "edge_order")
+
+    def __init__(self, vertices, positions, crossing_mask, internal_mask,
+                 edge_order):
+        self.vertices: tuple[int, ...] = vertices
+        self.positions: tuple[int, ...] = positions
+        self.cr = crossing_mask.bit_count()   # number of crossing edges
+        self.crossing_mask = crossing_mask    # exactly one endpoint inside
+        self.internal_mask = internal_mask    # both endpoints inside, loops incl.
+        self.edge_order: tuple[int, ...] = edge_order
+
+    @property
+    def vertex_set(self) -> frozenset[int]:
+        return frozenset(self.vertices)
+
+    @property
+    def crossing(self) -> frozenset[int]:
+        return frozenset(_edge_ids(self.edge_order, self.crossing_mask))
+
+    @property
+    def internal(self) -> frozenset[int]:
+        return frozenset(_edge_ids(self.edge_order, self.internal_mask))
 
 
 class DualGraph:
@@ -91,6 +123,12 @@ class DualGraph:
             e if isinstance(e, Edge) else Edge(e[0], (min(e[1]), max(e[1])))
             for e in edges
         )
+        self.vertex_ids: tuple[int, ...] = tuple([v.id for v in self.vertices])
+        # multidegree tuples follow vertex_order, and bit i of an edge mask
+        # stands for edge_order[i]
+        self.vertex_order: tuple[int, ...] = tuple(sorted(self.vertex_ids))
+        self.edge_order: tuple[int, ...] = tuple(
+            sorted([e.id for e in self.edges]))
         self.n = int(n)
         if g is None:
             g = sum(v.h for v in self.vertices) + len(self.edges) - len(self.vertices) + 1
@@ -117,10 +155,6 @@ class DualGraph:
         return (self.g, self.n, self.vertices, self.edges)
 
     @cached_property
-    def vertex_ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.vertices)
-
-    @cached_property
     def edge_by_id(self) -> dict[int, Edge]:
         return {e.id: e for e in self.edges}
 
@@ -142,26 +176,46 @@ class DualGraph:
         """Incidence data for all nonempty proper vertex subsets.
 
         Deterministic order: by subset size, then by sorted vertex tuple.
-        Raises :class:`InvalidGraphError` above ``MAX_SUBCURVE_VERTICES``.
+        This is the structural chokepoint of every subcurve test: it raises
+        :class:`InvalidGraphError` above ``MAX_SUBCURVE_VERTICES``, for no
+        vertices, repeated vertex or edge ids, an edge with an unknown end,
+        and a disconnected graph.  Vertex stability and the genus formula
+        are not enforced here; :func:`validate` reports them.
         """
-        ids = sorted(self.vertex_ids)
-        if len(ids) > MAX_SUBCURVE_VERTICES:
+        ids = self.vertex_order
+        nv = len(ids)
+        if nv > MAX_SUBCURVE_VERTICES:
             raise InvalidGraphError("%d vertices, subcurve limit is %d"
-                                    % (len(ids), MAX_SUBCURVE_VERTICES))
+                                    % (nv, MAX_SUBCURVE_VERTICES))
+        if not nv:
+            raise InvalidGraphError("graph has no vertices")
+        # per vertex, the mask of edges whose first (second) end it is; over
+        # a subcurve, internal = first & second and crossing = first ^ second
+        first = dict.fromkeys(ids, 0)
+        if len(first) != nv:
+            raise InvalidGraphError("duplicate vertex ids")
+        second = first.copy()
+        eids = self.edge_order
+        if len(set(eids)) != len(eids):
+            raise InvalidGraphError("duplicate edge ids")
+        for bit, e in enumerate(sorted(self.edges, key=attrgetter("id"))):
+            a, b = e.ends
+            if a not in first or b not in second:
+                raise InvalidGraphError("edge %d references unknown vertex"
+                                        % e.id)
+            first[a] |= 1 << bit
+            second[b] |= 1 << bit
         out = []
-        for size in range(1, len(ids)):
-            for combo in combinations(ids, size):
-                vset = frozenset(combo)
-                crossing, internal = set(), set()
-                for e in self.edges:
-                    a, b = e.ends
-                    inside = (a in vset) + (b in vset)
-                    if inside == 1:
-                        crossing.add(e.id)
-                    elif inside == 2:
-                        internal.add(e.id)
-                out.append(_SubcurveData(vset, combo, frozenset(crossing),
-                                         frozenset(internal)))
+        for size in range(1, nv):
+            for combo, vertices in zip(combinations(range(nv), size),
+                                       combinations(ids, size)):
+                a = b = 0
+                for v in vertices:
+                    a |= first[v]
+                    b |= second[v]
+                if a == b:
+                    raise InvalidGraphError("graph not connected")
+                out.append(_SubcurveData(vertices, combo, a ^ b, a & b, eids))
         return tuple(out)
 
     @cached_property
@@ -222,7 +276,7 @@ def subcurves(graph: DualGraph):
 
 def crossing_count(graph: DualGraph, c0: Subcurve) -> int:
     """Number of edges with exactly one endpoint in the subcurve."""
-    return len(graph.subcurve_info(c0).crossing)
+    return graph.subcurve_info(c0).cr
 
 
 def complement(graph: DualGraph, c0: Subcurve) -> Subcurve:
@@ -356,13 +410,35 @@ def graph_to_dict(graph: DualGraph) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, but JSON true is not an id or a genus
+    if type(value) is not int:
+        raise InvalidGraphError("malformed graph JSON: %s must be an integer,"
+                                " got %r" % (what, value))
+    return value
+
+
 def graph_from_dict(data: dict) -> DualGraph:
+    """The graph of a JSON dict; :class:`InvalidGraphError` for a missing
+    key, a wrong container, or an id, ``h``, ``n``, ``genus``, marking or
+    edge end that is not an integer.  Structure is checked by
+    :func:`validate`."""
     try:
-        vertices = [Vertex(v["id"], v["h"], frozenset(v["markings"]))
+        vertices = [Vertex(_json_int(v["id"], "vertex id"),
+                           _json_int(v["h"], "h"),
+                           frozenset(_json_int(m, "marking")
+                                     for m in v["markings"]))
                     for v in data["vertices"]]
-        edges = [Edge(e["id"], (min(e["ends"]), max(e["ends"])))
-                 for e in data["edges"]]
-        return DualGraph(vertices, edges, data["n"], data["genus"])
+        edges = []
+        for e in data["edges"]:
+            ends = [_json_int(x, "edge end") for x in e["ends"]]
+            if len(ends) != 2:
+                raise InvalidGraphError("malformed graph JSON: edge ends must"
+                                        " be two vertex ids, got %r" % ends)
+            edges.append(Edge(_json_int(e["id"], "edge id"),
+                              (min(ends), max(ends))))
+        return DualGraph(vertices, edges, _json_int(data["n"], "n"),
+                         _json_int(data["genus"], "genus"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError("malformed graph JSON: %s" % exc) from exc
 

@@ -16,6 +16,12 @@ and ``F`` is phi-stable when, for every nonempty proper subcurve,
 :class:`PhiVector` keeps its values over one common denominator ``q``, and
 every subcurve test runs on the integers ``q*phi(C0)``
 (:meth:`PhiVector.subcurve_sums`) with the inequality scaled by ``2q``.
+The sheaf side runs on integers too: inside the kernel ``S`` is an edge
+mask (bit ``i`` for ``graph.edge_order[i]``), ``D`` a tuple in
+``graph.vertex_order``, and ``#(S intersect X)`` is ``(S & mask).bit_count()``
+against the subcurve's ``internal_mask`` and ``crossing_mask``
+(``int.bit_count`` needs Python 3.10).  :class:`SheafDatum` objects are
+built only for results.
 
 Wall criterion
 --------------
@@ -35,10 +41,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, combinations, islice, product, takewhile
-from math import lcm
+from functools import cached_property
+from itertools import islice, product, takewhile
+from math import gcd, lcm
 from numbers import Rational
-from operator import attrgetter
 
 from .errors import (
     DegenerateParameterError,
@@ -48,7 +54,7 @@ from .errors import (
     PreconditionError,
     UnknownEdgeError,
 )
-from .graph import MAX_NONFREE_EDGES, DualGraph, Subcurve, VineCurve
+from .graph import MAX_NONFREE_EDGES, DualGraph, Subcurve, VineCurve, _edge_ids
 
 
 _RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
@@ -94,6 +100,25 @@ class PhiVector:
             raise ValueError("phi values must sum to 0, got %s"
                              % sum(self.values.values()))
         self._sums = None
+
+    @classmethod
+    def _from_numerators(cls, graph: DualGraph, q: int, numerators: dict):
+        """The vector ``numerators[v] / q``, for callers that guarantee the
+        numerators cover the vertex set and sum to 0.  Reduced by
+        ``gcd(q, *numerators)``, so ``q`` and ``numerators`` equal those of
+        the Fraction route; ``values`` is built on first read."""
+        phi = cls.__new__(cls)
+        phi.graph = graph
+        common = gcd(q, *numerators.values())
+        phi.q = q // common
+        phi.numerators = {vid: x // common for vid, x in numerators.items()}
+        phi._sums = None
+        return phi
+
+    @cached_property
+    def values(self) -> dict:
+        q = self.q
+        return {vid: Fraction(x, q) for vid, x in self.numerators.items()}
 
     def subcurve_sums(self) -> tuple[int, ...]:
         """``q * phi(C0)`` for every subcurve, in ``self.graph.subcurve_data``
@@ -173,17 +198,20 @@ def _phi_context(graph, phi):
     # |deg - s/q + delta/2| < (cr - delta)/2 becomes
     # |2q*deg - 2s + q*delta| < q*(cr - delta).
     q = phi.q
-    return [(info.vertices, info.internal, info.crossing,
-             len(info.crossing), 2 * s, q)
+    return [(info.positions, info.internal_mask, info.crossing_mask,
+             info.cr, 2 * s, q)
             for info, s in zip(graph.subcurve_data, phi.subcurve_sums())]
 
 
-def _satisfies_ctx(ctx, S, D, strict: bool) -> bool:
-    for verts, internal, crossing, cr, twos, q in ctx:
-        deg = sum(D[v] for v in verts)
+def _satisfies_ctx(ctx, S: int, D: tuple, strict: bool) -> bool:
+    """The inequality for (S, D) on every subcurve in ``ctx``: ``S`` an edge
+    mask, ``D`` a multidegree tuple in ``graph.vertex_order``."""
+    at = D.__getitem__
+    for positions, internal, crossing, cr, twos, q in ctx:
+        deg = sum(map(at, positions))
         if S:
-            deg += len(S & internal)
-            delta = len(S & crossing)
+            deg += (S & internal).bit_count()
+            delta = (S & crossing).bit_count()
         else:
             delta = 0
         lhs = abs(2 * q * deg - twos + q * delta)
@@ -193,8 +221,17 @@ def _satisfies_ctx(ctx, S, D, strict: bool) -> bool:
     return True
 
 
+def _edge_mask(graph, edge_ids) -> int:
+    if not edge_ids:
+        return 0
+    bit = {eid: i for i, eid in enumerate(graph.edge_order)}
+    return sum(1 << bit[eid] for eid in edge_ids)
+
+
 def _satisfies(graph, phi, F, strict: bool) -> bool:
-    return _satisfies_ctx(_phi_context(graph, phi), F.S, F.D, strict)
+    D = tuple(map(F.D.__getitem__, graph.vertex_order))
+    return _satisfies_ctx(_phi_context(graph, phi), _edge_mask(graph, F.S), D,
+                          strict)
 
 
 def is_stable(graph: DualGraph, phi: PhiVector, F: SheafDatum) -> bool:
@@ -219,7 +256,7 @@ def is_nondegenerate(graph: DualGraph, phi: PhiVector) -> bool:
     _check_same_graph(graph, phi)
     q = phi.q
     for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
-        if (2 * s + q * len(info.crossing)) % (2 * q) == 0:
+        if (2 * s + q * info.cr) % (2 * q) == 0:
             return False
     return True
 
@@ -236,7 +273,7 @@ def find_equality_witness(graph: DualGraph, phi: PhiVector):
     _check_same_graph(graph, phi)
     q = phi.q
     for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
-        cr = len(info.crossing)
+        cr = info.cr
         for delta in range(cr + 1):
             # 2q * (center -+ half) with center = s/q - delta/2, half = (cr+1)/2
             low = 2 * s - q * delta - q * (cr + 1)
@@ -255,7 +292,7 @@ def is_small_perturbation(graph: DualGraph, phi: PhiVector) -> bool:
     _check_same_graph(graph, phi)
     q = phi.q
     for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
-        if not abs(2 * s) < q * len(info.crossing):
+        if not abs(2 * s) < q * info.cr:
             return False
     return True
 
@@ -275,12 +312,61 @@ def _integer_window(low: int, high: int, den: int) -> range:
     return range(low // den + 1, -(-high // den))
 
 
-def _edge_subsets(graph):
-    eids = sorted(graph.edge_by_id)
-    if len(eids) > MAX_NONFREE_EDGES:
+def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
+                  include_nonfree: bool) -> list[tuple[int, tuple]]:
+    """Every phi-stable (S, D) of total degree d, in search order: ``S`` an
+    edge mask and ``D`` a multidegree tuple in ``graph.vertex_order``."""
+    _check_same_graph(graph, phi)
+    if not is_nondegenerate(graph, phi):
+        raise DegenerateParameterError(
+            "degenerate parameter: stable != semistable ambiguity")
+    ne = len(graph.edge_order)
+    if include_nonfree and ne > MAX_NONFREE_EDGES:
         raise InvalidGraphError("%d edges, non-free limit is %d"
-                                % (len(eids), MAX_NONFREE_EDGES))
-    return chain.from_iterable(combinations(eids, k) for k in range(len(eids) + 1))
+                                % (ne, MAX_NONFREE_EDGES))
+    masks = range(1 << ne) if include_nonfree else (0,)
+    vids = graph.vertex_order
+    nv = len(vids)
+    if nv == 1:
+        # No proper subcurves: D is pinned by the total degree and every
+        # datum is vacuously stable.
+        return [(S, (d - S.bit_count(),)) for S in masks]
+
+    # subcurve_data starts with the singletons in vertex order; the windows
+    # below are their strict inequalities, so only larger subcurves are
+    # tested
+    singletons = graph.subcurve_data[:nv]
+    ctx = _phi_context(graph, phi)[nv:]
+    q = phi.q
+    twos = [2 * phi.numerators[vid] for vid in vids]
+    found = []
+    for S in masks:
+        windows = []
+        for info, two in zip(singletons, twos):
+            delta = (S & info.crossing_mask).bit_count()
+            loops_in_S = (S & info.internal_mask).bit_count()
+            # 2q * (center -+ half) with center = phi(v) - delta/2 and
+            # half = (cr - delta)/2
+            degs = _integer_window(two - q * info.cr,
+                                   two + q * (info.cr - 2 * delta), 2 * q)
+            windows.append(range(degs.start - loops_in_S,
+                                 degs.stop - loops_in_S))
+        if not all(windows):
+            continue
+        target = d - S.bit_count()
+        last = windows[-1]
+        for head in product(*windows[:-1]):
+            rest = target - sum(head)
+            if rest in last:
+                D = head + (rest,)
+                if _satisfies_ctx(ctx, S, D, strict=True):
+                    found.append((S, D))
+    return found
+
+
+def _datum(graph: DualGraph, S: int, D: tuple) -> SheafDatum:
+    return SheafDatum(graph, _edge_ids(graph.edge_order, S),
+                      dict(zip(graph.vertex_order, D)))
 
 
 def stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
@@ -295,59 +381,17 @@ def stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
     singleton-subcurve inequality pins each D(v) to a finite window, the
     search runs over the product of all windows but the last, and the last
     vertex is solved from the total-degree constraint and kept only if it
-    lies in its own window.  Each candidate is tested on its (S, D) and
-    becomes a :class:`SheafDatum` only if it is stable.  Output is
-    canonically ordered by (sorted S, D).
+    lies in its own window.  Candidates are integers only: ``S`` is an edge
+    mask (bit ``i`` for ``graph.edge_order[i]``), ``D`` a tuple, and
+    ``|S & X|`` is a ``bit_count``; the windows already enforce the
+    singleton inequalities, so each candidate is tested on the larger
+    subcurves and becomes a :class:`SheafDatum` only if it is stable.
+    Output is canonically ordered by (sorted S, D), the ``F.key`` order.
     """
-    _check_same_graph(graph, phi)
-    if not is_nondegenerate(graph, phi):
-        raise DegenerateParameterError(
-            "degenerate parameter: stable != semistable ambiguity")
-
-    vids = sorted(graph.vertex_ids)
-    results = []
-    subsets = _edge_subsets(graph) if include_nonfree else [()]
-    ctx = _phi_context(graph, phi)
-    q = phi.q
-
-    if len(vids) == 1:
-        # No proper subcurves: D is pinned by the total degree and every
-        # datum is vacuously stable.
-        v = vids[0]
-        for S in subsets:
-            results.append(SheafDatum(graph, S, {v: d - len(S)}))
-        results.sort(key=attrgetter("key"))
-        return results
-
-    singleton = {info.vertices[0]: info
-                 for info in graph.subcurve_data if len(info.vertices) == 1}
-
-    for S in subsets:
-        S = frozenset(S)
-        windows = []
-        for vid in vids:
-            info = singleton[vid]
-            cr = len(info.crossing)
-            delta = len(S & info.crossing)
-            loops_in_S = len(S & info.internal)
-            # 2q * (center -+ half) with center = phi(v) - delta/2 and
-            # half = (cr - delta)/2
-            twos = 2 * phi.numerators[vid]
-            windows.append([deg - loops_in_S for deg in _integer_window(
-                twos - q * cr, twos + q * (cr - 2 * delta), 2 * q)])
-        if not all(windows):
-            continue
-        target = d - len(S)
-        last = set(windows[-1])
-        for head in product(*windows[:-1]):
-            rest = target - sum(head)
-            if rest in last:
-                D = dict(zip(vids, head + (rest,)))
-                if _satisfies_ctx(ctx, S, D, strict=True):
-                    results.append(SheafDatum(graph, S, D))
-
-    results.sort(key=attrgetter("key"))
-    return results
+    eids = graph.edge_order
+    pairs = _stable_pairs(graph, phi, d, include_nonfree)
+    pairs.sort(key=lambda p: (_edge_ids(eids, p[0]), p[1]))
+    return [_datum(graph, S, D) for S, D in pairs]
 
 
 def verify_support_lemma(graph: DualGraph, phi: PhiVector):
@@ -356,18 +400,27 @@ def verify_support_lemma(graph: DualGraph, phi: PhiVector):
     For every phi-stable degree-0 datum F and every subcurve C0 the strict
     bound deg_C0(F) < cr(C0) - delta_C0(F) must hold, so a nonzero section
     (which would force deg_C0(F) >= cr(C0)) cannot exist.  Returns True or
-    the first violating (F, C0).
+    the first violating (F, C0) in canonical order.  The check runs on the
+    search's (S, D) pairs; objects are built only for a violation.
     """
     if not is_small_perturbation(graph, phi):
         raise PreconditionError("phi is not a small perturbation of 0")
     if not is_nondegenerate(graph, phi):
         raise PreconditionError("phi is degenerate")
-    for F in stable_sheaf_data(graph, phi, 0, include_nonfree=True):
+    eids = graph.edge_order
+    violations = []
+    for S, D in _stable_pairs(graph, phi, 0, include_nonfree=True):
+        at = D.__getitem__
         for info in graph.subcurve_data:
-            c0 = Subcurve(info.vertex_set)
-            if not degree_on(F, c0) < len(info.crossing) - delta_on(F, c0):
-                return (F, c0)
-    return True
+            deg = sum(map(at, info.positions)) \
+                + (S & info.internal_mask).bit_count()
+            if not deg < info.cr - (S & info.crossing_mask).bit_count():
+                violations.append(((_edge_ids(eids, S), D), S, D, info))
+                break
+    if not violations:
+        return True
+    _, S, D, info = min(violations, key=lambda v: v[0])
+    return (_datum(graph, S, D), Subcurve(info.vertex_set))
 
 
 # Primes in order, grown by trial division as draws reach further; shared by

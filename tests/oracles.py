@@ -2,10 +2,16 @@
 
 import json
 from fractions import Fraction
-from itertools import (combinations, combinations_with_replacement,
+from itertools import (chain, combinations, combinations_with_replacement,
                        permutations, product)
+from operator import attrgetter
 
-from jacstab.graph import DualGraph
+from jacstab.errors import (DegenerateParameterError, InvalidGraphError,
+                            PreconditionError)
+from jacstab.graph import MAX_NONFREE_EDGES, DualGraph, Subcurve
+from jacstab.stability import (PhiVector, SheafDatum, _check_same_graph,
+                               _integer_window, is_nondegenerate,
+                               is_small_perturbation)
 
 
 def count_spanning_trees_exhaustive(graph):
@@ -172,3 +178,155 @@ def reference_graph_corpus(max_vertices: int = 4, max_edges: int = 7,
                                 continue
                             graphs.append(graph)
     return graphs
+
+
+# --- The frozenset sheaf-data search that the edge-mask kernel replaced ---
+#
+# Edge sets are frozensets intersected per subcurve, and the support lemma
+# reaches each subcurve through a Subcurve; jacstab.stability's
+# stable_sheaf_data and verify_support_lemma must return the same lists and
+# the same first violation.
+
+def degree_on(F: SheafDatum, c0: Subcurve) -> int:
+    info = F.graph.subcurve_info(c0)
+    return sum(F.D[v] for v in info.vertices) + len(F.S & info.internal)
+
+
+def delta_on(F: SheafDatum, c0: Subcurve) -> int:
+    return len(F.S & F.graph.subcurve_info(c0).crossing)
+
+
+def _phi_context(graph, phi):
+    # Scaled to integers: with phi(C0) = s/q, the inequality
+    # |deg - s/q + delta/2| < (cr - delta)/2 becomes
+    # |2q*deg - 2s + q*delta| < q*(cr - delta).
+    q = phi.q
+    return [(info.vertices, info.internal, info.crossing,
+             len(info.crossing), 2 * s, q)
+            for info, s in zip(graph.subcurve_data, phi.subcurve_sums())]
+
+
+def _satisfies_ctx(ctx, S, D, strict: bool) -> bool:
+    for verts, internal, crossing, cr, twos, q in ctx:
+        deg = sum(D[v] for v in verts)
+        if S:
+            deg += len(S & internal)
+            delta = len(S & crossing)
+        else:
+            delta = 0
+        lhs = abs(2 * q * deg - twos + q * delta)
+        rhs = q * (cr - delta)
+        if lhs > rhs or (strict and lhs == rhs):
+            return False
+    return True
+
+
+def _edge_subsets(graph):
+    eids = sorted(graph.edge_by_id)
+    if len(eids) > MAX_NONFREE_EDGES:
+        raise InvalidGraphError("%d edges, non-free limit is %d"
+                                % (len(eids), MAX_NONFREE_EDGES))
+    return chain.from_iterable(combinations(eids, k) for k in range(len(eids) + 1))
+
+
+def reference_stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
+                                include_nonfree: bool = False) -> list[SheafDatum]:
+    """The complete finite list of phi-stable sheaf data of total degree d.
+
+    Requires phi nondegenerate (stable = semistable, so the list is
+    unambiguous).  With ``include_nonfree=False`` only line bundles (S
+    empty) are returned; with ``include_nonfree=True`` the search runs over
+    all 2^E edge subsets, so graphs above ``MAX_NONFREE_EDGES`` edges raise
+    :class:`InvalidGraphError`.  The search is bounded and flat: the
+    singleton-subcurve inequality pins each D(v) to a finite window, the
+    search runs over the product of all windows but the last, and the last
+    vertex is solved from the total-degree constraint and kept only if it
+    lies in its own window.  Each candidate is tested on its (S, D) and
+    becomes a :class:`SheafDatum` only if it is stable.  Output is
+    canonically ordered by (sorted S, D).
+    """
+    _check_same_graph(graph, phi)
+    if not is_nondegenerate(graph, phi):
+        raise DegenerateParameterError(
+            "degenerate parameter: stable != semistable ambiguity")
+
+    vids = sorted(graph.vertex_ids)
+    results = []
+    subsets = _edge_subsets(graph) if include_nonfree else [()]
+    ctx = _phi_context(graph, phi)
+    q = phi.q
+
+    if len(vids) == 1:
+        # No proper subcurves: D is pinned by the total degree and every
+        # datum is vacuously stable.
+        v = vids[0]
+        for S in subsets:
+            results.append(SheafDatum(graph, S, {v: d - len(S)}))
+        results.sort(key=attrgetter("key"))
+        return results
+
+    singleton = {info.vertices[0]: info
+                 for info in graph.subcurve_data if len(info.vertices) == 1}
+
+    for S in subsets:
+        S = frozenset(S)
+        windows = []
+        for vid in vids:
+            info = singleton[vid]
+            cr = len(info.crossing)
+            delta = len(S & info.crossing)
+            loops_in_S = len(S & info.internal)
+            # 2q * (center -+ half) with center = phi(v) - delta/2 and
+            # half = (cr - delta)/2
+            twos = 2 * phi.numerators[vid]
+            windows.append([deg - loops_in_S for deg in _integer_window(
+                twos - q * cr, twos + q * (cr - 2 * delta), 2 * q)])
+        if not all(windows):
+            continue
+        target = d - len(S)
+        last = set(windows[-1])
+        for head in product(*windows[:-1]):
+            rest = target - sum(head)
+            if rest in last:
+                D = dict(zip(vids, head + (rest,)))
+                if _satisfies_ctx(ctx, S, D, strict=True):
+                    results.append(SheafDatum(graph, S, D))
+
+    results.sort(key=attrgetter("key"))
+    return results
+
+
+def reference_verify_support_lemma(graph: DualGraph, phi: PhiVector):
+    """Check the section-support incompatibility over stable degree-0 data.
+
+    For every phi-stable degree-0 datum F and every subcurve C0 the strict
+    bound deg_C0(F) < cr(C0) - delta_C0(F) must hold, so a nonzero section
+    (which would force deg_C0(F) >= cr(C0)) cannot exist.  Returns True or
+    the first violating (F, C0).
+    """
+    if not is_small_perturbation(graph, phi):
+        raise PreconditionError("phi is not a small perturbation of 0")
+    if not is_nondegenerate(graph, phi):
+        raise PreconditionError("phi is degenerate")
+    for F in reference_stable_sheaf_data(graph, phi, 0, include_nonfree=True):
+        for info in graph.subcurve_data:
+            c0 = Subcurve(info.vertex_set)
+            if not degree_on(F, c0) < len(info.crossing) - delta_on(F, c0):
+                return (F, c0)
+    return True
+
+
+# --- The Fraction route of the phi samplers --------------------------------
+#
+# jacstab.corpus._balanced_phi as it was before PhiVector._from_numerators;
+# the samplers must draw the same vectors through either.
+
+def fraction_balanced_phi(graph: DualGraph, rng, q: int,
+                          bound: int) -> PhiVector:
+    """Phi with numerators over ``q`` drawn from [-bound, bound] on every
+    vertex but the last (in id order); the last one balances the sum."""
+    vids = sorted(graph.vertex_ids)
+    nums = [rng.randint(-bound, bound) for _ in vids[:-1]]
+    vals = {vid: Fraction(x, q) for vid, x in zip(vids, nums)}
+    vals[vids[-1]] = Fraction(-sum(nums), q)
+    return PhiVector(graph, vals)

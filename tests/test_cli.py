@@ -91,6 +91,37 @@ class TestStable:
             assert proc.stderr.startswith("error:")
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("vertex", [
+        {"id": [0], "h": 1, "markings": [1]},
+        {"id": 0, "h": "1", "markings": [1]},
+    ], ids=["list-id", "string-h"])
+    def test_non_integer_field_exits_1(self, vine_files, tmp_path, vertex):
+        _, ppath = vine_files
+        gpath = tmp_path / "bad.json"
+        gpath.write_text(json.dumps({"genus": 1, "n": 1, "vertices": [vertex],
+                                     "edges": []}))
+        for args in (("stable", "--graph", str(gpath), "--phi", str(ppath)),
+                     ("check", "--graph", str(gpath))):
+            proc = run_cli(*args)
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error:")
+            assert "must be an integer" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_check_lists_structural_faults_without_raising(self, tmp_path):
+        # duplicate vertex ids and no edges: subcurve tests would refuse it
+        gpath = tmp_path / "broken.json"
+        gpath.write_text(json.dumps({
+            "genus": 2, "n": 1,
+            "vertices": [{"id": 0, "h": 1, "markings": [1]},
+                         {"id": 0, "h": 1, "markings": []}],
+            "edges": []}))
+        proc = run_cli("check", "--graph", str(gpath))
+        assert proc.returncode == 1
+        assert "duplicate vertex ids" in proc.stdout
+        assert "graph not connected" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
 
 class TestClassify:
     def test_unit_difference_text(self):

@@ -11,11 +11,13 @@ from jacstab.errors import InvalidGraphError, InvalidSubcurveError
 from jacstab.graph import (
     MAX_SUBCURVE_VERTICES,
     DualGraph,
+    Edge,
     Subcurve,
     VineCurve,
     complement,
     crossing_count,
     enumerate_vines,
+    graph_from_dict,
     graph_from_json,
     graph_to_json,
     make_vine,
@@ -23,6 +25,7 @@ from jacstab.graph import (
     subcurves,
     validate,
 )
+from jacstab.stability import PhiVector, stable_sheaf_data
 
 from oracles import count_spanning_trees_exhaustive
 
@@ -217,3 +220,74 @@ def test_json_round_trip():
 def test_json_field_order_deterministic():
     g = triangle()
     assert graph_to_json(g).index('"genus"') < graph_to_json(g).index('"vertices"')
+
+
+class TestStructuralChokepoint:
+    """Every subcurve test goes through DualGraph.subcurve_data, which
+    refuses structurally broken graphs; building one does not raise."""
+
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ([(0, 1, (1,)), (0, 1, ())], [Edge(0, (0, 0))], "duplicate vertex ids"),
+        ([(0, 1, (1,)), (1, 1, ())], [Edge(0, (0, 1)), Edge(0, (0, 1))],
+         "duplicate edge ids"),
+        ([(0, 1, (1,)), (1, 1, ())], [Edge(0, (0, 5))],
+         "edge 0 references unknown vertex"),
+        ([(0, 1, (1,)), (1, 1, ())], [], "graph not connected"),
+        ([(0, 1, (1,)), (1, 1, ()), (2, 1, ())], [Edge(4, (1, 2))],
+         "graph not connected"),
+        ([], [], "graph has no vertices"),
+    ], ids=["duplicate-vertex", "duplicate-edge", "unknown-end",
+            "disconnected", "isolated-vertex", "empty"])
+    def test_subcurve_tests_refuse_broken_graphs(self, vertices, edges,
+                                                 message):
+        graph = DualGraph(vertices, edges, 1)
+        assert validate(graph)
+        phi = PhiVector(graph, {vid: 0 for vid in graph.vertex_ids})
+        with pytest.raises(InvalidGraphError, match=message):
+            stable_sheaf_data(graph, phi, 0)
+
+    def test_stability_and_genus_formula_not_enforced(self):
+        # vertex 0 is an unstable rational tail and g does not fit the formula
+        graph = DualGraph([(0, 0, ()), (1, 0, (1,))], [Edge(0, (0, 1))], 1, g=5)
+        assert any("instability" in d for d in validate(graph))
+        assert any("genus formula" in d for d in validate(graph))
+        assert [info.cr for info in graph.subcurve_data] == [1, 1]
+
+
+class TestGraphFromDict:
+    def good(self):
+        return {"genus": 2, "n": 1,
+                "vertices": [{"id": 0, "h": 0, "markings": [1]},
+                             {"id": 1, "h": 1, "markings": []}],
+                "edges": [{"id": 0, "ends": [0, 1]}, {"id": 1, "ends": [1, 0]}]}
+
+    def test_good(self):
+        assert validate(graph_from_dict(self.good())) == []
+
+    @pytest.mark.parametrize("path, value, what", [
+        (("vertices", 0, "id"), [0], "vertex id"),
+        (("vertices", 0, "id"), True, "vertex id"),
+        (("vertices", 1, "h"), "1", "h"),
+        (("vertices", 1, "h"), 1.0, "h"),
+        (("vertices", 0, "markings"), ["1"], "marking"),
+        (("edges", 0, "id"), None, "edge id"),
+        (("edges", 1, "ends"), [0, "1"], "edge end"),
+        (("n",), False, "n"),
+        (("genus",), "2", "genus"),
+    ])
+    def test_non_integer_field_rejected(self, path, value, what):
+        data = self.good()
+        owner = data
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        with pytest.raises(InvalidGraphError, match="%s must be an integer"
+                           % what):
+            graph_from_dict(data)
+
+    @pytest.mark.parametrize("ends", [[0], [0, 1, 1]])
+    def test_edge_needs_two_ends(self, ends):
+        data = self.good()
+        data["edges"][0]["ends"] = ends
+        with pytest.raises(InvalidGraphError, match="two vertex ids"):
+            graph_from_dict(data)

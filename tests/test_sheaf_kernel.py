@@ -1,0 +1,188 @@
+"""The edge-mask sheaf-data kernel against the frozenset code it replaced,
+and the integer route of the phi samplers against the Fraction route."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from jacstab import corpus, stability
+from jacstab.corpus import (
+    random_nondegenerate_phi,
+    random_phi,
+    random_small_perturbation_phi,
+    stable_graph_corpus,
+)
+from jacstab.graph import DualGraph, Edge, Subcurve, Vertex
+from jacstab.stability import (
+    PhiVector,
+    SheafDatum,
+    is_nondegenerate,
+    stable_sheaf_data,
+    verify_support_lemma,
+)
+
+CORPUS = stable_graph_corpus(4, 7)
+
+# Edge ids neither contiguous nor in input order, vertex ids unsorted too,
+# with a loop and two parallel edges.
+UNSORTED = DualGraph(
+    [Vertex(5, 0, frozenset({1})), Vertex(2, 1, frozenset()),
+     Vertex(9, 0, frozenset({2}))],
+    [Edge(7, (2, 5)), Edge(3, (5, 9)), Edge(100, (2, 9)), Edge(42, (2, 2)),
+     Edge(8, (2, 5))],
+    2)
+
+
+def relabeled(graph, rng):
+    """The same graph with random sparse vertex and edge ids, edges shuffled."""
+    vmap = dict(zip(sorted(graph.vertex_ids),
+                    rng.sample(range(50), len(graph.vertices))))
+    eids = rng.sample(range(200), len(graph.edges))
+    edges = [Edge(eid, tuple(sorted((vmap[e.ends[0]], vmap[e.ends[1]]))))
+             for eid, e in zip(eids, graph.edges)]
+    rng.shuffle(edges)
+    vertices = [Vertex(vmap[v.id], v.h, v.markings) for v in graph.vertices]
+    rng.shuffle(vertices)
+    return DualGraph(vertices, edges, graph.n, graph.g)
+
+
+GRAPHS = CORPUS + [UNSORTED] + [relabeled(g, random.Random(i))
+                                for i, g in enumerate(CORPUS[::25])]
+
+
+def mixed_phi(graph, rng):
+    """A nondegenerate phi whose values have different denominators."""
+    vids = sorted(graph.vertex_ids)
+    while True:
+        vals = {vid: Fraction(rng.randint(-12, 12), rng.choice((2, 3, 5, 7)))
+                for vid in vids[:-1]}
+        vals[vids[-1]] = -sum(vals.values(), Fraction(0))
+        phi = PhiVector(graph, vals)
+        if is_nondegenerate(graph, phi):
+            return phi
+
+
+@pytest.fixture(scope="module")
+def phis():
+    return [mixed_phi(g, random.Random(i)) for i, g in enumerate(GRAPHS)]
+
+
+def keys(data):
+    return [F.key for F in data]
+
+
+@pytest.mark.parametrize("include_nonfree", [False, True])
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_stable_sheaf_data_matches_frozenset_reference(phis, d,
+                                                      include_nonfree):
+    for graph, phi in zip(GRAPHS, phis):
+        got = stable_sheaf_data(graph, phi, d, include_nonfree)
+        want = oracles.reference_stable_sheaf_data(graph, phi, d,
+                                                   include_nonfree)
+        assert keys(got) == keys(want), graph
+        assert all(F.graph is graph for F in got)
+
+
+def outcome(result):
+    if result is True:
+        return True
+    F, c0 = result
+    return F.key, c0
+
+
+def test_support_lemma_matches_frozenset_reference():
+    # every fourth graph: the violation tests below cover all of GRAPHS
+    for i, graph in enumerate(GRAPHS[::4]):
+        phi = random_small_perturbation_phi(graph, random.Random(i))
+        assert verify_support_lemma(graph, phi) is True
+        assert oracles.reference_verify_support_lemma(graph, phi) is True
+
+
+@pytest.mark.parametrize("nonfree_only", [False, True])
+def test_first_support_violation_matches_frozenset_reference(
+        phis, monkeypatch, nonfree_only):
+    # Off the small-perturbation locus the bound fails, which exercises
+    # the choice of the first violating (F, C0).
+    monkeypatch.setattr(stability, "is_small_perturbation", lambda g, p: True)
+    monkeypatch.setattr(oracles, "is_small_perturbation", lambda g, p: True)
+    if nonfree_only:
+        # Line bundles come first in canonical order and one of them fails
+        # whenever any datum does; without them the bound is tested on
+        # non-free data.
+        pairs = stability._stable_pairs
+        data = oracles.reference_stable_sheaf_data
+        monkeypatch.setattr(stability, "_stable_pairs", lambda *args, **kw: [
+            (S, D) for S, D in pairs(*args, **kw) if S])
+        monkeypatch.setattr(oracles, "reference_stable_sheaf_data",
+                            lambda *args, **kw: [F for F in data(*args, **kw)
+                                                 if F.S])
+    violations = 0
+    for graph, phi in zip(GRAPHS, phis):
+        got = outcome(verify_support_lemma(graph, phi))
+        assert got == outcome(
+            oracles.reference_verify_support_lemma(graph, phi)), graph
+        violations += got is not True
+    assert violations > len(GRAPHS) // 4
+
+
+def counted_inits(monkeypatch, *classes):
+    calls = []
+    for cls in classes:
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            calls.append(_name)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+def test_support_lemma_that_holds_builds_no_objects(monkeypatch):
+    graphs = CORPUS[::10] + [UNSORTED]
+    phis = [random_small_perturbation_phi(g, random.Random(i))
+            for i, g in enumerate(graphs)]
+    calls = counted_inits(monkeypatch, SheafDatum, Subcurve)
+    assert all(verify_support_lemma(g, phi) is True
+               for g, phi in zip(graphs, phis))
+    assert calls == []
+
+
+def test_support_violation_builds_one_datum_and_one_subcurve(monkeypatch):
+    graph = CORPUS[-1]
+    phi = mixed_phi(graph, random.Random(1))
+    monkeypatch.setattr(stability, "is_small_perturbation", lambda g, p: True)
+    calls = counted_inits(monkeypatch, SheafDatum, Subcurve)
+    F, c0 = verify_support_lemma(graph, phi)
+    assert sorted(calls) == ["SheafDatum", "Subcurve"]
+    assert isinstance(F, SheafDatum) and isinstance(c0, Subcurve)
+
+
+@pytest.mark.parametrize(
+    "sampler", [random_phi, random_nondegenerate_phi,
+                random_small_perturbation_phi], ids=lambda f: f.__name__)
+def test_sampler_phis_match_fraction_route(sampler, monkeypatch):
+    graphs = CORPUS + [UNSORTED]
+
+    def draw():
+        return [sampler(g, random.Random(i)) for i, g in enumerate(graphs)]
+
+    def fields(phi):
+        return (phi.q, list(phi.numerators.items()), list(phi.values.items()))
+
+    integer = draw()
+    monkeypatch.setattr(corpus, "_balanced_phi", oracles.fraction_balanced_phi)
+    fraction = draw()
+    assert [fields(p) for p in integer] == [fields(p) for p in fraction]
+
+
+def test_integer_constructor_reduces_like_fractions():
+    graph = CORPUS[-1]
+    for q, nums in [(6, (2, -4, 0, 2)), (7, (0, 0, 0, 0)), (5, (3, -1, -1, -1)),
+                    (12, (8, -2, -3, -3))]:
+        numerators = dict(zip(graph.vertex_order, nums))
+        phi = PhiVector._from_numerators(graph, q, numerators)
+        ref = PhiVector(graph, {v: Fraction(x, q) for v, x in numerators.items()})
+        assert (phi.q, phi.numerators, phi.values) == \
+            (ref.q, ref.numerators, ref.values)
