@@ -234,9 +234,7 @@ def _unit_difference_markings(a: tuple[int, ...]):
     """Return (i, j) with a = e_i - e_j, or None."""
     pos = [m + 1 for m, x in enumerate(a) if x == 1]
     neg = [m + 1 for m, x in enumerate(a) if x == -1]
-    rest = [x for x in a if x not in (0, 1, -1)]
-    if len(pos) == 1 and len(neg) == 1 and not rest \
-            and sum(1 for x in a if x != 0) == 2:
+    if len(pos) == len(neg) == 1 and all(x in (0, 1, -1) for x in a):
         return pos[0], neg[0]
     return None
 
@@ -251,7 +249,7 @@ def certify_unstable_on_vine(vine: VineCurve, m: int) -> ChamberCertificate | No
     half_e = Fraction(vine.e, 2)
     rows = []
     for ch in chambers(vine, (-half_e, half_e)):
-        degs = tuple(F.key[1][0] for F in ch.stable_table)
+        degs = tuple(F.degrees[0] for F in ch.stable_table)
         if m in degs:
             return None
         rows.append((ch.lo, ch.hi, degs))

@@ -103,7 +103,9 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
 
     Walls and stable tables depend on a vine only through e, so ``chambers``
     searches the first vine of each edge count alone; every other vine gets
-    its own walls and the same tables rebuilt on its own graph.  Runs
+    its own walls and the same tables rebuilt on its own graph.  Every
+    e-edge vine graph has vertex order (0, 1) and edge order 0..e-1, so
+    each datum's mask and degree tuple carry over unchecked.  Runs
     serially: ``jobs`` is accepted for compatibility and has no effect.
     """
     if g < 1 or n < 1:
@@ -129,7 +131,7 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
             graph = vine.to_graph()
             chs = first if vine is group[0] else tuple(
                 Chamber(c.lo, c.hi, c.representative,
-                        tuple(SheafDatum(graph, F.S, F.D)
+                        tuple(SheafDatum._from_kernel(graph, F.mask, F.degrees)
                               for F in c.stable_table),
                         c.is_small_perturbation)
                 for c in first)
@@ -184,10 +186,6 @@ def _chamber_fields(record: AtlasRecord) -> dict:
     }
 
 
-def record_to_dict(record: AtlasRecord) -> dict:
-    return {**_vine_fields(record), **_chamber_fields(record)}
-
-
 def _members(fields: dict, depth: int) -> str:
     """The members of ``fields`` as they read in an indent=2 document where
     the dict sits at ``depth``: its standalone rendering with every newline
@@ -197,8 +195,8 @@ def _members(fields: dict, depth: int) -> str:
 
 
 def atlas_to_json(records: list[AtlasRecord]) -> str:
-    """``json.dumps({"g", "n", "records": [record_to_dict(r), ...]},
-    indent=2)`` plus a newline.
+    """``json.dumps({"g", "n", "records": [...]}, indent=2)`` plus a
+    newline, each record the vine fields followed by the chamber fields.
 
     Vines with one edge count share their chambers and deltas, so each
     distinct chambers-and-deltas content is rendered once per call and

@@ -66,45 +66,27 @@ class Subcurve:
     vertex_set: frozenset[int]
 
 
-def _edge_ids(edge_order, mask) -> tuple[int, ...]:
-    """The ids of the edges in ``mask``, in ``edge_order`` order."""
-    if not mask:
-        return ()
-    return tuple(eid for i, eid in enumerate(edge_order) if mask >> i & 1)
-
-
 class _SubcurveData:
     """Precomputed incidence data for one subcurve (internal); immutable by
     convention.
 
     ``positions`` index the subcurve's vertices in ``DualGraph.vertex_order``
-    and bit ``i`` of an edge mask stands for ``edge_order[i]``.  The sets
-    are built on each read; the subcurve tests use the masks.
+    and bit ``i`` of an edge mask stands for ``DualGraph.edge_order[i]``.
     """
 
     __slots__ = ("vertices", "positions", "cr", "crossing_mask",
-                 "internal_mask", "edge_order")
+                 "internal_mask")
 
-    def __init__(self, vertices, positions, crossing_mask, internal_mask,
-                 edge_order):
+    def __init__(self, vertices, positions, crossing_mask, internal_mask):
         self.vertices: tuple[int, ...] = vertices
         self.positions: tuple[int, ...] = positions
         self.cr = crossing_mask.bit_count()   # number of crossing edges
         self.crossing_mask = crossing_mask    # exactly one endpoint inside
         self.internal_mask = internal_mask    # both endpoints inside, loops incl.
-        self.edge_order: tuple[int, ...] = edge_order
 
     @property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
-
-    @property
-    def crossing(self) -> frozenset[int]:
-        return frozenset(_edge_ids(self.edge_order, self.crossing_mask))
-
-    @property
-    def internal(self) -> frozenset[int]:
-        return frozenset(_edge_ids(self.edge_order, self.internal_mask))
 
 
 class DualGraph:
@@ -189,20 +171,15 @@ class DualGraph:
                                     % (nv, MAX_SUBCURVE_VERTICES))
         if not nv:
             raise InvalidGraphError("graph has no vertices")
+        faults = _structural_faults(self)
+        if faults:
+            raise InvalidGraphError(faults[0])
         # per vertex, the mask of edges whose first (second) end it is; over
         # a subcurve, internal = first & second and crossing = first ^ second
         first = dict.fromkeys(ids, 0)
-        if len(first) != nv:
-            raise InvalidGraphError("duplicate vertex ids")
         second = first.copy()
-        eids = self.edge_order
-        if len(set(eids)) != len(eids):
-            raise InvalidGraphError("duplicate edge ids")
         for bit, e in enumerate(sorted(self.edges, key=attrgetter("id"))):
             a, b = e.ends
-            if a not in first or b not in second:
-                raise InvalidGraphError("edge %d references unknown vertex"
-                                        % e.id)
             first[a] |= 1 << bit
             second[b] |= 1 << bit
         out = []
@@ -215,7 +192,7 @@ class DualGraph:
                     b |= second[v]
                 if a == b:
                     raise InvalidGraphError("graph not connected")
-                out.append(_SubcurveData(vertices, combo, a ^ b, a & b, eids))
+                out.append(_SubcurveData(vertices, combo, a ^ b, a & b))
         return tuple(out)
 
     @cached_property
@@ -233,19 +210,27 @@ class DualGraph:
         return self.subcurve_data[self.subcurve_position(c0)]
 
 
+def _structural_faults(graph: DualGraph) -> list[str]:
+    """Repeated vertex or edge ids and edges with an unknown end, in that
+    order: :func:`validate` lists them and :attr:`DualGraph.subcurve_data`
+    raises the first."""
+    faults = []
+    ids = graph.vertex_ids
+    if len(set(ids)) != len(ids):
+        faults.append("duplicate vertex ids")
+    eids = graph.edge_order
+    if len(set(eids)) != len(eids):
+        faults.append("duplicate edge ids")
+    known = set(ids)
+    faults.extend("edge %d references unknown vertex" % e.id
+                  for e in graph.edges
+                  if e.ends[0] not in known or e.ends[1] not in known)
+    return faults
+
+
 def validate(graph: DualGraph) -> list[str]:
     """Check all DualGraph invariants; return one diagnostic per violation."""
-    diags = []
-    ids = [v.id for v in graph.vertices]
-    if len(set(ids)) != len(ids):
-        diags.append("duplicate vertex ids")
-    eids = [e.id for e in graph.edges]
-    if len(set(eids)) != len(eids):
-        diags.append("duplicate edge ids")
-    known = set(ids)
-    for e in graph.edges:
-        if e.ends[0] not in known or e.ends[1] not in known:
-            diags.append("edge %d references unknown vertex" % e.id)
+    diags = _structural_faults(graph)
     if not graph.is_connected():
         diags.append("graph not connected")
     seen_marks = []

@@ -16,12 +16,12 @@ and ``F`` is phi-stable when, for every nonempty proper subcurve,
 :class:`PhiVector` keeps its values over one common denominator ``q``, and
 every subcurve test runs on the integers ``q*phi(C0)``
 (:meth:`PhiVector.subcurve_sums`) with the inequality scaled by ``2q``.
-The sheaf side runs on integers too: inside the kernel ``S`` is an edge
-mask (bit ``i`` for ``graph.edge_order[i]``), ``D`` a tuple in
-``graph.vertex_order``, and ``#(S intersect X)`` is ``(S & mask).bit_count()``
-against the subcurve's ``internal_mask`` and ``crossing_mask``
-(``int.bit_count`` needs Python 3.10).  :class:`SheafDatum` objects are
-built only for results.
+The sheaf side runs on integers too: a :class:`SheafDatum` stores ``S`` as
+an edge mask (bit ``i`` for ``graph.edge_order[i]``) and ``D`` as a tuple in
+``graph.vertex_order``, the form the search works in, and
+``#(S intersect X)`` is ``(S & mask).bit_count()`` against the subcurve's
+``internal_mask`` and ``crossing_mask`` (``int.bit_count`` needs Python
+3.10).  The search builds objects only for its results.
 
 Wall criterion
 --------------
@@ -45,6 +45,7 @@ from functools import cached_property
 from itertools import islice, product, takewhile
 from math import gcd, lcm
 from numbers import Rational
+from operator import attrgetter
 
 from .errors import (
     DegenerateParameterError,
@@ -54,7 +55,7 @@ from .errors import (
     PreconditionError,
     UnknownEdgeError,
 )
-from .graph import MAX_NONFREE_EDGES, DualGraph, Subcurve, VineCurve, _edge_ids
+from .graph import MAX_NONFREE_EDGES, DualGraph, Subcurve, VineCurve
 
 
 _RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
@@ -133,53 +134,85 @@ class PhiVector:
         return "PhiVector(%s)" % {k: str(v) for k, v in sorted(self.values.items())}
 
 
+def _edge_ids(edge_order, mask) -> tuple[int, ...]:
+    """The ids of the edges in ``mask``, in ``edge_order`` order."""
+    if not mask:
+        return ()
+    return tuple(eid for i, eid in enumerate(edge_order) if mask >> i & 1)
+
+
 class SheafDatum:
-    """Combinatorial rank-1 torsion-free sheaf: non-free edges S, degrees D."""
+    """Combinatorial rank-1 torsion-free sheaf: non-free edges S, degrees D.
+
+    Stored as ``mask`` (bit ``i`` for ``graph.edge_order[i]``) and ``degrees``
+    (D in ``graph.vertex_order``); ``S``, ``D`` and ``key`` are built on read.
+    """
+
+    __slots__ = ("graph", "mask", "degrees")
 
     def __init__(self, graph: DualGraph, S, D):
-        self.graph = graph
-        self.S = frozenset(S)
-        self.D = {vid: int(d) for vid, d in D.items()}
+        S = frozenset(S)
         edges = graph.edge_by_id.keys()
-        if not self.S <= edges:
+        if not S <= edges:
             raise UnknownEdgeError("unknown edge ids in S: %s"
-                                   % sorted(self.S - edges))
+                                   % sorted(S - edges))
         vids = graph.vertex_ids
-        if len(self.D) != len(vids) or not all(map(self.D.__contains__, vids)):
+        if len(D) != len(vids) or not all(map(D.__contains__, vids)):
             raise MismatchedGraphError("multidegree must cover exactly the vertex set")
+        self.graph = graph
+        self.mask = sum(1 << i for i, eid in enumerate(graph.edge_order)
+                        if eid in S)
+        self.degrees = tuple(int(D[vid]) for vid in graph.vertex_order)
+
+    @classmethod
+    def _from_kernel(cls, graph: DualGraph, mask: int, degrees: tuple):
+        """The datum ``(mask, degrees)`` of a search result on ``graph``,
+        unchecked: both are already in the graph's edge and vertex order."""
+        F = cls.__new__(cls)
+        F.graph, F.mask, F.degrees = graph, mask, degrees
+        return F
+
+    @property
+    def S(self) -> frozenset:
+        return frozenset(self.key[0])
+
+    @property
+    def D(self) -> dict:
+        return dict(zip(self.graph.vertex_order, self.degrees))
 
     @property
     def key(self) -> tuple:
         """Canonical sort/identity key: (sorted S, D in vertex-id order)."""
-        return (tuple(sorted(self.S)),
-                tuple(self.D[vid] for vid in sorted(self.D)))
+        return (_edge_ids(self.graph.edge_order, self.mask), self.degrees)
 
     @property
     def is_line_bundle(self) -> bool:
-        return not self.S
+        return not self.mask
 
     def __repr__(self):
-        return "SheafDatum(S=%s, D=%s)" % (sorted(self.S), self.key[1])
+        S, degrees = self.key
+        return "SheafDatum(S=%s, D=%s)" % (list(S), degrees)
 
     def __eq__(self, other):
-        return (isinstance(other, SheafDatum)
-                and self.graph is other.graph and self.key == other.key)
+        return (isinstance(other, SheafDatum) and self.graph is other.graph
+                and self.mask == other.mask and self.degrees == other.degrees)
 
     def __hash__(self):
-        return hash(self.key)
+        return hash((self.mask, self.degrees))
 
 
 def total_degree(F: SheafDatum) -> int:
-    return sum(F.D.values()) + len(F.S)
+    return sum(F.degrees) + F.mask.bit_count()
 
 
 def degree_on(F: SheafDatum, c0: Subcurve) -> int:
     info = F.graph.subcurve_info(c0)
-    return sum(F.D[v] for v in info.vertices) + len(F.S & info.internal)
+    return (sum(map(F.degrees.__getitem__, info.positions))
+            + (F.mask & info.internal_mask).bit_count())
 
 
 def delta_on(F: SheafDatum, c0: Subcurve) -> int:
-    return len(F.S & F.graph.subcurve_info(c0).crossing)
+    return (F.mask & F.graph.subcurve_info(c0).crossing_mask).bit_count()
 
 
 def phi_of(phi: PhiVector, c0: Subcurve) -> Fraction:
@@ -204,8 +237,8 @@ def _phi_context(graph, phi):
 
 
 def _satisfies_ctx(ctx, S: int, D: tuple, strict: bool) -> bool:
-    """The inequality for (S, D) on every subcurve in ``ctx``: ``S`` an edge
-    mask, ``D`` a multidegree tuple in ``graph.vertex_order``."""
+    """The inequality on every subcurve in ``ctx`` for ``S`` a mask and ``D``
+    a degree tuple, as a :class:`SheafDatum` stores them."""
     at = D.__getitem__
     for positions, internal, crossing, cr, twos, q in ctx:
         deg = sum(map(at, positions))
@@ -221,31 +254,20 @@ def _satisfies_ctx(ctx, S: int, D: tuple, strict: bool) -> bool:
     return True
 
 
-def _edge_mask(graph, edge_ids) -> int:
-    if not edge_ids:
-        return 0
-    bit = {eid: i for i, eid in enumerate(graph.edge_order)}
-    return sum(1 << bit[eid] for eid in edge_ids)
-
-
-def _satisfies(graph, phi, F, strict: bool) -> bool:
-    D = tuple(map(F.D.__getitem__, graph.vertex_order))
-    return _satisfies_ctx(_phi_context(graph, phi), _edge_mask(graph, F.S), D,
-                          strict)
-
-
 def is_stable(graph: DualGraph, phi: PhiVector, F: SheafDatum) -> bool:
     """Strict stability inequality over every nonempty proper subcurve.
 
     Single-vertex graphs have no proper subcurves and are vacuously stable.
     """
     _check_same_graph(graph, phi, F)
-    return _satisfies(graph, phi, F, strict=True)
+    return _satisfies_ctx(_phi_context(graph, phi), F.mask, F.degrees,
+                          strict=True)
 
 
 def is_semistable(graph: DualGraph, phi: PhiVector, F: SheafDatum) -> bool:
     _check_same_graph(graph, phi, F)
-    return _satisfies(graph, phi, F, strict=False)
+    return _satisfies_ctx(_phi_context(graph, phi), F.mask, F.degrees,
+                          strict=False)
 
 
 def is_nondegenerate(graph: DualGraph, phi: PhiVector) -> bool:
@@ -314,8 +336,7 @@ def _integer_window(low: int, high: int, den: int) -> range:
 
 def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
                   include_nonfree: bool) -> list[tuple[int, tuple]]:
-    """Every phi-stable (S, D) of total degree d, in search order: ``S`` an
-    edge mask and ``D`` a multidegree tuple in ``graph.vertex_order``."""
+    """Every phi-stable (mask, degrees) of total degree d, in search order."""
     _check_same_graph(graph, phi)
     if not is_nondegenerate(graph, phi):
         raise DegenerateParameterError(
@@ -364,11 +385,6 @@ def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
     return found
 
 
-def _datum(graph: DualGraph, S: int, D: tuple) -> SheafDatum:
-    return SheafDatum(graph, _edge_ids(graph.edge_order, S),
-                      dict(zip(graph.vertex_order, D)))
-
-
 def stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
                       include_nonfree: bool = False) -> list[SheafDatum]:
     """The complete finite list of phi-stable sheaf data of total degree d.
@@ -381,17 +397,15 @@ def stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
     singleton-subcurve inequality pins each D(v) to a finite window, the
     search runs over the product of all windows but the last, and the last
     vertex is solved from the total-degree constraint and kept only if it
-    lies in its own window.  Candidates are integers only: ``S`` is an edge
-    mask (bit ``i`` for ``graph.edge_order[i]``), ``D`` a tuple, and
-    ``|S & X|`` is a ``bit_count``; the windows already enforce the
-    singleton inequalities, so each candidate is tested on the larger
-    subcurves and becomes a :class:`SheafDatum` only if it is stable.
-    Output is canonically ordered by (sorted S, D), the ``F.key`` order.
+    lies in its own window.  Candidates are (mask, degrees) pairs, the
+    integers a :class:`SheafDatum` stores; the windows already enforce the
+    singleton inequalities, so each is tested on the larger subcurves only,
+    and only stable ones become objects.  Output is sorted by ``F.key``.
     """
-    eids = graph.edge_order
-    pairs = _stable_pairs(graph, phi, d, include_nonfree)
-    pairs.sort(key=lambda p: (_edge_ids(eids, p[0]), p[1]))
-    return [_datum(graph, S, D) for S, D in pairs]
+    data = [SheafDatum._from_kernel(graph, S, D)
+            for S, D in _stable_pairs(graph, phi, d, include_nonfree)]
+    data.sort(key=attrgetter("key"))
+    return data
 
 
 def verify_support_lemma(graph: DualGraph, phi: PhiVector):
@@ -407,7 +421,6 @@ def verify_support_lemma(graph: DualGraph, phi: PhiVector):
         raise PreconditionError("phi is not a small perturbation of 0")
     if not is_nondegenerate(graph, phi):
         raise PreconditionError("phi is degenerate")
-    eids = graph.edge_order
     violations = []
     for S, D in _stable_pairs(graph, phi, 0, include_nonfree=True):
         at = D.__getitem__
@@ -415,12 +428,13 @@ def verify_support_lemma(graph: DualGraph, phi: PhiVector):
             deg = sum(map(at, info.positions)) \
                 + (S & info.internal_mask).bit_count()
             if not deg < info.cr - (S & info.crossing_mask).bit_count():
-                violations.append(((_edge_ids(eids, S), D), S, D, info))
+                violations.append((_edge_ids(graph.edge_order, S), D, info))
                 break
     if not violations:
         return True
-    _, S, D, info = min(violations, key=lambda v: v[0])
-    return (_datum(graph, S, D), Subcurve(info.vertex_set))
+    S, D, info = min(violations, key=lambda v: v[:2])
+    return (SheafDatum(graph, S, dict(zip(graph.vertex_order, D))),
+            Subcurve(info.vertex_set))
 
 
 # Primes in order, grown by trial division as draws reach further; shared by
@@ -483,7 +497,7 @@ def phi_from_dict(graph: DualGraph, data: dict) -> PhiVector:
 
 
 def datum_to_dict(F: SheafDatum) -> dict:
-    return {"S": sorted(F.S), "D": {str(vid): F.D[vid] for vid in sorted(F.D)}}
+    return {"S": list(F.key[0]), "D": {str(v): d for v, d in F.D.items()}}
 
 
 def datum_from_dict(graph: DualGraph, data: dict) -> SheafDatum:

@@ -160,7 +160,7 @@ def brute_force_extends(g: int, n: int, aj: AJDatum) -> bool:
         half_e = Fraction(vine.e, 2)
         found = False
         for ch in chambers(vine, (-half_e, half_e)):
-            if any(F.key[1][0] == m for F in ch.stable_table):
+            if any(F.degrees[0] == m for F in ch.stable_table):
                 found = True
                 break
         if not found:
@@ -183,10 +183,14 @@ def _recheck_certificate(cert) -> bool:
     return True
 
 
-def suite_prop41(max_genus=3, max_markings=3, seed=0):
+# prop41 sweeps the twists of every (g, n) up to these bounds.
+PROP41_MAX_GENUS = PROP41_MAX_MARKINGS = 3
+
+
+def suite_prop41(seed=0):
     cases = 0
-    for g in range(1, max_genus + 1):
-        for n in range(1, max_markings + 1):
+    for g in range(1, PROP41_MAX_GENUS + 1):
+        for n in range(1, PROP41_MAX_MARKINGS + 1):
             for k in (-1, 0, 1):
                 for a in product(range(-2, 3), repeat=n):
                     if k * (2 - 2 * g) + sum(a) != 0:

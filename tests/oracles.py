@@ -42,6 +42,25 @@ def count_spanning_trees_exhaustive(graph):
     return count
 
 
+# --- Subcurve edges read off graph.edges ------------------------------------
+#
+# The kernel keeps a subcurve's edges as masks in DualGraph.subcurve_data;
+# the references below work them out from the edge list instead.
+
+def internal_edges(graph, vertices):
+    """Ids of the edges with both ends in ``vertices``, loops included."""
+    inside = set(vertices)
+    return frozenset(e.id for e in graph.edges
+                     if e.ends[0] in inside and e.ends[1] in inside)
+
+
+def crossing_edges(graph, vertices):
+    """Ids of the edges with exactly one end in ``vertices``."""
+    inside = set(vertices)
+    return frozenset(e.id for e in graph.edges
+                     if (e.ends[0] in inside) != (e.ends[1] in inside))
+
+
 # --- Fraction references for the scaled-integer phi kernel -----------------
 #
 # These re-sum phi as Fractions per subcurve, the way jacstab.stability did
@@ -56,27 +75,51 @@ def fraction_is_nondegenerate(graph, phi):
     """No subcurve has phi(C0) + cr(C0)/2 in Z."""
     for info in graph.subcurve_data:
         x = fraction_subcurve_sum(phi, info)
-        if (x + Fraction(len(info.crossing), 2)).denominator == 1:
+        cr = len(crossing_edges(graph, info.vertices))
+        if (x + Fraction(cr, 2)).denominator == 1:
             return False
     return True
 
 
 def fraction_is_small_perturbation(graph, phi):
     """|phi(C0)| < cr(C0)/2 for every subcurve."""
-    return all(abs(2 * fraction_subcurve_sum(phi, info)) < len(info.crossing)
+    return all(abs(2 * fraction_subcurve_sum(phi, info))
+               < len(crossing_edges(graph, info.vertices))
                for info in graph.subcurve_data)
 
 
 # --- stdlib reference for the atlas JSON export ----------------------------
 
 def atlas_json_reference(records):
-    """The whole atlas document rendered by one ``json.dumps(indent=2)``."""
-    from jacstab.atlas import record_to_dict
-
+    """The whole atlas document rendered by one ``json.dumps(indent=2)``,
+    every record dict spelled out here."""
     if not records:
         return json.dumps({"records": []}, indent=2) + "\n"
-    payload = {"g": records[0].g, "n": records[0].n,
-               "records": [record_to_dict(r) for r in records]}
+
+    def datum(F):
+        return {"S": sorted(F.S),
+                "D": {str(vid): d for vid, d in sorted(F.D.items())}}
+
+    def keys(ks):
+        return [[list(S), list(D)] for S, D in ks]
+
+    payload = {"g": records[0].g, "n": records[0].n, "records": [{
+        "g": r.g,
+        "n": r.n,
+        "vine": {"g1": r.vine.g1, "g2": r.vine.g2, "e": r.vine.e,
+                 "S": list(r.vine.S)},
+        "window": [str(r.wall_set.lo), str(r.wall_set.hi)],
+        "walls": [str(w) for w in r.wall_set.walls],
+        "chambers": [{"lo": str(c.lo),
+                      "hi": str(c.hi),
+                      "representative": str(c.representative),
+                      "is_small_perturbation": c.is_small_perturbation,
+                      "stable_table": [datum(F) for F in c.stable_table]}
+                     for c in r.chambers],
+        "wall_crossing_deltas": [{"added": keys(added),
+                                  "removed": keys(removed)}
+                                 for added, removed in r.deltas],
+    } for r in records]}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -182,28 +225,22 @@ def reference_graph_corpus(max_vertices: int = 4, max_edges: int = 7,
 
 # --- The frozenset sheaf-data search that the edge-mask kernel replaced ---
 #
-# Edge sets are frozensets intersected per subcurve, and the support lemma
-# reaches each subcurve through a Subcurve; jacstab.stability's
+# Edge sets are frozensets intersected per subcurve, and each subcurve's
+# internal and crossing edges are read off graph.edges; jacstab.stability's
 # stable_sheaf_data and verify_support_lemma must return the same lists and
 # the same first violation.
-
-def degree_on(F: SheafDatum, c0: Subcurve) -> int:
-    info = F.graph.subcurve_info(c0)
-    return sum(F.D[v] for v in info.vertices) + len(F.S & info.internal)
-
-
-def delta_on(F: SheafDatum, c0: Subcurve) -> int:
-    return len(F.S & F.graph.subcurve_info(c0).crossing)
-
 
 def _phi_context(graph, phi):
     # Scaled to integers: with phi(C0) = s/q, the inequality
     # |deg - s/q + delta/2| < (cr - delta)/2 becomes
     # |2q*deg - 2s + q*delta| < q*(cr - delta).
     q = phi.q
-    return [(info.vertices, info.internal, info.crossing,
-             len(info.crossing), 2 * s, q)
-            for info, s in zip(graph.subcurve_data, phi.subcurve_sums())]
+    ctx = []
+    for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
+        crossing = crossing_edges(graph, info.vertices)
+        ctx.append((info.vertices, internal_edges(graph, info.vertices),
+                    crossing, len(crossing), 2 * s, q))
+    return ctx
 
 
 def _satisfies_ctx(ctx, S, D, strict: bool) -> bool:
@@ -265,17 +302,16 @@ def reference_stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
         results.sort(key=attrgetter("key"))
         return results
 
-    singleton = {info.vertices[0]: info
-                 for info in graph.subcurve_data if len(info.vertices) == 1}
+    loops = {vid: internal_edges(graph, (vid,)) for vid in vids}
+    crossing = {vid: crossing_edges(graph, (vid,)) for vid in vids}
 
     for S in subsets:
         S = frozenset(S)
         windows = []
         for vid in vids:
-            info = singleton[vid]
-            cr = len(info.crossing)
-            delta = len(S & info.crossing)
-            loops_in_S = len(S & info.internal)
+            cr = len(crossing[vid])
+            delta = len(S & crossing[vid])
+            loops_in_S = len(S & loops[vid])
             # 2q * (center -+ half) with center = phi(v) - delta/2 and
             # half = (cr - delta)/2
             twos = 2 * phi.numerators[vid]
@@ -308,11 +344,15 @@ def reference_verify_support_lemma(graph: DualGraph, phi: PhiVector):
         raise PreconditionError("phi is not a small perturbation of 0")
     if not is_nondegenerate(graph, phi):
         raise PreconditionError("phi is degenerate")
+    subcurves = [(info.vertices, internal_edges(graph, info.vertices),
+                  crossing_edges(graph, info.vertices))
+                 for info in graph.subcurve_data]
     for F in reference_stable_sheaf_data(graph, phi, 0, include_nonfree=True):
-        for info in graph.subcurve_data:
-            c0 = Subcurve(info.vertex_set)
-            if not degree_on(F, c0) < len(info.crossing) - delta_on(F, c0):
-                return (F, c0)
+        S, D = F.S, F.D
+        for verts, internal, crossing in subcurves:
+            deg = sum(D[v] for v in verts) + len(S & internal)
+            if not deg < len(crossing) - len(S & crossing):
+                return (F, Subcurve(frozenset(verts)))
     return True
 
 

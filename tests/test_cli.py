@@ -66,6 +66,71 @@ class TestStable:
         assert [(tuple(F["S"]), tuple(F["D"].values())) for F in data] == \
             [((), (0, 0)), ((), (1, -1))]
 
+    def test_nonfree_bytes_on_unsorted_ids(self, tmp_path):
+        # vertex ids 7, 2, 4 and edge ids 9, 1, 5, 3 in input order; edges
+        # 9 and 3 are parallel
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({
+            "genus": 3, "n": 2,
+            "vertices": [{"id": 7, "h": 0, "markings": [1]},
+                         {"id": 2, "h": 1, "markings": []},
+                         {"id": 4, "h": 0, "markings": [2]}],
+            "edges": [{"id": 9, "ends": [7, 2]}, {"id": 1, "ends": [4, 7]},
+                      {"id": 5, "ends": [2, 4]}, {"id": 3, "ends": [2, 7]}]}))
+        ppath = tmp_path / "phi.json"
+        ppath.write_text(json.dumps(
+            {"values": {"7": "1/5", "2": "-1/3", "4": "2/15"}}))
+        args = ("stable", "--graph", str(gpath), "--phi", str(ppath),
+                "--include-nonfree")
+        text = run_cli(*args)
+        assert text.returncode == 0
+        assert text.stdout == """\
+SheafDatum(S=[], D=(-1, 0, 1))
+SheafDatum(S=[], D=(-1, 1, 0))
+SheafDatum(S=[], D=(0, 0, 0))
+SheafDatum(S=[], D=(0, 1, -1))
+SheafDatum(S=[], D=(1, 0, -1))
+SheafDatum(S=[1], D=(-1, 0, 0))
+SheafDatum(S=[1], D=(0, 0, -1))
+SheafDatum(S=[1, 3], D=(-1, 0, -1))
+SheafDatum(S=[1, 9], D=(-1, 0, -1))
+SheafDatum(S=[3], D=(-1, 0, 0))
+SheafDatum(S=[3], D=(-1, 1, -1))
+SheafDatum(S=[3], D=(0, 0, -1))
+SheafDatum(S=[3, 5], D=(-1, 0, -1))
+SheafDatum(S=[3, 9], D=(-1, 0, -1))
+SheafDatum(S=[5], D=(-1, 0, 0))
+SheafDatum(S=[5], D=(0, 0, -1))
+SheafDatum(S=[5, 9], D=(-1, 0, -1))
+SheafDatum(S=[9], D=(-1, 0, 0))
+SheafDatum(S=[9], D=(-1, 1, -1))
+SheafDatum(S=[9], D=(0, 0, -1))
+"""
+        js = run_cli(*args, "--format", "json")
+        assert js.returncode == 0
+        assert js.stdout == json.dumps([
+            {"S": [], "D": {"2": -1, "4": 0, "7": 1}},
+            {"S": [], "D": {"2": -1, "4": 1, "7": 0}},
+            {"S": [], "D": {"2": 0, "4": 0, "7": 0}},
+            {"S": [], "D": {"2": 0, "4": 1, "7": -1}},
+            {"S": [], "D": {"2": 1, "4": 0, "7": -1}},
+            {"S": [1], "D": {"2": -1, "4": 0, "7": 0}},
+            {"S": [1], "D": {"2": 0, "4": 0, "7": -1}},
+            {"S": [1, 3], "D": {"2": -1, "4": 0, "7": -1}},
+            {"S": [1, 9], "D": {"2": -1, "4": 0, "7": -1}},
+            {"S": [3], "D": {"2": -1, "4": 0, "7": 0}},
+            {"S": [3], "D": {"2": -1, "4": 1, "7": -1}},
+            {"S": [3], "D": {"2": 0, "4": 0, "7": -1}},
+            {"S": [3, 5], "D": {"2": -1, "4": 0, "7": -1}},
+            {"S": [3, 9], "D": {"2": -1, "4": 0, "7": -1}},
+            {"S": [5], "D": {"2": -1, "4": 0, "7": 0}},
+            {"S": [5], "D": {"2": 0, "4": 0, "7": -1}},
+            {"S": [5, 9], "D": {"2": -1, "4": 0, "7": -1}},
+            {"S": [9], "D": {"2": -1, "4": 0, "7": 0}},
+            {"S": [9], "D": {"2": -1, "4": 1, "7": -1}},
+            {"S": [9], "D": {"2": 0, "4": 0, "7": -1}},
+        ], indent=2) + "\n"
+
     def test_degenerate_phi_exits_1(self, vine_files, tmp_path):
         gpath, _ = vine_files
         ppath = tmp_path / "wall.json"

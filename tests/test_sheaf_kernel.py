@@ -20,6 +20,7 @@ from jacstab.stability import (
     SheafDatum,
     is_nondegenerate,
     stable_sheaf_data,
+    total_degree,
     verify_support_lemma,
 )
 
@@ -69,8 +70,11 @@ def phis():
     return [mixed_phi(g, random.Random(i)) for i, g in enumerate(GRAPHS)]
 
 
-def keys(data):
-    return [F.key for F in data]
+def views(data):
+    """Everything a datum shows: key, S, D, repr, line-bundle flag and
+    total degree."""
+    return [(F.key, F.S, list(F.D.items()), repr(F), F.is_line_bundle,
+             total_degree(F)) for F in data]
 
 
 @pytest.mark.parametrize("include_nonfree", [False, True])
@@ -81,7 +85,7 @@ def test_stable_sheaf_data_matches_frozenset_reference(phis, d,
         got = stable_sheaf_data(graph, phi, d, include_nonfree)
         want = oracles.reference_stable_sheaf_data(graph, phi, d,
                                                    include_nonfree)
-        assert keys(got) == keys(want), graph
+        assert views(got) == views(want), graph
         assert all(F.graph is graph for F in got)
 
 
@@ -89,7 +93,7 @@ def outcome(result):
     if result is True:
         return True
     F, c0 = result
-    return F.key, c0
+    return views([F]), c0
 
 
 def test_support_lemma_matches_frozenset_reference():

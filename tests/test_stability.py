@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    crossing_edges,
     fraction_is_nondegenerate,
     fraction_is_small_perturbation,
     fraction_subcurve_sum,
@@ -142,7 +143,8 @@ def _kernel_phis(graph, rng):
     yield PhiVector(graph, _spread(vids, Fraction(0), rng)), False
     # a wall of one subcurve, with mixed denominators on both sides
     info = rng.choice(graph.subcurve_data)
-    target = rng.randint(-2, 2) - Fraction(len(info.crossing), 2)
+    target = (rng.randint(-2, 2)
+              - Fraction(len(crossing_edges(graph, info.vertices)), 2))
     outside = sorted(set(vids) - info.vertex_set)
     vals = _spread(list(info.vertices), target, rng)
     vals.update(_spread(outside, -target, rng))
@@ -180,7 +182,8 @@ def test_integer_kernel_matches_fraction_reference():
                 info = graph.subcurve_info(c0)
                 assert abs(deg - fraction_subcurve_sum(phi, info)
                            + Fraction(delta, 2)) \
-                    == Fraction(len(info.crossing) - delta, 2)
+                    == Fraction(len(crossing_edges(graph, c0.vertex_set))
+                                - delta, 2)
             else:
                 # exercises the integer singleton windows of stable_sheaf_data
                 assert len(stable_sheaf_data(graph, phi, 0)) == trees
