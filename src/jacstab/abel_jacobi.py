@@ -16,6 +16,7 @@ lifts to one is not decided by this package, and reports say so.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,8 @@ from .stability import (
     is_small_perturbation,
     is_stable,
 )
+
+log = logging.getLogger(__name__)
 
 SCOPE_NOTE = ("phi table is per-vine; whether it lifts to a global "
               "stability parameter is not decided here")
@@ -167,7 +170,12 @@ def sigma_extends(g: int, n: int, aj: AJDatum,
     is not); the first failing vine (canonical order) is returned as witness.
     """
     aj.check()
-    vines = enumerate_vines(g, n, 2)
+    return _sigma_extends(aj, table, enumerate_vines(g, n, 2))
+
+
+def _sigma_extends(aj: AJDatum, table: VinePhiTable,
+                   vines: list[VineCurve]) -> ExtendsResult:
+    """:func:`sigma_extends` over ``vines``, the e >= 2 vines of (g, n)."""
     missing = table.missing_for(vines)
     if missing:
         raise IncompleteTableError(missing)
@@ -239,21 +247,30 @@ def _unit_difference_markings(a: tuple[int, ...]):
     return None
 
 
-def certify_unstable_on_vine(vine: VineCurve, m: int) -> ChamberCertificate | None:
-    """Enumerate all chambers of the small-perturbation interval.
+# Certificate rows of the small-perturbation interval (-e/2, e/2) per edge
+# count e, filled from the first vine with that e that asks.  Only Fractions
+# and ints: no graph or sheaf datum outlives a call.
+_SMALL_CHAMBER_ROWS: dict[int, tuple] = {}
 
-    Returns a certificate if the bidegree (m, -m) is stable in none of
-    them, else None.  The stable-bidegree set is constant per chamber, so
-    the check is finite and exact.
+
+def certify_unstable_on_vine(vine: VineCurve, m: int) -> ChamberCertificate | None:
+    """Check the bidegree (m, -m) against all chambers of the
+    small-perturbation interval.
+
+    Returns a certificate if the bidegree is stable in none of them, else
+    None.  The stable-bidegree set is constant per chamber, so the check is
+    finite and exact.  Walls and stable tables depend on a vine only
+    through e, so the chambers are searched once per edge count.
     """
-    half_e = Fraction(vine.e, 2)
-    rows = []
-    for ch in chambers(vine, (-half_e, half_e)):
-        degs = tuple(F.degrees[0] for F in ch.stable_table)
-        if m in degs:
-            return None
-        rows.append((ch.lo, ch.hi, degs))
-    return ChamberCertificate(vine, m, tuple(rows))
+    rows = _SMALL_CHAMBER_ROWS.get(vine.e)
+    if rows is None:
+        half_e = Fraction(vine.e, 2)
+        rows = _SMALL_CHAMBER_ROWS[vine.e] = tuple(
+            (ch.lo, ch.hi, tuple(F.degrees[0] for F in ch.stable_table))
+            for ch in chambers(vine, (-half_e, half_e)))
+    if any(m in degs for _, _, degs in rows):
+        return None
+    return ChamberCertificate(vine, m, rows)
 
 
 def classify_extension(g: int, n: int, aj: AJDatum,
@@ -262,8 +279,9 @@ def classify_extension(g: int, n: int, aj: AJDatum,
     small-perturbation stability table, with constructive evidence.
 
     "yes" answers carry a table from :func:`construct_prop_phi` that passes
-    :func:`sigma_extends`; "no" answers carry an obstructing vine together
-    with an exhaustive chamber certificate.
+    :func:`sigma_extends`, both run on one set of vines; "no" answers
+    carry an obstructing vine together with an exhaustive chamber
+    certificate.
     """
     if aj.is_trivial:
         raise TrivialTwistError("trivial twist")
@@ -274,7 +292,10 @@ def classify_extension(g: int, n: int, aj: AJDatum,
     ij = _unit_difference_markings(aj.a)
     if ij is not None and aj.k * (2 - 2 * g) == 0:
         table = construct_prop_phi(g, n, ij[0], ij[1], seed)
-        result = sigma_extends(g, n, aj, table)
+        # the table's keys are enumerate_vines(g, n, 1) in order, each with
+        # its graph built, so the check runs on the same vines and graphs
+        result = _sigma_extends(
+            aj, table, [vine for vine in table.entries if vine.e >= 2])
         if not result.extends:
             raise PhiConstructionError(
                 "constructed table fails on %s" % result.witness)
@@ -284,6 +305,8 @@ def classify_extension(g: int, n: int, aj: AJDatum,
         m = vine_bidegree(vine, aj)
         cert = certify_unstable_on_vine(vine, m)
         if cert is not None:
+            log.debug("g=%d n=%d: %s obstructs with bidegree (%d,%d)",
+                      g, n, vine, m, -m)
             return ExtendsResult(False, vine, m, None, cert)
     raise JacstabError(
         "no obstructing vine found for a non-unit twist; "

@@ -76,8 +76,11 @@ def walls(vine: VineCurve, window: tuple[Fraction, Fraction]) -> WallSet:
 
 
 def vine_phi(vine: VineCurve, x: Fraction) -> PhiVector:
+    """phi = (x, -x) on the vine's graph, with the ``q`` and numerators of
+    ``PhiVector(graph, {0: x, 1: -x})``."""
     x = exact_rational(x)
-    return PhiVector(vine.to_graph(), {0: x, 1: -x})
+    return PhiVector._from_numerators(vine.to_graph(), x.denominator,
+                                      {0: x.numerator, 1: -x.numerator})
 
 
 def chambers(vine: VineCurve, window: tuple[Fraction, Fraction],

@@ -72,7 +72,13 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=not text.endswith("\n"))
+        # every text here ends with its own newline, and "" writes nothing
+        click.echo(text, nl=False)
+
+
+def _emit_lines(lines, out: str | None) -> None:
+    """Each line followed by a newline; nothing at all for no lines."""
+    _emit("".join(line + "\n" for line in lines), out)
 
 
 @click.group()
@@ -98,7 +104,7 @@ def vines(g, n, min_edges, fmt, out):
         payload = [graph_mod.vine_to_dict(v) for v in found]
         _emit(json.dumps(payload, indent=2) + "\n", out)
     else:
-        _emit("\n".join(str(v) for v in found) + "\n", out)
+        _emit_lines(map(str, found), out)
 
 
 @main.command()
@@ -138,7 +144,7 @@ def stable(graph_path, phi_path, degree, include_nonfree, fmt, out):
         payload = [stability.datum_to_dict(F) for F in data]
         _emit(json.dumps(payload, indent=2) + "\n", out)
     else:
-        _emit("\n".join(repr(F) for F in data) + "\n", out)
+        _emit_lines(map(repr, data), out)
 
 
 @main.command(name="walls")
@@ -161,9 +167,8 @@ def walls_cmd(g, n, window, fmt, out):
                     "walls": [str(x) for x in w.walls]} for w in sets]
         _emit(json.dumps(payload, indent=2) + "\n", out)
     else:
-        lines = ["%s: %s" % (w.vine, " ".join(str(x) for x in w.walls))
-                 for w in sets]
-        _emit("\n".join(lines) + "\n", out)
+        _emit_lines(["%s: %s" % (w.vine, " ".join(str(x) for x in w.walls))
+                     for w in sets], out)
 
 
 @main.command(name="atlas")
@@ -233,7 +238,7 @@ def extends_cmd(g, n, k, a_text, phi_path, seed, fmt, out):
             lines.append("witness: %s with bidegree (%d,%d)"
                          % (result.witness, result.witness_bidegree,
                             -result.witness_bidegree))
-        _emit("\n".join(lines) + "\n", out)
+        _emit_lines(lines, out)
 
 
 @main.command()
@@ -268,7 +273,7 @@ def classify(g, n, k, a_text, seed, fmt, out):
                         -result.witness_bidegree))
         lines.append("certified over %d chambers of the small-perturbation "
                      "interval" % len(result.certificate.chambers))
-    _emit("\n".join(lines) + "\n", out)
+    _emit_lines(lines, out)
 
 
 @main.command(name="verify")

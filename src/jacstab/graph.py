@@ -325,24 +325,26 @@ def enumerate_vines(g: int, n: int, min_edges: int) -> list[VineCurve]:
     """All canonical vines with e >= min_edges for fixed (g, n).
 
     Finite because g1 + g2 + e - 1 = g forces e <= g + 1.  Both sides must
-    satisfy the vertex stability inequality; duplicates under side swap
-    are removed.
+    satisfy the vertex stability inequality.  One orderly pass: each side-1
+    marking set is met once, with its complement, in lexicographic order,
+    and only the canonical orientation is kept, so the output is already
+    in ``(e, g1, S)`` order with no duplicates to remove.
     """
     if g < 1 or n < 1 or min_edges < 1:
         raise ValueError("require g >= 1, n >= 1, min_edges >= 1")
-    found = set()
-    all_marks = set(range(1, n + 1))
-    for e in range(max(min_edges, 1), g + 2):
-        for g1 in range(0, g - e + 2):
+    marks = range(1, n + 1)
+    sides = [(s1, tuple(m for m in marks if m not in s1))
+             for s1 in sorted(s for size in range(n + 1)
+                              for s in combinations(marks, size))]
+    out = []
+    for e in range(min_edges, g + 2):
+        for g1 in range(0, (g - e + 1) // 2 + 1):
             g2 = g - e + 1 - g1
-            for size in range(0, n + 1):
-                for s in combinations(sorted(all_marks), size):
-                    if not _side_stable(g1, e, len(s)):
-                        continue
-                    if not _side_stable(g2, e, n - len(s)):
-                        continue
-                    found.add(make_vine(g1, g2, e, s, n))
-    return sorted(found, key=lambda v: (v.e, v.g1, v.S))
+            out.extend(VineCurve(e, g1, s1, g2, n, g) for s1, s2 in sides
+                       if (g1 < g2 or s1 <= s2)
+                       and _side_stable(g1, e, len(s1))
+                       and _side_stable(g2, e, len(s2)))
+    return out
 
 
 def spanning_tree_count(graph: DualGraph) -> int:

@@ -39,6 +39,7 @@ cross-checked against the brute-force equality search
 
 from __future__ import annotations
 
+import logging
 import re
 from fractions import Fraction
 from functools import cached_property
@@ -57,6 +58,7 @@ from .errors import (
 )
 from .graph import MAX_NONFREE_EDGES, DualGraph, Subcurve, VineCurve
 
+log = logging.getLogger(__name__)
 
 _RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
 
@@ -86,7 +88,8 @@ class PhiVector:
 
     ``values`` maps vertex ids to Fractions.  The same vector is also kept
     scaled to integers: ``q`` is the lcm of the denominators and
-    ``values[v] == numerators[v] / q``.
+    ``values[v] == numerators[v] / q``.  A graph with repeated vertex ids
+    raises :class:`InvalidGraphError`.
     """
 
     def __init__(self, graph: DualGraph, values):
@@ -94,6 +97,8 @@ class PhiVector:
         self.values = {vid: exact_rational(x) for vid, x in values.items()}
         if set(self.values) != set(graph.vertex_ids):
             raise MismatchedGraphError("phi values must cover exactly the vertex set")
+        if len(self.values) != len(graph.vertex_ids):
+            raise InvalidGraphError("duplicate vertex ids")
         self.q = q = lcm(*(x.denominator for x in self.values.values()))
         self.numerators = {vid: x.numerator * (q // x.denominator)
                            for vid, x in self.values.items()}
@@ -459,9 +464,10 @@ def epsilon_stream(seed: int):
 def first_admissible(candidates, ok, failure: str):
     """The first of at most 50 candidates satisfying ``ok``; raises
     :class:`PhiConstructionError` with ``failure`` if none does."""
-    for candidate in islice(candidates, 50):
+    for index, candidate in enumerate(islice(candidates, 50)):
         if ok(candidate):
             return candidate
+        log.debug("candidate %d rejected: %r", index, candidate)
     raise PhiConstructionError(failure)
 
 

@@ -8,7 +8,8 @@ from operator import attrgetter
 
 from jacstab.errors import (DegenerateParameterError, InvalidGraphError,
                             PreconditionError)
-from jacstab.graph import MAX_NONFREE_EDGES, DualGraph, Subcurve
+from jacstab.graph import (MAX_NONFREE_EDGES, DualGraph, Subcurve,
+                           _side_stable, make_vine)
 from jacstab.stability import (PhiVector, SheafDatum, _check_same_graph,
                                _integer_window, is_nondegenerate,
                                is_small_perturbation)
@@ -221,6 +222,36 @@ def reference_graph_corpus(max_vertices: int = 4, max_edges: int = 7,
                                 continue
                             graphs.append(graph)
     return graphs
+
+
+# --- The set-and-sort vine builder that the orderly pass replaced ---------
+#
+# Every side-1 marking set is oriented by make_vine, duplicates under side
+# swap fall into a set, and the set is sorted; jacstab.graph.enumerate_vines
+# must return the same list.
+
+def reference_enumerate_vines(g: int, n: int, min_edges: int):
+    """All canonical vines with e >= min_edges for fixed (g, n).
+
+    Finite because g1 + g2 + e - 1 = g forces e <= g + 1.  Both sides must
+    satisfy the vertex stability inequality; duplicates under side swap
+    are removed.
+    """
+    if g < 1 or n < 1 or min_edges < 1:
+        raise ValueError("require g >= 1, n >= 1, min_edges >= 1")
+    found = set()
+    all_marks = set(range(1, n + 1))
+    for e in range(max(min_edges, 1), g + 2):
+        for g1 in range(0, g - e + 2):
+            g2 = g - e + 1 - g1
+            for size in range(0, n + 1):
+                for s in combinations(sorted(all_marks), size):
+                    if not _side_stable(g1, e, len(s)):
+                        continue
+                    if not _side_stable(g2, e, n - len(s)):
+                        continue
+                    found.add(make_vine(g1, g2, e, s, n))
+    return sorted(found, key=lambda v: (v.e, v.g1, v.S))
 
 
 # --- The frozenset sheaf-data search that the edge-mask kernel replaced ---

@@ -1,3 +1,4 @@
+import logging
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from jacstab.abel_jacobi import (
     sigma_extends,
     vine_bidegree,
 )
+from jacstab.atlas import chambers
 from jacstab.corpus import random_stable_graph
 from jacstab.errors import (
     IncompleteTableError,
@@ -153,6 +155,26 @@ class TestCertify:
             assert 2 not in degs
             assert len(degs) == vine.e
 
+    def test_matches_direct_chamber_search(self):
+        # the certificate rows come from one search per edge count; a fresh
+        # search on each vine must agree for every bidegree in [-e, e]
+        for g in range(1, 7):
+            for n in range(1, 4):
+                for vine in enumerate_vines(g, n, 2):
+                    half_e = Fraction(vine.e, 2)
+                    rows = tuple(
+                        (ch.lo, ch.hi,
+                         tuple(F.degrees[0] for F in ch.stable_table))
+                        for ch in chambers(vine, (-half_e, half_e)))
+                    for m in range(-vine.e, vine.e + 1):
+                        cert = certify_unstable_on_vine(vine, m)
+                        if any(m in degs for _, _, degs in rows):
+                            assert cert is None, (vine, m)
+                        else:
+                            assert cert is not None, (vine, m)
+                            assert (cert.vine, cert.bidegree) == (vine, m)
+                            assert cert.chambers == rows, (vine, m)
+
 
 class TestClassifyExtension:
     def test_unit_difference_yes(self):
@@ -162,6 +184,19 @@ class TestClassifyExtension:
         check = sigma_extends(3, 2, AJDatum(0, (1, -1), 3, 2),
                               result.phi_table)
         assert check.extends
+
+    def test_yes_builds_each_vine_graph_once(self, monkeypatch):
+        # construct_prop_phi and the sigma check share one set of vines
+        built = []
+        build = DualGraph.build.__func__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(DualGraph, "build", classmethod(counted))
+        assert classify_extension(3, 2, AJDatum(0, (1, -1), 3, 2)).extends
+        assert len(built) == len(enumerate_vines(3, 2, 2))
 
     def test_double_twist_no(self):
         result = classify_extension(2, 4, AJDatum(0, (1, 1, -1, -1), 2, 4))
@@ -181,6 +216,12 @@ class TestClassifyExtension:
             classify_extension(1, 1, AJDatum(1, (0,), 1, 1))
         with pytest.raises(TrivialTwistError):
             classify_extension(2, 2, AJDatum(0, (0, 0), 2, 2))
+
+    def test_debug_log_names_obstructing_vine(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="jacstab.abel_jacobi"):
+            classify_extension(2, 4, AJDatum(0, (1, 1, -1, -1), 2, 4))
+        assert ("g=2 n=4: vine(g1=0, g2=1, e=2, S={1,2}) obstructs with "
+                "bidegree (2,-2)") in caplog.messages
 
     def test_report_shape(self):
         result = classify_extension(2, 4, AJDatum(0, (1, 1, -1, -1), 2, 4))

@@ -31,6 +31,24 @@ def vine_files(tmp_path):
     return gpath, ppath
 
 
+@pytest.fixture
+def unsorted_files(tmp_path):
+    # vertex ids 7, 2, 4 and edge ids 9, 1, 5, 3 in input order; edges 9 and
+    # 3 are parallel
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({
+        "genus": 3, "n": 2,
+        "vertices": [{"id": 7, "h": 0, "markings": [1]},
+                     {"id": 2, "h": 1, "markings": []},
+                     {"id": 4, "h": 0, "markings": [2]}],
+        "edges": [{"id": 9, "ends": [7, 2]}, {"id": 1, "ends": [4, 7]},
+                  {"id": 5, "ends": [2, 4]}, {"id": 3, "ends": [2, 7]}]}))
+    ppath = tmp_path / "phi.json"
+    ppath.write_text(json.dumps(
+        {"values": {"7": "1/5", "2": "-1/3", "4": "2/15"}}))
+    return gpath, ppath
+
+
 class TestCheck:
     def test_valid(self, vine_files):
         gpath, _ = vine_files
@@ -66,20 +84,8 @@ class TestStable:
         assert [(tuple(F["S"]), tuple(F["D"].values())) for F in data] == \
             [((), (0, 0)), ((), (1, -1))]
 
-    def test_nonfree_bytes_on_unsorted_ids(self, tmp_path):
-        # vertex ids 7, 2, 4 and edge ids 9, 1, 5, 3 in input order; edges
-        # 9 and 3 are parallel
-        gpath = tmp_path / "g.json"
-        gpath.write_text(json.dumps({
-            "genus": 3, "n": 2,
-            "vertices": [{"id": 7, "h": 0, "markings": [1]},
-                         {"id": 2, "h": 1, "markings": []},
-                         {"id": 4, "h": 0, "markings": [2]}],
-            "edges": [{"id": 9, "ends": [7, 2]}, {"id": 1, "ends": [4, 7]},
-                      {"id": 5, "ends": [2, 4]}, {"id": 3, "ends": [2, 7]}]}))
-        ppath = tmp_path / "phi.json"
-        ppath.write_text(json.dumps(
-            {"values": {"7": "1/5", "2": "-1/3", "4": "2/15"}}))
+    def test_nonfree_bytes_on_unsorted_ids(self, unsorted_files):
+        gpath, ppath = unsorted_files
         args = ("stable", "--graph", str(gpath), "--phi", str(ppath),
                 "--include-nonfree")
         text = run_cli(*args)
@@ -262,6 +268,34 @@ class TestExtends:
         assert proc.returncode == 1
         assert "vine(g1=0, g2=0, e=2, S={1})" in proc.stderr
         assert proc.stdout == ""
+
+
+class TestEmptyTextOutput:
+    """A text listing with nothing to list writes no bytes at all."""
+
+    @pytest.mark.parametrize("args", [
+        ("vines", "--g", "1", "--n", "1", "--min-edges", "3"),
+        ("walls", "--g", "1", "--n", "1", "--window", "-1..1"),
+    ], ids=["vines", "walls"])
+    def test_empty_listing(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        assert proc.stdout == ""
+
+    def test_stable_with_no_stable_datum(self, unsorted_files):
+        gpath, ppath = unsorted_files
+        args = ("stable", "--graph", str(gpath), "--phi", str(ppath),
+                "--include-nonfree", "--degree", "-3")
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        assert proc.stdout == ""
+        assert run_cli(*args, "--format", "json").stdout == "[]\n"
+
+    def test_empty_listing_to_file(self, tmp_path):
+        out = tmp_path / "vines.txt"
+        proc = run_cli("vines", "--g", "1", "--n", "1", "--out", str(out))
+        assert proc.returncode == 0
+        assert proc.stdout == "" and out.read_bytes() == b""
 
 
 class TestUsageErrors:

@@ -27,7 +27,7 @@ from jacstab.graph import (
 )
 from jacstab.stability import PhiVector, stable_sheaf_data
 
-from oracles import count_spanning_trees_exhaustive
+from oracles import count_spanning_trees_exhaustive, reference_enumerate_vines
 
 
 def two_vertex(h1=1, h2=1, edges=1, marks1=(1,), marks2=(), n=1):
@@ -149,6 +149,22 @@ class TestEnumerateVines:
             assert v.g1 + v.g2 + v.e - 1 == 3
             assert validate(v.to_graph()) == []
 
+    def test_matches_set_and_sort_reference(self):
+        # same vines in the same order as the builder the orderly pass replaced
+        for g in range(1, 9):
+            for n in range(1, 6):
+                for min_edges in (1, 2, 3):
+                    assert enumerate_vines(g, n, min_edges) == \
+                        reference_enumerate_vines(g, n, min_edges)
+
+    @pytest.mark.parametrize("args", [(0, 1, 1), (1, 0, 1), (1, 1, 0),
+                                      (-1, 2, 2)])
+    def test_rejects_arguments_below_one(self, args):
+        with pytest.raises(ValueError):
+            enumerate_vines(*args)
+        with pytest.raises(ValueError):
+            reference_enumerate_vines(*args)
+
 
 class TestSpanningTreeCount:
     @pytest.mark.parametrize("e", [1, 2, 3, 5])
@@ -224,7 +240,8 @@ def test_json_field_order_deterministic():
 
 class TestStructuralChokepoint:
     """Every subcurve test goes through DualGraph.subcurve_data, which
-    refuses structurally broken graphs; building one does not raise."""
+    refuses structurally broken graphs; building one does not raise.  A
+    repeated vertex id is refused already by PhiVector."""
 
     @pytest.mark.parametrize("vertices, edges, message", [
         ([(0, 1, (1,)), (0, 1, ())], [Edge(0, (0, 0))], "duplicate vertex ids"),
@@ -242,9 +259,14 @@ class TestStructuralChokepoint:
                                                  message):
         graph = DualGraph(vertices, edges, 1)
         assert validate(graph)
-        phi = PhiVector(graph, {vid: 0 for vid in graph.vertex_ids})
         with pytest.raises(InvalidGraphError, match=message):
+            phi = PhiVector(graph, {vid: 0 for vid in graph.vertex_ids})
             stable_sheaf_data(graph, phi, 0)
+
+    def test_phi_vector_refuses_repeated_vertex_ids(self):
+        graph = DualGraph([(0, 1, (1,)), (0, 1, ())], [Edge(0, (0, 0))], 1)
+        with pytest.raises(InvalidGraphError, match="duplicate vertex ids"):
+            PhiVector(graph, {0: 0})
 
     def test_stability_and_genus_formula_not_enforced(self):
         # vertex 0 is an unstable rational tail and g does not fit the formula

@@ -1,3 +1,4 @@
+import logging
 import random
 import time
 from fractions import Fraction
@@ -17,10 +18,12 @@ from jacstab.corpus import (
     random_wall_phi,
     stable_graph_corpus,
 )
+from jacstab.atlas import vine_phi
 from jacstab.errors import (
     DegenerateParameterError,
     InvalidGraphError,
     MismatchedGraphError,
+    PhiConstructionError,
     PreconditionError,
     UnknownEdgeError,
 )
@@ -44,6 +47,7 @@ from jacstab.stability import (
     equivalent_small_perturbation_check,
     exact_rational,
     find_equality_witness,
+    first_admissible,
     is_nondegenerate,
     is_semistable,
     is_small_perturbation,
@@ -437,6 +441,48 @@ class TestMakeTStablePhi:
         vine = make_vine(0, 1, 2, (1,), 1)
         assert make_t_stable_phi(vine, 3, seed=4).values == \
             make_t_stable_phi(vine, 3, seed=4).values
+
+
+class TestFirstAdmissible:
+    def test_debug_log_names_each_rejected_candidate(self, caplog):
+        # phi = 0 and phi = 1 lie on walls of every e = 2 vine
+        vine = make_vine(0, 1, 2, (1,), 1)
+        graph = vine.to_graph()
+        candidates = (vine_phi(vine, x) for x in (0, 1, Fraction(1, 3)))
+        with caplog.at_level(logging.DEBUG, logger="jacstab.stability"):
+            phi = first_admissible(
+                candidates, lambda phi: is_nondegenerate(graph, phi), "none")
+        assert phi.values[0] == Fraction(1, 3)
+        assert caplog.messages == [
+            "candidate 0 rejected: PhiVector({0: '0', 1: '0'})",
+            "candidate 1 rejected: PhiVector({0: '1', 1: '-1'})"]
+
+    def test_nothing_formatted_below_debug(self, caplog):
+        formatted = []
+
+        class Candidate:
+            def __repr__(self):
+                formatted.append(self)
+                return "Candidate()"
+
+        with caplog.at_level(logging.INFO, logger="jacstab.stability"):
+            with pytest.raises(PhiConstructionError, match="none"):
+                first_admissible((Candidate() for _ in range(3)),
+                                 lambda c: False, "none")
+        assert formatted == [] and caplog.messages == []
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(3, 10), Fraction(-7, 4),
+                               Fraction(5), "351/700"])
+def test_vine_phi_matches_fraction_route(x):
+    vine = make_vine(0, 1, 3, (1,), 1)
+    graph = vine.to_graph()
+    phi = vine_phi(vine, x)
+    x = exact_rational(x)
+    ref = PhiVector(graph, {0: x, 1: -x})
+    assert phi.graph is graph
+    assert (phi.q, phi.numerators, phi.values) == \
+        (ref.q, ref.numerators, ref.values)
 
 
 def test_serialization_round_trip():
