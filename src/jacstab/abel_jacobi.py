@@ -24,7 +24,6 @@ from .atlas import chambers, vine_phi
 from .errors import (
     IncompleteTableError,
     JacstabError,
-    PhiConstructionError,
     PreconditionError,
     TrivialTwistError,
 )
@@ -115,15 +114,19 @@ class VinePhiTable:
     @classmethod
     def from_dict(cls, data: dict) -> "VinePhiTable":
         """Rows may name either side first; each becomes its canonical vine,
-        with phi negated when the sides swap."""
-        g, n = data["g"], data["n"]
-        entries = {}
-        for row in data["entries"]:
-            S = sorted(row["S"])
-            vine = make_vine(row["g1"], row["g2"], row["e"], S, n)
-            phi = exact_rational(row["phi"])
-            entries[vine] = phi if list(vine.S) == S else -phi
-        return cls(g, n, entries)
+        with phi negated when the sides swap.  A missing key or a wrong
+        container raises :class:`PreconditionError`."""
+        try:
+            g, n = data["g"], data["n"]
+            entries = {}
+            for row in data["entries"]:
+                S = sorted(row["S"])
+                vine = make_vine(row["g1"], row["g2"], row["e"], S, n)
+                phi = exact_rational(row["phi"])
+                entries[vine] = phi if list(vine.S) == S else -phi
+            return cls(g, n, entries)
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise PreconditionError("malformed phi table JSON: %s" % exc) from exc
 
 
 @dataclass(frozen=True)
@@ -170,12 +173,7 @@ def sigma_extends(g: int, n: int, aj: AJDatum,
     is not); the first failing vine (canonical order) is returned as witness.
     """
     aj.check()
-    return _sigma_extends(aj, table, enumerate_vines(g, n, 2))
-
-
-def _sigma_extends(aj: AJDatum, table: VinePhiTable,
-                   vines: list[VineCurve]) -> ExtendsResult:
-    """:func:`sigma_extends` over ``vines``, the e >= 2 vines of (g, n)."""
+    vines = enumerate_vines(g, n, 2)
     missing = table.missing_for(vines)
     if missing:
         raise IncompleteTableError(missing)
@@ -206,18 +204,15 @@ def construct_prop_phi(g: int, n: int, i: int, j: int,
         raise JacstabError("markings i and j must differ")
     if not (1 <= i <= n and 1 <= j <= n):
         raise JacstabError("markings out of range for n=%d" % n)
-    target = AJDatum(0, tuple(1 if m == i else -1 if m == j else 0
-                              for m in range(1, n + 1)), g, n)
     entries = {}
     for vine in enumerate_vines(g, n, 1):
         if vine.e == 1:
             entries[vine] = Fraction(0)
             continue
-        base = (Fraction(1, 2) * (i in vine.S)
-                - Fraction(1, 2) * (j in vine.S))
+        m = (i in vine.S) - (j in vine.S)  # side-1 degree of O(p_i - p_j)
+        base = Fraction(m, 2)
         graph = vine.to_graph()
-        bundle = SheafDatum(graph, frozenset(),
-                            aj_multidegree(graph, target))
+        bundle = SheafDatum(graph, frozenset(), {0: m, 1: -m})
         phi = first_admissible(
             (vine_phi(vine, base + eps) for eps in epsilon_stream(seed)),
             lambda phi: (is_nondegenerate(graph, phi)
@@ -278,10 +273,10 @@ def classify_extension(g: int, n: int, aj: AJDatum,
     """Decide whether the Abel-Jacobi section extends over some
     small-perturbation stability table, with constructive evidence.
 
-    "yes" answers carry a table from :func:`construct_prop_phi` that passes
-    :func:`sigma_extends`, both run on one set of vines; "no" answers
-    carry an obstructing vine together with an exhaustive chamber
-    certificate.
+    "yes" answers carry the table from :func:`construct_prop_phi`, whose
+    per-vine acceptance is the same check :func:`sigma_extends` makes, so
+    it is not run twice; "no" answers carry an obstructing vine together
+    with an exhaustive chamber certificate.
     """
     if aj.is_trivial:
         raise TrivialTwistError("trivial twist")
@@ -291,15 +286,13 @@ def classify_extension(g: int, n: int, aj: AJDatum,
 
     ij = _unit_difference_markings(aj.a)
     if ij is not None and aj.k * (2 - 2 * g) == 0:
-        table = construct_prop_phi(g, n, ij[0], ij[1], seed)
-        # the table's keys are enumerate_vines(g, n, 1) in order, each with
-        # its graph built, so the check runs on the same vines and graphs
-        result = _sigma_extends(
-            aj, table, [vine for vine in table.entries if vine.e >= 2])
-        if not result.extends:
-            raise PhiConstructionError(
-                "constructed table fails on %s" % result.witness)
-        return result
+        # No sigma_extends check follows: it would rebuild the same phis and
+        # bundles.  The table covers every vine of enumerate_vines(g, n, 1),
+        # each entry is the Fraction vine_phi was accepted with, and k != 0
+        # only for g = 1, whose e >= 2 vines have e = 2 and g1 = g2 = 0, so
+        # each bundle {0: m, 1: -m} is aj's multidegree (2h - 2 + val = 0).
+        return ExtendsResult(True, None, None,
+                             construct_prop_phi(g, n, ij[0], ij[1], seed))
 
     for vine in enumerate_vines(g, n, 2):
         m = vine_bidegree(vine, aj)

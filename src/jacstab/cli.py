@@ -196,6 +196,16 @@ def atlas_cmd(g, n, window, include_nonfree, fmt, out, jobs):
         _fail("cannot write %s: %s" % (out, exc))
 
 
+def _verdict_lines(result: abel_jacobi.ExtendsResult) -> list[str]:
+    """The "extends: yes/no" line, then the witness line of a "no"."""
+    lines = ["extends: %s" % ("yes" if result.extends else "no")]
+    if result.witness is not None:
+        lines.append("witness: %s with bidegree (%d,%d)"
+                     % (result.witness, result.witness_bidegree,
+                        -result.witness_bidegree))
+    return lines
+
+
 def _parse_twist(g, n, k, a_text):
     a = _parse_ints(a_text)
     return abel_jacobi.AJDatum(k, a, g, n)
@@ -233,12 +243,7 @@ def extends_cmd(g, n, k, a_text, phi_path, seed, fmt, out):
     if fmt == "json":
         _emit(json.dumps(result.to_report(), indent=2) + "\n", out)
     else:
-        lines = ["extends: %s" % ("yes" if result.extends else "no")]
-        if result.witness is not None:
-            lines.append("witness: %s with bidegree (%d,%d)"
-                         % (result.witness, result.witness_bidegree,
-                            -result.witness_bidegree))
-        _emit_lines(lines, out)
+        _emit_lines(_verdict_lines(result), out)
 
 
 @main.command()
@@ -261,16 +266,13 @@ def classify(g, n, k, a_text, seed, fmt, out):
     if fmt == "json":
         _emit(json.dumps(result.to_report(), indent=2) + "\n", out)
         return
-    lines = ["extends: %s" % ("yes" if result.extends else "no")]
+    lines = _verdict_lines(result)
     if result.extends:
         lines.append("phi table (%s):" % abel_jacobi.SCOPE_NOTE)
         for row in result.phi_table.to_dict()["entries"]:
             lines.append("  vine(g1=%(g1)d, g2=%(g2)d, e=%(e)d, S=%(S)s): "
                          "phi=%(phi)s" % row)
     else:
-        lines.append("witness: %s with bidegree (%d,%d)"
-                     % (result.witness, result.witness_bidegree,
-                        -result.witness_bidegree))
         lines.append("certified over %d chambers of the small-perturbation "
                      "interval" % len(result.certificate.chambers))
     _emit_lines(lines, out)

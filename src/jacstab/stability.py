@@ -71,6 +71,9 @@ def exact_rational(x) -> Fraction:
     """
     if type(x) is Fraction:
         return x
+    if isinstance(x, bool):
+        # bool is an int subclass, but JSON true is not a number
+        raise PreconditionError("rationals must not be booleans: %r" % x)
     if isinstance(x, Rational):
         return Fraction(x)
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
@@ -498,8 +501,13 @@ def phi_to_dict(phi: PhiVector) -> dict:
 
 
 def phi_from_dict(graph: DualGraph, data: dict) -> PhiVector:
-    return PhiVector(graph, {int(vid): val
-                             for vid, val in data["values"].items()})
+    """The phi of a JSON dict; :class:`PreconditionError` for a missing key,
+    a wrong container or a vertex id that is not an integer."""
+    try:
+        values = {int(vid): val for vid, val in data["values"].items()}
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise PreconditionError("malformed phi JSON: %s" % exc) from exc
+    return PhiVector(graph, values)
 
 
 def datum_to_dict(F: SheafDatum) -> dict:

@@ -7,6 +7,7 @@ graph's index so results do not depend on the job count.
 
 from __future__ import annotations
 
+import logging
 import random
 from functools import partial
 from dataclasses import dataclass
@@ -40,6 +41,8 @@ from .stability import (
     verify_support_lemma,
     SheafDatum,
 )
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -253,9 +256,11 @@ def run_suite(name: str, max_vertices=4, max_edges=7, trials=50,
     fn = partial(one, trials=trials if cap is None else min(trials, cap),
                  seed=seed)
     work = list(enumerate(stable_graph_corpus(max_vertices, max_edges)))
+    log.debug("%s: %d corpus graphs", name, len(work))
     if jobs > 1 and len(work) > 1:
         # imported here so that importing the CLI does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        log.debug("%s: pool of %d workers", name, jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(fn, work, chunksize=32))
     else:

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import logging
 import random
 from fractions import Fraction
@@ -25,7 +28,7 @@ from jacstab.errors import (
     TrivialTwistError,
 )
 from jacstab.graph import DualGraph, enumerate_vines, make_vine
-from jacstab.stability import is_nondegenerate, is_small_perturbation
+from jacstab.stability import SheafDatum, is_nondegenerate, is_small_perturbation
 
 
 def genus1_unmarked_vine():
@@ -176,6 +179,18 @@ class TestCertify:
                             assert cert.chambers == rows, (vine, m)
 
 
+def _twists():
+    """Every non-trivial twist with g, n <= 4, k in {-1, 0, 1} and a in
+    [-2, 2]^n that meets the degree constraint, in loop order."""
+    for g in range(1, 5):
+        for n in range(1, 5):
+            for k in (-1, 0, 1):
+                for a in itertools.product(range(-2, 3), repeat=n):
+                    aj = AJDatum(k, a, g, n)
+                    if not aj.is_trivial and k * (2 - 2 * g) + sum(a) == 0:
+                        yield aj
+
+
 class TestClassifyExtension:
     def test_unit_difference_yes(self):
         result = classify_extension(3, 2, AJDatum(0, (1, -1), 3, 2))
@@ -186,7 +201,7 @@ class TestClassifyExtension:
         assert check.extends
 
     def test_yes_builds_each_vine_graph_once(self, monkeypatch):
-        # construct_prop_phi and the sigma check share one set of vines
+        # only construct_prop_phi builds vine graphs: no second check follows
         built = []
         build = DualGraph.build.__func__
 
@@ -197,6 +212,34 @@ class TestClassifyExtension:
         monkeypatch.setattr(DualGraph, "build", classmethod(counted))
         assert classify_extension(3, 2, AJDatum(0, (1, -1), 3, 2)).extends
         assert len(built) == len(enumerate_vines(3, 2, 2))
+
+    def test_yes_checks_each_vine_once(self, monkeypatch):
+        # one bundle per e >= 2 vine, the one construct_prop_phi accepts
+        # each phi with; a second check would build a second one
+        built = []
+        init = SheafDatum.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SheafDatum, "__init__", counted)
+        assert classify_extension(3, 2, AJDatum(0, (1, -1), 3, 2)).extends
+        assert len(built) == len(enumerate_vines(3, 2, 2))
+
+    def test_every_yes_table_passes_sigma_extends(self):
+        # the construction is the check: the independent sigma_extends route
+        # accepts every returned table, g = 1 twists with k = +-1 included
+        yes = set()
+        for aj in _twists():
+            for seed in (0, 3):
+                result = classify_extension(aj.g, aj.n, aj, seed)
+                if result.extends:
+                    yes.add(aj)
+                    check = sigma_extends(aj.g, aj.n, aj, result.phi_table)
+                    assert check.extends, (aj, seed)
+        assert len(yes) == 120
+        assert sum(aj.g == 1 and aj.k != 0 for aj in yes) == 40
 
     def test_double_twist_no(self):
         result = classify_extension(2, 4, AJDatum(0, (1, 1, -1, -1), 2, 4))
@@ -276,4 +319,32 @@ def test_phi_table_decimal_rejected():
     data = construct_prop_phi(2, 2, 1, 2, seed=3).to_dict()
     data["entries"][0]["phi"] = "0.3"
     with pytest.raises(PreconditionError):
+        VinePhiTable.from_dict(data)
+
+
+def test_classify_reports_are_pinned():
+    # sha256 over the sorted-key JSON reports of all 916 twists at seeds 0
+    # and 3; any change to an answer, a witness, a certificate or a table
+    # entry moves it
+    digest = hashlib.sha256()
+    count = 0
+    for aj in _twists():
+        count += 1
+        for seed in (0, 3):
+            report = classify_extension(aj.g, aj.n, aj, seed).to_report()
+            digest.update(json.dumps(report, sort_keys=True).encode())
+    assert count == 916
+    assert digest.hexdigest() == (
+        "3f0c5536ebde29d842de2db948366771061e36af8e53c786cf240b3551baaafc")
+
+
+@pytest.mark.parametrize("data", [
+    {"g": 1, "n": 2, "entries": 3},
+    {"g": 1, "n": 2,
+     "entries": [{"g1": 0, "g2": 0, "e": 2, "S": 5, "phi": "1/2"}]},
+    {"g": 1, "n": 2, "entries": [{"g1": 0, "g2": 0, "e": 2, "S": [1]}]},
+    [1],
+], ids=["int-entries", "int-S", "no-phi", "list"])
+def test_phi_table_malformed_json_rejected(data):
+    with pytest.raises(PreconditionError, match="malformed phi table JSON"):
         VinePhiTable.from_dict(data)

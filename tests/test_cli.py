@@ -270,6 +270,40 @@ class TestExtends:
         assert proc.stdout == ""
 
 
+class TestMalformedPhiJson:
+    """A phi or phi table file of the wrong shape is an error, not a
+    traceback."""
+
+    @pytest.mark.parametrize("phi,message", [
+        ({"values": [1, 2]}, "malformed phi JSON"),
+        ([1], "malformed phi JSON"),
+        ({"values": {"0": True, "1": -1}}, "booleans"),
+    ], ids=["list-values", "list", "bool-value"])
+    def test_stable(self, vine_files, tmp_path, phi, message):
+        gpath, _ = vine_files
+        ppath = tmp_path / "phi.json"
+        ppath.write_text(json.dumps(phi))
+        proc = run_cli("stable", "--graph", str(gpath), "--phi", str(ppath))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize("table", [
+        {"g": 1, "n": 2, "entries": 3},
+        {"g": 1, "n": 2,
+         "entries": [{"g1": 0, "g2": 0, "e": 2, "S": 5, "phi": "1/2"}]},
+    ], ids=["int-entries", "int-S"])
+    def test_extends(self, tmp_path, table):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        proc = run_cli("extends", "--g", "1", "--n", "2", "--a", "1,-1",
+                       "--phi", str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: malformed phi table JSON: ")
+
+
 class TestEmptyTextOutput:
     """A text listing with nothing to list writes no bytes at all."""
 
@@ -391,6 +425,18 @@ class TestOtherCommands:
                        "--trials", "3", "--seed", "1")
         assert proc.returncode == 0
         assert proc.stdout.startswith("tree-count: pass")
+
+    def test_verify_debug_log_leaves_stdout_alone(self):
+        args = ("verify", "--suite", "tree-count", "--max-vertices", "2",
+                "--max-edges", "3", "--trials", "3", "--seed", "1",
+                "--jobs", "2")
+        quiet = run_cli(*args)
+        loud = run_cli(*args, env={**os.environ, "JACSTAB_LOG": "DEBUG"})
+        assert quiet.returncode == loud.returncode == 0
+        assert loud.stdout == quiet.stdout
+        assert "tree-count: 103 corpus graphs" in loud.stderr
+        assert "tree-count: pool of 2 workers" in loud.stderr
+        assert quiet.stderr == ""
 
     def test_verify_sampling_failure_exits_cleanly(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -128,6 +128,25 @@ class TestExactInput:
         with pytest.raises(PreconditionError):
             phi_from_dict(g, {"values": {"0": "0.3", "1": "-0.3"}})
 
+    @pytest.mark.parametrize("x", [True, False])
+    def test_bool_rejected(self, x):
+        # bool is a Rational to the numbers ABC, so JSON true would read as 1
+        with pytest.raises(PreconditionError, match="boolean"):
+            exact_rational(x)
+
+    def test_bool_phi_dict_rejected(self):
+        g = vine_graph(2)
+        with pytest.raises(PreconditionError, match="boolean"):
+            phi_from_dict(g, {"values": {"0": True, "1": -1}})
+
+    @pytest.mark.parametrize("data", [
+        {"values": [1, 2]}, [1], {}, {"values": {"zero": "0", "1": "0"}},
+    ], ids=["list-values", "list", "no-values", "string-id"])
+    def test_malformed_phi_dict_rejected(self, data):
+        g = vine_graph(2)
+        with pytest.raises(PreconditionError, match="malformed phi JSON"):
+            phi_from_dict(g, data)
+
 
 def _spread(vertices, total, rng):
     """Values on ``vertices`` summing to ``total`` with mixed denominators."""

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -52,3 +53,12 @@ def test_per_graph_seed_is_replayable():
     draws = {_per_graph_rng(seed, index).random()
              for seed in range(3) for index in range(50)}
     assert len(draws) == 150
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_suite_logs_corpus_and_pool_size(caplog, jobs):
+    with caplog.at_level(logging.DEBUG, logger="jacstab.verify"):
+        run_suite("tree-count", max_vertices=2, max_edges=3, trials=2,
+                  seed=1, jobs=jobs)
+    pool = ["tree-count: pool of 2 workers"] if jobs > 1 else []
+    assert caplog.messages == ["tree-count: 103 corpus graphs", *pool]
