@@ -24,12 +24,15 @@ from itertools import groupby
 from math import ceil, floor
 from operator import attrgetter
 
-from .errors import InvalidGraphError
+from .errors import InvalidGraphError, PreconditionError
 from .graph import MAX_NONFREE_EDGES, VineCurve, enumerate_vines, vine_to_dict
 from .stability import (PhiVector, SheafDatum, datum_to_dict, exact_rational,
                         stable_sheaf_data)
 
 log = logging.getLogger(__name__)
+
+# Most walls one window may hold on a vine.
+MAX_WALLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -65,13 +68,21 @@ class AtlasRecord:
 
 
 def walls(vine: VineCurve, window: tuple[Fraction, Fraction]) -> WallSet:
-    """Wall positions x with x + e/2 integral, inside the closed window."""
+    """Wall positions x with x + e/2 integral, inside the closed window.
+
+    Raises :class:`PreconditionError`, before listing any, when the window
+    holds more than ``MAX_WALLS`` of them.
+    """
     lo, hi = exact_rational(window[0]), exact_rational(window[1])
     if lo > hi:
         raise ValueError("window lo must be <= hi")
     half_e = Fraction(vine.e, 2)
-    positions = [Fraction(m) - half_e
-                 for m in range(ceil(lo + half_e), floor(hi + half_e) + 1)]
+    first, last = ceil(lo + half_e), floor(hi + half_e)
+    if last - first + 1 > MAX_WALLS:
+        raise PreconditionError("window [%s, %s] holds %d walls of %s, "
+                                "limit is %d" % (lo, hi, last - first + 1,
+                                                  vine, MAX_WALLS))
+    positions = [Fraction(m) - half_e for m in range(first, last + 1)]
     return WallSet(vine, lo, hi, tuple(positions))
 
 

@@ -1,8 +1,15 @@
 """Command-line surface: deterministic reports over the library operations.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.  Rationals are
-accepted only as "p/q" strings (no decimals).  Set JACSTAB_LOG to a level
-name (DEBUG, INFO, ...) for verbosity.
+Exit codes: 0 success, 1 domain error, 2 usage error.  One error boundary,
+the command group's ``invoke``, turns every domain error (``JacstabError``)
+and every unreadable input (``OSError``, ``ValueError`` such as malformed
+JSON, ``KeyError``) into ``error: ...`` on stderr and exit 1; a failed
+``--out`` write reads ``error: cannot write PATH: ...`` on every command.
+Oversized input fails fast: ``enumerate_vines`` refuses (g, n) above
+``graph.MAX_VINE_CANDIDATES`` and ``walls`` a window of more than
+``atlas.MAX_WALLS`` walls.  Rationals are accepted only as "p/q" strings
+(no decimals).  Set JACSTAB_LOG to a level name (DEBUG, INFO, ...) for
+verbosity.
 """
 
 from __future__ import annotations
@@ -20,18 +27,36 @@ from . import graph as graph_mod
 from .atlas import atlas as build_atlas, atlas_to_csv, atlas_to_json, walls
 from .errors import JacstabError, PreconditionError
 
-log = logging.getLogger("jacstab")
-
-
-def _setup_logging():
-    level = os.environ.get("JACSTAB_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-
 
 def _fail(message: str) -> None:
     click.echo("error: %s" % message, err=True)
     sys.exit(1)
+
+
+class _Group(click.Group):
+    """Runs every command inside the CLI's one error boundary."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (OSError, KeyError, ValueError, JacstabError) as exc:
+            _fail(str(exc))
+
+
+def _g_n(fn):
+    """``--g`` and ``--n``, both required."""
+    fn = click.option("--n", "n", type=int, required=True)(fn)
+    return click.option("--g", "g", type=int, required=True)(fn)
+
+
+def _format_out(*choices):
+    """``--format`` over ``choices`` (the first is the default) and
+    ``--out``."""
+    def apply(fn):
+        fn = click.option("--out", type=click.Path(), default=None)(fn)
+        return click.option("--format", "fmt", type=click.Choice(choices),
+                            default=choices[0])(fn)
+    return apply
 
 
 def _parse_window(text: str) -> tuple[Fraction, Fraction]:
@@ -44,13 +69,6 @@ def _parse_window(text: str) -> tuple[Fraction, Fraction]:
         raise click.UsageError(str(exc))
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x != "")
-    except ValueError:
-        raise click.UsageError("expected comma-separated integers, got %r" % text)
-
-
 def _read_graph(path: str) -> graph_mod.DualGraph:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -59,52 +77,42 @@ def _read_graph(path: str) -> graph_mod.DualGraph:
         _fail("cannot read graph %s: %s" % (path, exc))
 
 
-def _load_graph(path: str) -> graph_mod.DualGraph:
-    g = _read_graph(path)
-    diags = graph_mod.validate(g)
-    if diags:
-        _fail("invalid graph %s: %s" % (path, "; ".join(diags)))
-    return g
-
-
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if not out:
         # every text here ends with its own newline, and "" writes nothing
         click.echo(text, nl=False)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail("cannot write %s: %s" % (out, exc))
 
 
-def _emit_lines(lines, out: str | None) -> None:
-    """Each line followed by a newline; nothing at all for no lines."""
-    _emit("".join(line + "\n" for line in lines), out)
+def _report(fmt: str, out: str | None, payload, lines) -> None:
+    """``payload()`` as JSON, or each text line followed by a newline
+    (nothing at all for no lines); only the chosen format is built."""
+    _emit(json.dumps(payload(), indent=2) + "\n" if fmt == "json"
+          else "".join(line + "\n" for line in lines), out)
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Stability conditions for compactified Jacobians on dual graphs."""
-    _setup_logging()
+    level = os.environ.get("JACSTAB_LOG", "WARNING").upper()
+    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+                        format="%(levelname)s %(name)s: %(message)s")
 
 
 @main.command()
-@click.option("--g", "g", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
+@_g_n
 @click.option("--min-edges", type=int, default=1, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text")
-@click.option("--out", type=click.Path(), default=None)
+@_format_out("text", "json")
 def vines(g, n, min_edges, fmt, out):
     """List canonical vine curves for (g, n)."""
-    try:
-        found = graph_mod.enumerate_vines(g, n, min_edges)
-    except (JacstabError, ValueError) as exc:
-        _fail(str(exc))
-    if fmt == "json":
-        payload = [graph_mod.vine_to_dict(v) for v in found]
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-    else:
-        _emit_lines(map(str, found), out)
+    found = graph_mod.enumerate_vines(g, n, min_edges)
+    _report(fmt, out, lambda: [graph_mod.vine_to_dict(v) for v in found],
+            map(str, found))
 
 
 @main.command()
@@ -127,73 +135,47 @@ def check(graph_path):
 @click.option("--phi", "phi_path", type=click.Path(exists=True), required=True)
 @click.option("--degree", type=int, default=0, show_default=True)
 @click.option("--include-nonfree", is_flag=True, default=False)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text")
-@click.option("--out", type=click.Path(), default=None)
+@_format_out("text", "json")
 def stable(graph_path, phi_path, degree, include_nonfree, fmt, out):
     """List all phi-stable sheaf data of the given total degree."""
-    g = _load_graph(graph_path)
-    try:
-        with open(phi_path, encoding="utf-8") as fh:
-            phi = stability.phi_from_dict(g, json.load(fh))
-        data = stability.stable_sheaf_data(g, phi, degree, include_nonfree)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            JacstabError) as exc:
-        _fail(str(exc))
-    if fmt == "json":
-        payload = [stability.datum_to_dict(F) for F in data]
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-    else:
-        _emit_lines(map(repr, data), out)
+    g = _read_graph(graph_path)
+    diags = graph_mod.validate(g)
+    if diags:
+        _fail("invalid graph %s: %s" % (graph_path, "; ".join(diags)))
+    with open(phi_path, encoding="utf-8") as fh:
+        phi = stability.phi_from_dict(g, json.load(fh))
+    data = stability.stable_sheaf_data(g, phi, degree, include_nonfree)
+    _report(fmt, out, lambda: [stability.datum_to_dict(F) for F in data],
+            map(repr, data))
 
 
 @main.command(name="walls")
-@click.option("--g", "g", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
+@_g_n
 @click.option("--window", required=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text")
-@click.option("--out", type=click.Path(), default=None)
+@_format_out("text", "json")
 def walls_cmd(g, n, window, fmt, out):
     """Wall positions for every vine of (g, n) inside the window."""
-    lo, hi = _parse_window(window)
-    try:
-        vines = graph_mod.enumerate_vines(g, n, 1)
-        sets = [walls(v, (lo, hi)) for v in vines]
-    except (JacstabError, ValueError) as exc:
-        _fail(str(exc))
-    if fmt == "json":
-        payload = [{"vine": graph_mod.vine_to_dict(w.vine),
-                    "walls": [str(x) for x in w.walls]} for w in sets]
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-    else:
-        _emit_lines(["%s: %s" % (w.vine, " ".join(str(x) for x in w.walls))
-                     for w in sets], out)
+    lo_hi = _parse_window(window)
+    sets = [walls(v, lo_hi) for v in graph_mod.enumerate_vines(g, n, 1)]
+    _report(fmt, out,
+            lambda: [{"vine": graph_mod.vine_to_dict(w.vine),
+                      "walls": [str(x) for x in w.walls]} for w in sets],
+            ("%s: %s" % (w.vine, " ".join(str(x) for x in w.walls))
+             for w in sets))
 
 
 @main.command(name="atlas")
-@click.option("--g", "g", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
+@_g_n
 @click.option("--window", required=True)
 @click.option("--include-nonfree", is_flag=True, default=False)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json")
-@click.option("--out", type=click.Path(), default=None)
+@_format_out("json", "csv")
 @click.option("--jobs", type=int, default=1,
               help="Accepted for compatibility; the atlas runs serially.")
 def atlas_cmd(g, n, window, include_nonfree, fmt, out, jobs):
     """Wall-and-chamber atlas over all vines of (g, n); deterministic."""
-    lo, hi = _parse_window(window)
-    try:
-        records = build_atlas(g, n, (lo, hi), include_nonfree)
-        text = (atlas_to_json(records) if fmt == "json"
-                else atlas_to_csv(records))
-    except (JacstabError, ValueError) as exc:
-        _fail(str(exc))
-    try:
-        _emit(text, out)
-    except OSError as exc:
-        _fail("cannot write %s: %s" % (out, exc))
+    records = build_atlas(g, n, _parse_window(window), include_nonfree)
+    _emit(atlas_to_json(records) if fmt == "json" else atlas_to_csv(records),
+          out)
 
 
 def _verdict_lines(result: abel_jacobi.ExtendsResult) -> list[str]:
@@ -207,65 +189,50 @@ def _verdict_lines(result: abel_jacobi.ExtendsResult) -> list[str]:
 
 
 def _parse_twist(g, n, k, a_text):
-    a = _parse_ints(a_text)
+    try:
+        a = tuple(int(x) for x in a_text.split(",") if x != "")
+    except ValueError:
+        raise click.UsageError("expected comma-separated integers, got %r"
+                               % a_text)
     return abel_jacobi.AJDatum(k, a, g, n)
 
 
 @main.command(name="extends")
-@click.option("--g", "g", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
+@_g_n
 @click.option("--k", "k", type=int, default=0, show_default=True)
 @click.option("--a", "a_text", required=True,
               help="comma-separated integers a_1,...,a_n")
 @click.option("--phi", "phi_path", type=click.Path(exists=True), default=None,
               help="vine phi table JSON; default: constructed from the twist")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text")
-@click.option("--out", type=click.Path(), default=None)
+@_format_out("text", "json")
 def extends_cmd(g, n, k, a_text, phi_path, seed, fmt, out):
     """Check the Abel-Jacobi extension criterion against a phi table."""
-    try:
-        aj = _parse_twist(g, n, k, a_text)
-        if phi_path:
-            with open(phi_path, encoding="utf-8") as fh:
-                table = abel_jacobi.VinePhiTable.from_dict(json.load(fh))
-        else:
-            ij = abel_jacobi._unit_difference_markings(aj.a)
-            if ij is None:
-                _fail("no --phi table given and the twist is not of the "
-                      "form +-(e_i - e_j); provide a table explicitly")
-            table = abel_jacobi.construct_prop_phi(g, n, ij[0], ij[1], seed)
-        result = abel_jacobi.sigma_extends(g, n, aj, table)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            JacstabError) as exc:
-        _fail(str(exc))
-    if fmt == "json":
-        _emit(json.dumps(result.to_report(), indent=2) + "\n", out)
+    aj = _parse_twist(g, n, k, a_text)
+    if phi_path:
+        with open(phi_path, encoding="utf-8") as fh:
+            table = abel_jacobi.VinePhiTable.from_dict(json.load(fh))
     else:
-        _emit_lines(_verdict_lines(result), out)
+        ij = abel_jacobi._unit_difference_markings(aj.a)
+        if ij is None:
+            _fail("no --phi table given and the twist is not of the "
+                  "form +-(e_i - e_j); provide a table explicitly")
+        table = abel_jacobi.construct_prop_phi(g, n, ij[0], ij[1], seed)
+    result = abel_jacobi.sigma_extends(g, n, aj, table)
+    _report(fmt, out, result.to_report, _verdict_lines(result))
 
 
 @main.command()
-@click.option("--g", "g", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
+@_g_n
 @click.option("--k", "k", type=int, default=0, show_default=True)
 @click.option("--a", "a_text", required=True,
               help="comma-separated integers a_1,...,a_n")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text")
-@click.option("--out", type=click.Path(), default=None)
+@_format_out("text", "json")
 def classify(g, n, k, a_text, seed, fmt, out):
     """Classify whether the Abel-Jacobi section extends for this twist."""
-    try:
-        aj = _parse_twist(g, n, k, a_text)
-        result = abel_jacobi.classify_extension(g, n, aj, seed)
-    except (ValueError, JacstabError) as exc:
-        _fail(str(exc))
-    if fmt == "json":
-        _emit(json.dumps(result.to_report(), indent=2) + "\n", out)
-        return
+    aj = _parse_twist(g, n, k, a_text)
+    result = abel_jacobi.classify_extension(g, n, aj, seed)
     lines = _verdict_lines(result)
     if result.extends:
         lines.append("phi table (%s):" % abel_jacobi.SCOPE_NOTE)
@@ -275,7 +242,7 @@ def classify(g, n, k, a_text, seed, fmt, out):
     else:
         lines.append("certified over %d chambers of the small-perturbation "
                      "interval" % len(result.certificate.chambers))
-    _emit_lines(lines, out)
+    _report(fmt, out, result.to_report, lines)
 
 
 @main.command(name="verify")
@@ -287,12 +254,9 @@ def classify(g, n, k, a_text, seed, fmt, out):
 @click.option("--jobs", type=int, default=1, show_default=True)
 def verify_cmd(suite, max_vertices, max_edges, trials, seed, jobs):
     """Run a named property suite; print pass/fail and any counterexample."""
-    try:
-        result = verify.run_suite(suite, max_vertices=max_vertices,
-                                  max_edges=max_edges, trials=trials,
-                                  seed=seed, jobs=jobs)
-    except JacstabError as exc:
-        _fail(str(exc))
+    result = verify.run_suite(suite, max_vertices=max_vertices,
+                              max_edges=max_edges, trials=trials,
+                              seed=seed, jobs=jobs)
     click.echo(result.summary())
     if not result.passed:
         sys.exit(1)

@@ -15,12 +15,15 @@ from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
 
-from .errors import InvalidGraphError, InvalidSubcurveError
+from .errors import InvalidGraphError, InvalidSubcurveError, PreconditionError
 
 # Most vertices whose 2^V - 2 subcurves DualGraph.subcurve_data enumerates.
 MAX_SUBCURVE_VERTICES = 16
 # Most edges whose 2^E subsets a non-free stable_sheaf_data search enumerates.
 MAX_NONFREE_EDGES = 16
+# Most (e, g1, side-1 marking set) triples one enumerate_vines pass visits,
+# bounded by (g + 1)^2 * 2^n.
+MAX_VINE_CANDIDATES = 1 << 22
 
 
 def _connected(num_vertices: int, ends) -> bool:
@@ -328,10 +331,19 @@ def enumerate_vines(g: int, n: int, min_edges: int) -> list[VineCurve]:
     satisfy the vertex stability inequality.  One orderly pass: each side-1
     marking set is met once, with its complement, in lexicographic order,
     and only the canonical orientation is kept, so the output is already
-    in ``(e, g1, S)`` order with no duplicates to remove.
+    in ``(e, g1, S)`` order with no duplicates to remove.  Raises
+    :class:`PreconditionError` before building anything when the pass would
+    visit more than ``MAX_VINE_CANDIDATES`` triples, bounded by
+    ``(g + 1)^2 * 2^n``.
     """
     if g < 1 or n < 1 or min_edges < 1:
         raise ValueError("require g >= 1, n >= 1, min_edges >= 1")
+    # 2^n alone exceeds the limit for n > 22; testing that first never
+    # builds 2^n for a huge n
+    if n > 22 or (g + 1) ** 2 << n > MAX_VINE_CANDIDATES:
+        raise PreconditionError(
+            "vines of g=%d, n=%d: (g + 1)^2 * 2^n candidates exceed the "
+            "limit %d" % (g, n, MAX_VINE_CANDIDATES))
     marks = range(1, n + 1)
     sides = [(s1, tuple(m for m in marks if m not in s1))
              for s1 in sorted(s for size in range(n + 1)

@@ -6,6 +6,7 @@ import pytest
 from oracles import atlas_json_reference
 
 from jacstab.atlas import (
+    MAX_WALLS,
     atlas,
     atlas_to_csv,
     atlas_to_json,
@@ -47,6 +48,28 @@ class TestWalls:
     def test_float_window_rejected(self):
         with pytest.raises(PreconditionError):
             walls(vine(2), (-0.5, 1))
+
+    def test_wall_ceiling_is_exact(self):
+        # e = 2: the walls are the integers of the window
+        assert len(walls(vine(2), (0, MAX_WALLS - 1)).walls) == MAX_WALLS
+        with pytest.raises(PreconditionError, match="holds %d walls"
+                           % (MAX_WALLS + 1)):
+            walls(vine(2), (0, MAX_WALLS))
+
+    def test_huge_window_refused_before_any_search(self, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("searched a chamber")
+
+        monkeypatch.setitem(chambers.__globals__, "stable_sheaf_data", search)
+        window = (Fraction(-10 ** 9), Fraction(10 ** 9))
+        start = time.monotonic()
+        for call in (lambda: walls(vine(1), window),
+                     lambda: chambers(vine(2), window),
+                     lambda: atlas(2, 1, window)):
+            with pytest.raises(PreconditionError, match="limit is %d"
+                               % MAX_WALLS):
+                call()
+        assert time.monotonic() - start < 1
 
 
 class TestChambers:

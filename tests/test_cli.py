@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -332,6 +333,50 @@ class TestEmptyTextOutput:
         assert proc.stdout == "" and out.read_bytes() == b""
 
 
+class TestOutWriteFailure:
+    """A failed --out write is ``error: cannot write PATH: ...``, exit 1, on
+    every command that takes --out."""
+
+    @pytest.mark.parametrize("args", [
+        ("vines", "--g", "2", "--n", "1"),
+        ("stable",),
+        ("walls", "--g", "2", "--n", "1", "--window", "-1..1"),
+        ("atlas", "--g", "2", "--n", "1", "--window", "-1..1"),
+        ("extends", "--g", "1", "--n", "2", "--a", "1,-1"),
+        ("classify", "--g", "2", "--n", "1", "--k", "1", "--a", "2"),
+    ], ids=lambda args: args[0])
+    def test_missing_directory(self, vine_files, tmp_path, args):
+        if args == ("stable",):
+            gpath, ppath = vine_files
+            args += ("--graph", str(gpath), "--phi", str(ppath))
+        out = tmp_path / "missing" / "x"
+        proc = run_cli(*args, "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write %s: " % out)
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+class TestOversizedInput:
+    """Inputs past a ceiling fail at once instead of running for hours."""
+
+    @pytest.mark.parametrize("args,message", [
+        (("vines", "--g", "2", "--n", "40"), "g=2, n=40"),
+        (("walls", "--g", "2", "--n", "1", "--window", "-20000..20000"),
+         "holds 40000 walls"),
+        (("atlas", "--g", "2", "--n", "1", "--window", "-20000..20000"),
+         "holds 40000 walls"),
+        (("atlas", "--g", "2", "--n", "1",
+          "--window", "-1000000000..1000000000"), "holds 2000000000 walls"),
+    ], ids=["vines", "walls", "atlas", "atlas-1e9"])
+    def test_fails_fast(self, args, message):
+        proc = run_cli(*args, timeout=10)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert message in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestUsageErrors:
     def test_decimal_rational_rejected(self):
         proc = run_cli("walls", "--g", "2", "--n", "1", "--window", "-1.5..1")
@@ -449,6 +494,23 @@ class TestOtherCommands:
         assert result.stderr == \
             "error: failed to sample a nondegenerate phi\n"
 
+    @pytest.mark.parametrize("exc,message", [
+        (OSError("disk gone"), "disk gone"),
+        (ValueError("bad bound"), "bad bound"),
+        (KeyError("vertex"), "'vertex'"),
+    ], ids=["OSError", "ValueError", "KeyError"])
+    def test_verify_other_errors_exit_cleanly(self, monkeypatch, exc,
+                                              message):
+        # the one error boundary covers verify as it covers every command
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(verify, "run_suite", fail)
+        result = CliRunner().invoke(cli.main, ["verify", "--suite", "cor25"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: %s\n" % message
+
 
 def test_cli_import_does_not_load_multiprocessing():
     # verify imports its process pool only when --jobs > 1 asks for one
@@ -458,3 +520,129 @@ def test_cli_import_does_not_load_multiprocessing():
          "assert 'multiprocessing' not in sys.modules, 'multiprocessing'"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_PIN_FILES = {
+    "g.json": {
+        "genus": 2, "n": 1,
+        "vertices": [{"id": 0, "h": 0, "markings": [1]},
+                     {"id": 1, "h": 1, "markings": []}],
+        "edges": [{"id": 0, "ends": [0, 1]}, {"id": 1, "ends": [0, 1]}]},
+    "phi.json": {"values": {"0": "3/10", "1": "-3/10"}},
+    "u.json": {
+        "genus": 3, "n": 2,
+        "vertices": [{"id": 7, "h": 0, "markings": [1]},
+                     {"id": 2, "h": 1, "markings": []},
+                     {"id": 4, "h": 0, "markings": [2]}],
+        "edges": [{"id": 9, "ends": [7, 2]}, {"id": 1, "ends": [4, 7]},
+                  {"id": 5, "ends": [2, 4]}, {"id": 3, "ends": [2, 7]}]},
+    "uphi.json": {"values": {"7": "1/5", "2": "-1/3", "4": "2/15"}},
+    "bad_genus.json": {"genus": 5, "n": 1,
+                       "vertices": [{"id": 0, "h": 1, "markings": [1]}],
+                       "edges": []},
+    "wall.json": {"values": {"0": "1", "1": "-1"}},
+    "decimal.json": {"values": {"0": "0.3", "1": "-0.3"}},
+    "list.json": [1],
+    "short_phi.json": {"values": {"0": "1/3"}},
+    "table.json": G1N2_TABLE,
+    "off_table.json": {"g": 1, "n": 2, "entries": [
+        {"g1": 0, "g2": 0, "e": 2, "S": [1], "phi": "203/101"}]},
+}
+
+# every command's text and json/csv output and its usage (exit 2) and domain
+# (exit 1) errors; a failed --out write is tested on its own below
+_PINNED_INVOCATIONS = [
+    (), ("--help",),
+    ("vines", "--help"), ("check", "--help"), ("stable", "--help"),
+    ("walls", "--help"), ("atlas", "--help"), ("extends", "--help"),
+    ("classify", "--help"), ("verify", "--help"),
+    ("vines", "--g", "2", "--n", "1"),
+    ("vines", "--g", "3", "--n", "2", "--format", "json"),
+    ("vines", "--g", "3", "--n", "2", "--min-edges", "2"),
+    ("vines", "--g", "1", "--n", "1", "--min-edges", "3"),
+    ("vines", "--g", "0", "--n", "1"),
+    ("vines", "--g", "2"),
+    ("vines", "--g", "2", "--n", "1", "--format", "csv"),
+    ("check", "--graph", "g.json"),
+    ("check", "--graph", "bad_genus.json"),
+    ("check", "--graph", "broken.json"),
+    ("check", "--graph", "list.json"),
+    ("check", "--graph", "missing.json"),
+    ("stable", "--graph", "g.json", "--phi", "phi.json"),
+    ("stable", "--graph", "g.json", "--phi", "phi.json", "--format", "json"),
+    ("stable", "--graph", "u.json", "--phi", "uphi.json",
+     "--include-nonfree"),
+    ("stable", "--graph", "u.json", "--phi", "uphi.json",
+     "--include-nonfree", "--degree", "-1", "--format", "json"),
+    ("stable", "--graph", "u.json", "--phi", "uphi.json", "--degree", "-3"),
+    ("stable", "--graph", "bad_genus.json", "--phi", "phi.json"),
+    ("stable", "--graph", "broken.json", "--phi", "phi.json"),
+    ("stable", "--graph", "g.json", "--phi", "wall.json"),
+    ("stable", "--graph", "g.json", "--phi", "decimal.json"),
+    ("stable", "--graph", "g.json", "--phi", "broken.json"),
+    ("stable", "--graph", "g.json", "--phi", "list.json"),
+    ("stable", "--graph", "g.json", "--phi", "short_phi.json"),
+    ("stable", "--graph", "g.json"),
+    ("walls", "--g", "2", "--n", "1", "--window", "-1..1"),
+    ("walls", "--g", "1", "--n", "2", "--window", "-1..1",
+     "--format", "json"),
+    ("walls", "--g", "1", "--n", "1", "--window", "-1..1"),
+    ("walls", "--g", "2", "--n", "1", "--window", "1..-1"),
+    ("walls", "--g", "2", "--n", "1", "--window", "-1.5..1"),
+    ("walls", "--g", "2", "--n", "1", "--window", "1"),
+    ("walls", "--g", "0", "--n", "1", "--window", "-1..1"),
+    ("atlas", "--g", "2", "--n", "1", "--window", "-3..3"),
+    ("atlas", "--g", "2", "--n", "2", "--window", "-1..1",
+     "--format", "csv", "--include-nonfree"),
+    ("atlas", "--g", "2", "--n", "1", "--window", "-1..1", "--jobs", "3"),
+    ("atlas", "--g", "30", "--n", "1", "--window", "-1..1",
+     "--include-nonfree"),
+    ("atlas", "--g", "2", "--n", "1", "--window", "1..-1"),
+    ("atlas", "--g", "0", "--n", "1", "--window", "-1..1"),
+    ("atlas", "--g", "2", "--n", "1", "--window", "x..1"),
+    ("extends", "--g", "1", "--n", "2", "--a", "1,-1"),
+    ("extends", "--g", "1", "--n", "2", "--a", "1,-1", "--format", "json"),
+    ("extends", "--g", "1", "--n", "2", "--a", "2,-2", "--phi", "table.json"),
+    ("extends", "--g", "1", "--n", "2", "--a", "2,-2", "--phi", "table.json",
+     "--format", "json"),
+    ("extends", "--g", "2", "--n", "1", "--k", "1", "--a", "2"),
+    ("extends", "--g", "1", "--n", "2", "--a", "2,-2",
+     "--phi", "off_table.json"),
+    ("extends", "--g", "1", "--n", "2", "--a", "1,-1", "--phi", "list.json"),
+    ("extends", "--g", "1", "--n", "2", "--a", "1,-1",
+     "--phi", "broken.json"),
+    ("extends", "--g", "1", "--n", "2", "--a", "1,x"),
+    ("extends", "--g", "1", "--n", "2", "--a", "0,0"),
+    ("classify", "--g", "2", "--n", "2", "--a", "1,-1"),
+    ("classify", "--g", "2", "--n", "2", "--a", "1,-1", "--format", "json",
+     "--seed", "9"),
+    ("classify", "--g", "2", "--n", "1", "--k", "1", "--a", "2"),
+    ("classify", "--g", "2", "--n", "1", "--k", "1", "--a", "2",
+     "--format", "json"),
+    ("classify", "--g", "2", "--n", "1", "--a", "0"),
+    ("classify", "--g", "2", "--n", "2", "--a", "1"),
+    ("classify", "--g", "2", "--n", "1", "--a", "a"),
+    ("verify", "--suite", "tree-count", "--max-vertices", "2",
+     "--max-edges", "3", "--trials", "3", "--seed", "1"),
+    ("verify", "--suite", "nope"),
+]
+
+
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch):
+    # sha256 over (arguments, exit code, stdout, stderr) of every invocation
+    # above, run in-process from a directory holding the input files so that
+    # the paths in messages do not vary
+    monkeypatch.chdir(tmp_path)
+    for name, data in _PIN_FILES.items():
+        Path(name).write_text(json.dumps(data))
+    Path("broken.json").write_text("{not json")
+    runner = CliRunner()
+    digest = hashlib.sha256()
+    for args in _PINNED_INVOCATIONS:
+        result = runner.invoke(cli.main, list(args))
+        assert result.exception is None or \
+            isinstance(result.exception, SystemExit), (args, result.exception)
+        digest.update(json.dumps([list(args), result.exit_code, result.stdout,
+                                  result.stderr]).encode())
+    assert digest.hexdigest() == (
+        "7c36e46c19dc766544b6faf6f54d9d99962d04f7103f2a58cdd81d257e067680")

@@ -7,9 +7,11 @@ import time
 import pytest
 
 import jacstab
-from jacstab.errors import InvalidGraphError, InvalidSubcurveError
+from jacstab.errors import (InvalidGraphError, InvalidSubcurveError,
+                            PreconditionError)
 from jacstab.graph import (
     MAX_SUBCURVE_VERTICES,
+    MAX_VINE_CANDIDATES,
     DualGraph,
     Edge,
     Subcurve,
@@ -164,6 +166,26 @@ class TestEnumerateVines:
             enumerate_vines(*args)
         with pytest.raises(ValueError):
             reference_enumerate_vines(*args)
+
+    @pytest.mark.parametrize("g,n", [(2, 40), (3000, 1), (1448, 1), (1, 21),
+                                     (2, 10 ** 9)])
+    def test_oversized_refused_before_any_work(self, g, n):
+        # (g + 1)^2 * 2^n is above the ceiling for each; 2^n is never built
+        assert n > 22 or (g + 1) ** 2 << n > MAX_VINE_CANDIDATES
+        start = time.monotonic()
+        with pytest.raises(PreconditionError, match="g=%d, n=%d" % (g, n)):
+            enumerate_vines(g, n, 1)
+        assert time.monotonic() - start < 1
+
+    def test_ceiling_is_the_candidate_bound(self, monkeypatch):
+        # with the limit at (3 + 1)^2 * 2^2, (3, 2) is allowed and one more
+        # genus or one more marking is not
+        monkeypatch.setitem(enumerate_vines.__globals__,
+                            "MAX_VINE_CANDIDATES", 64)
+        assert enumerate_vines(3, 2, 1) == reference_enumerate_vines(3, 2, 1)
+        for g, n in ((4, 2), (3, 3)):
+            with pytest.raises(PreconditionError, match="limit 64"):
+                enumerate_vines(g, n, 1)
 
 
 class TestSpanningTreeCount:
