@@ -213,6 +213,8 @@ def extends_cmd(g, n, k, a_text, phi_path, seed, fmt, out):
         with open(phi_path, encoding="utf-8") as fh:
             table = abel_jacobi.VinePhiTable.from_dict(json.load(fh))
     else:
+        if aj.is_trivial:
+            _fail("trivial twist")
         ij = abel_jacobi._unit_difference_markings(aj.a)
         if ij is None:
             _fail("no --phi table given and the twist is not of the "

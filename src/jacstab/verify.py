@@ -1,8 +1,9 @@
 """Named property suites: each checks one theorem-shaped claim by brute force.
 
-Every suite is deterministic given (bounds, trials, seed) and reports the
-first counterexample it finds.  Per-graph randomness is seeded from the
-graph's index so results do not depend on the job count.
+Each suite is a row of ``_SUITES`` run by one runner.  Every item (a corpus
+graph, or a prop41 twist) draws from an RNG seeded by its index, so results
+are deterministic given (bounds, trials, seed) and do not depend on the job
+count.  A suite reports the first counterexample in item order.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .corpus import (
     random_wall_phi,
     stable_graph_corpus,
 )
-from .errors import TrivialTwistError
+from .errors import PreconditionError, TrivialTwistError
 from fractions import Fraction
 from .graph import enumerate_vines, spanning_tree_count
 from .stability import (
@@ -61,7 +62,7 @@ class SuiteResult:
 
 
 def _per_graph_rng(seed: int, index: int) -> random.Random:
-    """The RNG for the graph at position ``index`` of the corpus.
+    """The RNG for the item (a corpus graph, or a twist) at ``index``.
 
     Its seed is the integer ``seed * 1_000_003 + index``, distinct for every
     ``(seed, index)`` with ``0 <= index < 1_000_003``, so a failing case is
@@ -73,79 +74,72 @@ def _per_graph_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
 
 
+def _run_item(case, trials, seed, work):
+    """Run ``case(item, rng, trials, seed)``, which yields None for each
+    passing case and a message for a failing one, on one indexed item up to
+    its first message; return (cases run, that message or None)."""
+    index, item = work
+    cases = 0
+    for bad in case(item, _per_graph_rng(seed, index), trials, seed):
+        cases += 1
+        if bad is not None:
+            return cases, bad
+    return cases, None
+
+
 # --- cor25: small perturbation <=> trivial bundle stable -------------------
 
-def _cor25_one(args, trials=50, seed=0):
-    index, graph = args
-    rng = _per_graph_rng(seed, index)
-    cases = 0
+def _cor25_cases(graph, rng, trials, seed):
     for t in range(trials):
         # alternate wild and near-zero samples to hit both truth values
         phi = (random_phi(graph, rng) if t % 2 == 0
                else random_small_perturbation_phi(graph, rng))
         lhs = is_small_perturbation(graph, phi)
         rhs = equivalent_small_perturbation_check(graph, phi)
-        cases += 1
-        if lhs != rhs:
-            return cases, "%r phi=%r: inequality route %s, trivial-bundle route %s" % (
-                graph, phi, lhs, rhs)
-    return cases, None
+        yield None if lhs == rhs else (
+            "%r phi=%r: inequality route %s, trivial-bundle route %s"
+            % (graph, phi, lhs, rhs))
 
 
 # --- Wall criterion: closed form vs brute-force equality search ------------
 
-def _wall_one(args, trials=50, seed=0):
-    index, graph = args
-    rng = _per_graph_rng(seed, index)
-    cases = 0
+def _wall_cases(graph, rng, trials, seed):
     for _ in range(trials):
         phi = random_phi(graph, rng)
         closed = is_nondegenerate(graph, phi)
         brute = find_equality_witness(graph, phi) is None
-        cases += 1
-        if closed != brute:
-            return cases, "%r phi=%r: closed form %s, brute force %s" % (
-                graph, phi, closed, brute)
+        yield None if closed == brute else (
+            "%r phi=%r: closed form %s, brute force %s"
+            % (graph, phi, closed, brute))
     wall = random_wall_phi(graph, rng)
     if wall is not None:
-        cases += 1
-        if is_nondegenerate(graph, wall) or find_equality_witness(graph, wall) is None:
-            return cases, "%r wall phi=%r not reported degenerate" % (graph, wall)
-    return cases, None
+        missed = (is_nondegenerate(graph, wall)
+                  or find_equality_witness(graph, wall) is None)
+        yield ("%r wall phi=%r not reported degenerate" % (graph, wall)
+               if missed else None)
 
 
 # --- Support lemma shadow ---------------------------------------------------
 
-def _support_one(args, trials=5, seed=0):
-    index, graph = args
-    rng = _per_graph_rng(seed, index)
-    cases = 0
+def _support_cases(graph, rng, trials, seed):
     for _ in range(trials):
         phi = random_small_perturbation_phi(graph, rng)
         outcome = verify_support_lemma(graph, phi)
-        cases += 1
-        if outcome is not True:
-            F, c0 = outcome
-            return cases, "%r phi=%r: %r violates on C0=%s" % (
-                graph, phi, F, sorted(c0.vertex_set))
-    return cases, None
+        yield None if outcome is True else (
+            "%r phi=%r: %r violates on C0=%s"
+            % (graph, phi, outcome[0], sorted(outcome[1].vertex_set)))
 
 
 # --- Spanning-tree count of stable multidegrees ------------------------------
 
-def _tree_one(args, trials=50, seed=0):
-    index, graph = args
-    rng = _per_graph_rng(seed, index)
+def _tree_cases(graph, rng, trials, seed):
     expected = spanning_tree_count(graph)
-    cases = 0
     for _ in range(trials):
         phi = random_nondegenerate_phi(graph, rng)
         got = len(stable_sheaf_data(graph, phi, 0, include_nonfree=False))
-        cases += 1
-        if got != expected:
-            return cases, "%r phi=%r: %d stable multidegrees, %d spanning trees" % (
-                graph, phi, got, expected)
-    return cases, None
+        yield None if got == expected else (
+            "%r phi=%r: %d stable multidegrees, %d spanning trees"
+            % (graph, phi, got, expected))
 
 
 # --- prop41: extension classification round trip ------------------------------
@@ -190,73 +184,71 @@ def _recheck_certificate(cert) -> bool:
 PROP41_MAX_GENUS = PROP41_MAX_MARKINGS = 3
 
 
-def suite_prop41(seed=0):
-    cases = 0
-    for g in range(1, PROP41_MAX_GENUS + 1):
-        for n in range(1, PROP41_MAX_MARKINGS + 1):
-            for k in (-1, 0, 1):
-                for a in product(range(-2, 3), repeat=n):
-                    if k * (2 - 2 * g) + sum(a) != 0:
-                        continue
-                    aj = AJDatum(k, a, g, n)
-                    expected = _is_unit_difference(a) and k * (2 - 2 * g) == 0
-                    cases += 1
-                    label = "g=%d n=%d k=%d a=%s" % (g, n, k, list(a))
-                    if aj.is_trivial:
-                        try:
-                            classify_extension(g, n, aj, seed)
-                        except TrivialTwistError:
-                            continue
-                        return SuiteResult("prop41", False, cases,
-                                           label + ": trivial twist not rejected")
-                    result = classify_extension(g, n, aj, seed)
-                    if result.extends != expected:
-                        return SuiteResult(
-                            "prop41", False, cases,
-                            label + ": classified %s, expected %s"
-                            % (result.extends, expected))
-                    if result.extends != brute_force_extends(g, n, aj):
-                        return SuiteResult(
-                            "prop41", False, cases,
-                            label + ": disagrees with chamber brute force")
-                    if result.extends:
-                        check = sigma_extends(g, n, aj, result.phi_table)
-                        if not check.extends:
-                            return SuiteResult(
-                                "prop41", False, cases,
-                                label + ": yes-table fails sigma_extends at %s"
-                                % check.witness)
-                    else:
-                        if not _recheck_certificate(result.certificate):
-                            return SuiteResult(
-                                "prop41", False, cases,
-                                label + ": certificate failed re-check")
-    return SuiteResult("prop41", True, cases)
+def _twists(max_vertices, max_edges):
+    """prop41's items, whatever the graph bounds: every twist with k in
+    {-1, 0, 1} and a in [-2, 2]^n that meets the degree constraint."""
+    return [AJDatum(k, a, g, n)
+            for g in range(1, PROP41_MAX_GENUS + 1)
+            for n in range(1, PROP41_MAX_MARKINGS + 1)
+            for k in (-1, 0, 1)
+            for a in product(range(-2, 3), repeat=n)
+            if k * (2 - 2 * g) + sum(a) == 0]
 
 
-# Corpus suites: name -> (check of one indexed graph, cap on its trials).
-_CORPUS_SUITES = {
-    "cor25": (_cor25_one, None),
-    "support-lemma": (_support_one, 5),
-    "tree-count": (_tree_one, None),
-    "wall-criterion": (_wall_one, None),
+def _prop41_cases(aj, rng, trials, seed):
+    """One case per twist: a trivial one is refused, any other classified
+    as the closed form and the chamber brute force say, with sound evidence."""
+    g, n = aj.g, aj.n
+    label = "g=%d n=%d k=%d a=%s: " % (g, n, aj.k, list(aj.a))
+    if aj.is_trivial:
+        try:
+            classify_extension(g, n, aj, seed)
+        except TrivialTwistError:
+            yield None
+        else:
+            yield label + "trivial twist not rejected"
+        return
+    result = classify_extension(g, n, aj, seed)
+    expected = _is_unit_difference(aj.a) and aj.k * (2 - 2 * g) == 0
+    if result.extends != expected:
+        yield label + "classified %s, expected %s" % (result.extends, expected)
+    elif result.extends != brute_force_extends(g, n, aj):
+        yield label + "disagrees with chamber brute force"
+    elif result.extends:
+        check = sigma_extends(g, n, aj, result.phi_table)
+        yield None if check.extends else (
+            label + "yes-table fails sigma_extends at %s" % check.witness)
+    else:
+        yield None if _recheck_certificate(result.certificate) else (
+            label + "certificate failed re-check")
+
+
+# Suites: name -> (items given the graph bounds, their name in the log, the
+# case generator of one item, cap on its trials).
+_SUITES = {
+    "cor25": (stable_graph_corpus, "corpus graphs", _cor25_cases, None),
+    "support-lemma": (stable_graph_corpus, "corpus graphs", _support_cases, 5),
+    "tree-count": (stable_graph_corpus, "corpus graphs", _tree_cases, None),
+    "wall-criterion": (stable_graph_corpus, "corpus graphs", _wall_cases, None),
+    "prop41": (_twists, "twists", _prop41_cases, 1),
 }
-SUITES = (*_CORPUS_SUITES, "prop41")
+SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, max_vertices=4, max_edges=7, trials=50,
               seed=0, jobs=1) -> SuiteResult:
-    """Run one suite; prop41 sweeps twists, not the graph corpus, and reads
-    only the seed."""
-    if name == "prop41":
-        return suite_prop41(seed=seed)
-    if name not in _CORPUS_SUITES:
+    """Run one suite over its items, in ``jobs`` worker processes when
+    ``jobs > 1``; prop41's twists do not depend on the graph bounds."""
+    if name not in _SUITES:
         raise ValueError("unknown suite %r; expected one of %s" % (name, SUITES))
-    one, cap = _CORPUS_SUITES[name]
-    fn = partial(one, trials=trials if cap is None else min(trials, cap),
-                 seed=seed)
-    work = list(enumerate(stable_graph_corpus(max_vertices, max_edges)))
-    log.debug("%s: %d corpus graphs", name, len(work))
+    if trials < 1 or max_vertices < 1 or max_edges < 0:
+        raise PreconditionError(
+            "need trials >= 1, max_vertices >= 1 and max_edges >= 0")
+    build, noun, case, cap = _SUITES[name]
+    fn = partial(_run_item, case,
+                 trials if cap is None else min(trials, cap), seed)
+    work = list(enumerate(build(max_vertices, max_edges)))
+    log.debug("%s: %d %s", name, len(work), noun)
     if jobs > 1 and len(work) > 1:
         # imported here so that importing the CLI does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor

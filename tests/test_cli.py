@@ -218,6 +218,13 @@ class TestClassify:
         assert proc.returncode == 1
         assert "trivial" in proc.stderr
 
+    def test_extends_without_table_refuses_trivial_twist_as_classify(self):
+        for command in ("extends", "classify"):
+            result = CliRunner().invoke(cli.main, [
+                command, "--g", "1", "--n", "2", "--a", "0,0"])
+            assert (result.exit_code, result.stdout, result.stderr) == \
+                (1, "", "error: trivial twist\n")
+
     def test_deterministic(self):
         args = ("classify", "--g", "3", "--n", "2", "--k", "0",
                 "--a", "1,-1", "--format", "json", "--seed", "9")
@@ -483,6 +490,16 @@ class TestOtherCommands:
         assert "tree-count: pool of 2 workers" in loud.stderr
         assert quiet.stderr == ""
 
+    @pytest.mark.parametrize("bound", [
+        ("--suite", "tree-count", "--trials", "-1"),
+        ("--suite", "cor25", "--max-vertices", "0"),
+        ("--suite", "prop41", "--trials", "0")])
+    def test_verify_refuses_vacuous_bounds(self, bound):
+        result = CliRunner().invoke(cli.main, ["verify", *bound])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            1, "", "error: need trials >= 1, max_vertices >= 1 and "
+                   "max_edges >= 0\n")
+
     def test_verify_sampling_failure_exits_cleanly(self, monkeypatch):
         def fail(*args, **kwargs):
             raise PhiConstructionError("failed to sample a nondegenerate phi")
@@ -518,6 +535,20 @@ def test_cli_import_does_not_load_multiprocessing():
         [sys.executable, "-c",
          "import sys, jacstab.cli; "
          "assert 'multiprocessing' not in sys.modules, 'multiprocessing'"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_builds_no_suite_items():
+    # run_suite builds a suite's corpus or twists when it runs, not at import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; built = []; "
+         "sys.setprofile(lambda frame, event, arg: event == 'call' and "
+         "frame.f_code.co_name in ('stable_graph_corpus', '_twists') and "
+         "built.append(frame.f_code.co_name)); "
+         "import jacstab.cli; sys.setprofile(None); "
+         "assert built == [], built"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -645,4 +676,4 @@ def test_cli_outputs_are_pinned(tmp_path, monkeypatch):
         digest.update(json.dumps([list(args), result.exit_code, result.stdout,
                                   result.stderr]).encode())
     assert digest.hexdigest() == (
-        "7c36e46c19dc766544b6faf6f54d9d99962d04f7103f2a58cdd81d257e067680")
+        "3ed21ed7d74904f3713f408f6917e43b50d04382ffec2bab281786b776d99c9b")

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from jacstab import verify
+from jacstab.errors import PreconditionError
+from jacstab.graph import Subcurve
+from jacstab.stability import stable_sheaf_data
 from jacstab.verify import SUITES, _per_graph_rng, run_suite
 
-CORPUS_SUITES = ("cor25", "wall-criterion", "support-lemma", "tree-count")
 
-
-@pytest.mark.parametrize("suite", CORPUS_SUITES)
+@pytest.mark.parametrize("suite", SUITES)
 def test_jobs_do_not_change_result(suite):
     serial = run_suite(suite, max_vertices=3, max_edges=5, trials=10,
                        seed=1, jobs=1)
@@ -45,6 +47,59 @@ def test_unknown_suite_rejected():
         run_suite("cor26")
 
 
+@pytest.mark.parametrize("bounds", [
+    {"trials": 0}, {"trials": -1}, {"max_vertices": 0}, {"max_edges": -1}],
+    ids=lambda bounds: "%s=%d" % next(iter(bounds.items())))
+@pytest.mark.parametrize("suite", SUITES)
+def test_vacuous_bounds_rejected(suite, bounds):
+    with pytest.raises(PreconditionError, match="need trials >= 1"):
+        run_suite(suite, **bounds)
+
+
+def _two_vertices(graph):
+    return len(graph.vertex_order) == 2
+
+
+# For each suite, a predicate of jacstab.verify and a lie(answer, *args) that
+# replaces its answer on the two-vertex graphs (on g = 2 for prop41), so the
+# one-vertex graphs still run every trial.  prop41 counts every twist, as the
+# corpus suites count every graph, not only those up to the failing one.
+_LIES = {
+    "cor25": ("is_small_perturbation",
+              lambda ok, g, phi: ok != _two_vertices(g), 121,
+              "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: '-20/31', "
+              "1: '20/31'}): inequality route True, trivial-bundle route "
+              "False"),
+    "wall-criterion": ("is_nondegenerate",
+                       lambda ok, g, phi: ok != _two_vertices(g), 121,
+                       "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: "
+                       "'-20/31', 1: '20/31'}): closed form False, brute "
+                       "force True"),
+    "support-lemma": ("verify_support_lemma", lambda ok, g, phi: (
+        stable_sheaf_data(g, phi, 0)[0], Subcurve(frozenset(g.vertex_order)))
+        if _two_vertices(g) else ok, 121,
+        "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: '-1/31', 1: "
+        "'1/31'}): SheafDatum(S=[], D=(0, 0)) violates on C0=[0, 1]"),
+    "tree-count": ("spanning_tree_count",
+                   lambda count, g: count + _two_vertices(g), 121,
+                   "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: "
+                   "'-20/31', 1: '20/31'}): 1 stable multidegrees, 2 "
+                   "spanning trees"),
+    "prop41": ("brute_force_extends", lambda ok, g, n, aj: ok != (g == 2),
+               177, "g=2 n=1 k=-1 a=[-2]: disagrees with chamber brute force"),
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_lying_predicate_fails_suite(suite, monkeypatch):
+    name, lie, cases, counterexample = _LIES[suite]
+    true = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: lie(true(*args), *args))
+    result = run_suite(suite, max_vertices=2, max_edges=3, trials=2, seed=1)
+    assert (result.passed, result.cases, result.counterexample) == \
+        (False, cases, counterexample)
+
+
 def test_per_graph_seed_is_replayable():
     # the documented replay formula: random.Random(seed * 1_000_003 + index)
     for seed, index in ((0, 0), (1, 7), (3, 1022)):
@@ -57,8 +112,11 @@ def test_per_graph_seed_is_replayable():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_suite_logs_corpus_and_pool_size(caplog, jobs):
-    with caplog.at_level(logging.DEBUG, logger="jacstab.verify"):
-        run_suite("tree-count", max_vertices=2, max_edges=3, trials=2,
-                  seed=1, jobs=jobs)
-    pool = ["tree-count: pool of 2 workers"] if jobs > 1 else []
-    assert caplog.messages == ["tree-count: 103 corpus graphs", *pool]
+    for suite, items in (("tree-count", "tree-count: 103 corpus graphs"),
+                         ("prop41", "prop41: 177 twists")):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="jacstab.verify"):
+            run_suite(suite, max_vertices=2, max_edges=3, trials=2,
+                      seed=1, jobs=jobs)
+        pool = ["%s: pool of 2 workers" % suite] if jobs > 1 else []
+        assert caplog.messages == [items, *pool]
