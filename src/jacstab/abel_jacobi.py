@@ -195,31 +195,40 @@ def construct_prop_phi(g: int, n: int, i: int, j: int,
                        seed: int = 0) -> VinePhiTable:
     """Per-vine stability table stabilizing the bundle O(p_i - p_j).
 
-    Every e = 1 vine gets phi(side 1) = 0; an e >= 2 vine gets
-    1/2*[i in S] - 1/2*[j in S] plus a deterministic small perturbation.
-    Postconditions (checked per entry, with re-draws): nondegenerate,
-    small perturbation, and O(p_i - p_j) stable on the vine.
+    Every e = 1 vine gets phi(side 1) = 0; an e >= 2 vine gets m/2, with
+    m = [i in S] - [j in S] the bundle's side-1 degree, plus a
+    deterministic small perturbation.  Postconditions (checked with
+    re-draws): nondegenerate, small perturbation, and O(p_i - p_j) stable
+    on the vine.  A vine's only subcurves are its two sides, both crossed
+    by all e edges, so the check reads a vine only through (e, m): it runs
+    on the first vine of each (e, m) class, drawing from ``seed`` afresh,
+    and the class's other vines get the Fraction accepted there.
     """
     if i == j:
         raise JacstabError("markings i and j must differ")
     if not (1 <= i <= n and 1 <= j <= n):
         raise JacstabError("markings out of range for n=%d" % n)
+    vines = enumerate_vines(g, n, 1)
     entries = {}
-    for vine in enumerate_vines(g, n, 1):
+    accepted = {}  # (e, m) -> the Fraction the class's first vine accepted
+    for vine in vines:
         if vine.e == 1:
             entries[vine] = Fraction(0)
             continue
         m = (i in vine.S) - (j in vine.S)  # side-1 degree of O(p_i - p_j)
-        base = Fraction(m, 2)
-        graph = vine.to_graph()
-        bundle = SheafDatum(graph, frozenset(), {0: m, 1: -m})
-        phi = first_admissible(
-            (vine_phi(vine, base + eps) for eps in epsilon_stream(seed)),
-            lambda phi: (is_nondegenerate(graph, phi)
-                         and is_small_perturbation(graph, phi)
-                         and is_stable(graph, phi, bundle)),
-            "no admissible perturbation for %s" % vine)
-        entries[vine] = phi.values[0]
+        if (vine.e, m) not in accepted:
+            base = Fraction(m, 2)
+            graph = vine.to_graph()
+            bundle = SheafDatum(graph, frozenset(), {0: m, 1: -m})
+            accepted[vine.e, m] = first_admissible(
+                (vine_phi(vine, base + eps) for eps in epsilon_stream(seed)),
+                lambda phi: (is_nondegenerate(graph, phi)
+                             and is_small_perturbation(graph, phi)
+                             and is_stable(graph, phi, bundle)),
+                "no admissible perturbation for %s" % vine).values[0]
+        entries[vine] = accepted[vine.e, m]
+    log.debug("construct_prop_phi g=%d n=%d: %d vines, %d (e, m) checks",
+              g, n, len(vines), len(accepted))
     return VinePhiTable(g, n, entries)
 
 
@@ -274,9 +283,9 @@ def classify_extension(g: int, n: int, aj: AJDatum,
     small-perturbation stability table, with constructive evidence.
 
     "yes" answers carry the table from :func:`construct_prop_phi`, whose
-    per-vine acceptance is the same check :func:`sigma_extends` makes, so
-    it is not run twice; "no" answers carry an obstructing vine together
-    with an exhaustive chamber certificate.
+    acceptance, once per (e, m) class, is the check :func:`sigma_extends`
+    makes per vine, so it is not run twice; "no" answers carry an
+    obstructing vine together with an exhaustive chamber certificate.
     """
     if aj.is_trivial:
         raise TrivialTwistError("trivial twist")
@@ -286,11 +295,12 @@ def classify_extension(g: int, n: int, aj: AJDatum,
 
     ij = _unit_difference_markings(aj.a)
     if ij is not None and aj.k * (2 - 2 * g) == 0:
-        # No sigma_extends check follows: it would rebuild the same phis and
-        # bundles.  The table covers every vine of enumerate_vines(g, n, 1),
-        # each entry is the Fraction vine_phi was accepted with, and k != 0
-        # only for g = 1, whose e >= 2 vines have e = 2 and g1 = g2 = 0, so
-        # each bundle {0: m, 1: -m} is aj's multidegree (2h - 2 + val = 0).
+        # No sigma_extends check follows: it would rebuild phis and bundles
+        # per vine.  The table covers every vine of enumerate_vines(g, n, 1),
+        # each entry is the Fraction vine_phi was accepted with on its
+        # (e, m) class's first vine, and k != 0 only for g = 1, whose e >= 2
+        # vines have e = 2 and g1 = g2 = 0, so each bundle {0: m, 1: -m} is
+        # aj's multidegree (2h - 2 + val = 0).
         return ExtendsResult(True, None, None,
                              construct_prop_phi(g, n, ij[0], ij[1], seed))
 

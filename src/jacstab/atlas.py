@@ -6,10 +6,10 @@ line: the walls are exactly {m - e/2 : m integer}.  Each chamber carries the
 (constant) table of stable sheaf data computed at its midpoint.
 
 Walls and chamber tables depend on a vine only through its edge count e, so
-an atlas searches chambers once per edge count and gives every other vine
-with that e the same tables on its own graph; the JSON export renders each
-distinct chambers-and-deltas content once.  An atlas is built serially in
-one process.
+an atlas lists walls and searches chambers once per edge count and gives
+every other vine with that e the same walls, and the same tables on its own
+graph; the JSON export renders each distinct chambers-and-deltas content
+once.  An atlas is built serially in one process.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
           include_nonfree: bool = False, jobs: int = 1) -> list[AtlasRecord]:
     """Records for every vine of (g, n), in canonical vine order.
 
-    Walls and stable tables depend on a vine only through e, so ``chambers``
-    searches the first vine of each edge count alone; every other vine gets
-    its own walls and the same tables rebuilt on its own graph.  Every
+    Walls and stable tables depend on a vine only through e, so ``walls``
+    and ``chambers`` run on the first vine of each edge count alone; every
+    other vine gets a ``WallSet`` of its own with the same window and wall
+    positions, and the same tables rebuilt on its own graph.  Every
     e-edge vine graph has vertex order (0, 1) and edge order 0..e-1, so
     each datum's mask and degree tuple carry over unchecked.  Runs
     serially: ``jobs`` is accepted for compatibility and has no effect.
@@ -135,22 +136,25 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
               g, n, len(vines), len(groups))
     records = []
     for group in groups:
+        shared = walls(group[0], window)
         first = tuple(chambers(group[0], window, include_nonfree))
         deltas = []
         for left, right in zip(first, first[1:]):
             lk, rk = set(left.table_keys), set(right.table_keys)
             deltas.append((tuple(sorted(rk - lk)), tuple(sorted(lk - rk))))
         deltas = tuple(deltas)
-        for vine in group:
+        records.append(AtlasRecord(g, n, group[0], shared, first, deltas))
+        for vine in group[1:]:
             graph = vine.to_graph()
-            chs = first if vine is group[0] else tuple(
+            chs = tuple(
                 Chamber(c.lo, c.hi, c.representative,
                         tuple(SheafDatum._from_kernel(graph, F.mask, F.degrees)
                               for F in c.stable_table),
                         c.is_small_perturbation)
                 for c in first)
-            records.append(AtlasRecord(g, n, vine, walls(vine, window), chs,
-                                       deltas))
+            records.append(AtlasRecord(
+                g, n, vine, WallSet(vine, shared.lo, shared.hi, shared.walls),
+                chs, deltas))
     return records
 
 

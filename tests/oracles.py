@@ -6,13 +6,16 @@ from itertools import (chain, combinations, combinations_with_replacement,
                        permutations, product)
 from operator import attrgetter
 
+from jacstab.abel_jacobi import VinePhiTable
+from jacstab.atlas import vine_phi
 from jacstab.errors import (DegenerateParameterError, InvalidGraphError,
-                            PreconditionError)
+                            JacstabError, PreconditionError)
 from jacstab.graph import (MAX_NONFREE_EDGES, DualGraph, Subcurve,
-                           _side_stable, make_vine)
+                           _side_stable, enumerate_vines, make_vine)
 from jacstab.stability import (PhiVector, SheafDatum, _check_same_graph,
-                               _integer_window, is_nondegenerate,
-                               is_small_perturbation)
+                               _integer_window, epsilon_stream,
+                               first_admissible, is_nondegenerate,
+                               is_small_perturbation, is_stable)
 
 
 def count_spanning_trees_exhaustive(graph):
@@ -401,3 +404,41 @@ def fraction_balanced_phi(graph: DualGraph, rng, q: int,
     vals = {vid: Fraction(x, q) for vid, x in zip(vids, nums)}
     vals[vids[-1]] = Fraction(-sum(nums), q)
     return PhiVector(graph, vals)
+
+
+# --- The per-vine admissibility loop of construct_prop_phi -----------------
+#
+# Every e >= 2 vine builds its own graph and bundle and draws its own phi;
+# jacstab.abel_jacobi.construct_prop_phi, which checks once per (e, m)
+# class, must return the same entries.
+
+def reference_construct_prop_phi(g: int, n: int, i: int, j: int,
+                                 seed: int = 0) -> VinePhiTable:
+    """Per-vine stability table stabilizing the bundle O(p_i - p_j).
+
+    Every e = 1 vine gets phi(side 1) = 0; an e >= 2 vine gets
+    1/2*[i in S] - 1/2*[j in S] plus a deterministic small perturbation.
+    Postconditions (checked per entry, with re-draws): nondegenerate,
+    small perturbation, and O(p_i - p_j) stable on the vine.
+    """
+    if i == j:
+        raise JacstabError("markings i and j must differ")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise JacstabError("markings out of range for n=%d" % n)
+    entries = {}
+    for vine in enumerate_vines(g, n, 1):
+        if vine.e == 1:
+            entries[vine] = Fraction(0)
+            continue
+        m = (i in vine.S) - (j in vine.S)  # side-1 degree of O(p_i - p_j)
+        base = Fraction(m, 2)
+        graph = vine.to_graph()
+        bundle = SheafDatum(graph, frozenset(), {0: m, 1: -m})
+        phi = first_admissible(
+            (vine_phi(vine, base + eps) for eps in epsilon_stream(seed)),
+            lambda phi: (is_nondegenerate(graph, phi)
+                         and is_small_perturbation(graph, phi)
+                         and is_stable(graph, phi, bundle)),
+            "no admissible perturbation for %s" % vine)
+        entries[vine] = phi.values[0]
+    return VinePhiTable(g, n, entries)

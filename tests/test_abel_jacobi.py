@@ -24,11 +24,13 @@ from jacstab.corpus import random_stable_graph
 from jacstab.errors import (
     IncompleteTableError,
     JacstabError,
+    PhiConstructionError,
     PreconditionError,
     TrivialTwistError,
 )
 from jacstab.graph import DualGraph, enumerate_vines, make_vine
 from jacstab.stability import SheafDatum, is_nondegenerate, is_small_perturbation
+from oracles import reference_construct_prop_phi
 
 
 def genus1_unmarked_vine():
@@ -179,6 +181,12 @@ class TestCertify:
                             assert cert.chambers == rows, (vine, m)
 
 
+def _vine_classes(g, n, i, j):
+    """Number of distinct (e, [i in S] - [j in S]) among e >= 2 vines."""
+    return len({(v.e, (i in v.S) - (j in v.S))
+                for v in enumerate_vines(g, n, 2)})
+
+
 def _twists():
     """Every non-trivial twist with g, n <= 4, k in {-1, 0, 1} and a in
     [-2, 2]^n that meets the degree constraint, in loop order."""
@@ -200,8 +208,9 @@ class TestClassifyExtension:
                               result.phi_table)
         assert check.extends
 
-    def test_yes_builds_each_vine_graph_once(self, monkeypatch):
-        # only construct_prop_phi builds vine graphs: no second check follows
+    def test_yes_builds_one_graph_per_vine_class(self, monkeypatch):
+        # only construct_prop_phi builds vine graphs, one per (e, m) class:
+        # no second check follows
         built = []
         build = DualGraph.build.__func__
 
@@ -211,11 +220,12 @@ class TestClassifyExtension:
 
         monkeypatch.setattr(DualGraph, "build", classmethod(counted))
         assert classify_extension(3, 2, AJDatum(0, (1, -1), 3, 2)).extends
-        assert len(built) == len(enumerate_vines(3, 2, 2))
+        assert len(built) == _vine_classes(3, 2, 1, 2) == 8
 
-    def test_yes_checks_each_vine_once(self, monkeypatch):
-        # one bundle per e >= 2 vine, the one construct_prop_phi accepts
-        # each phi with; a second check would build a second one
+    def test_yes_checks_each_vine_class_once(self, monkeypatch):
+        # one bundle per (e, m) class of e >= 2 vines, the one
+        # construct_prop_phi accepts the class's phi with; a second check
+        # would build one more per vine
         built = []
         init = SheafDatum.__init__
 
@@ -225,7 +235,36 @@ class TestClassifyExtension:
 
         monkeypatch.setattr(SheafDatum, "__init__", counted)
         assert classify_extension(3, 2, AJDatum(0, (1, -1), 3, 2)).extends
-        assert len(built) == len(enumerate_vines(3, 2, 2))
+        assert len(built) == _vine_classes(3, 2, 1, 2) == 8
+
+    @pytest.mark.parametrize("seed", [0, 3, 996])
+    def test_prop_phi_matches_per_vine_loop(self, seed):
+        # one check per (e, m) class gives the entries a check per vine gives
+        for g in range(1, 5):
+            for n in range(2, 5):
+                for i, j in itertools.permutations(range(1, n + 1), 2):
+                    assert (construct_prop_phi(g, n, i, j, seed).entries
+                            == reference_construct_prop_phi(
+                                g, n, i, j, seed).entries), (g, n, i, j)
+
+    def test_prop_phi_debug_log_counts_checks(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="jacstab.abel_jacobi"):
+            construct_prop_phi(3, 2, 1, 2)
+        assert caplog.messages == [
+            "construct_prop_phi g=3 n=2: 16 vines, 8 (e, m) checks"]
+
+    def test_prop_phi_failure_names_first_failing_vine(self, monkeypatch):
+        # no phi is admissible on a 3-edge vine: both routes name the first
+        never_on_e3 = lambda graph, phi, F: len(graph.edges) != 3
+        monkeypatch.setattr("jacstab.abel_jacobi.is_stable", never_on_e3)
+        monkeypatch.setattr("oracles.is_stable", never_on_e3)
+        first = enumerate_vines(3, 2, 3)[0]
+        messages = []
+        for construct in (construct_prop_phi, reference_construct_prop_phi):
+            with pytest.raises(PhiConstructionError) as info:
+                construct(3, 2, 1, 2)
+            messages.append(str(info.value))
+        assert messages == ["no admissible perturbation for %s" % first] * 2
 
     def test_every_yes_table_passes_sigma_extends(self):
         # the construction is the check: the independent sigma_extends route
