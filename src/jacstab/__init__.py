@@ -3,7 +3,6 @@ compactified universal Jacobians at the level of dual graphs."""
 
 from .abel_jacobi import (
     AJDatum,
-    ClassificationResult,
     ExtendsResult,
     VinePhiTable,
     aj_multidegree,
@@ -11,17 +10,15 @@ from .abel_jacobi import (
     construct_prop_phi,
     sigma_extends,
 )
-from .atlas import AtlasRecord, Chamber, WallSet, atlas, chambers, export, walls
+from .atlas import AtlasRecord, Chamber, WallSet, atlas, chambers, walls
 from .errors import JacstabError
 from .graph import (
     DualGraph,
     Subcurve,
     VineCurve,
-    crossing_count,
     enumerate_vines,
     make_vine,
     spanning_tree_count,
-    subcurves,
     validate,
 )
 from .stability import (
@@ -29,11 +26,8 @@ from .stability import (
     SheafDatum,
     equivalent_small_perturbation_check,
     is_nondegenerate,
-    is_semistable,
     is_small_perturbation,
     is_stable,
-    make_t_stable_phi,
-    phi_of,
     stable_sheaf_data,
     verify_support_lemma,
 )

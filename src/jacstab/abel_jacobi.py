@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .atlas import chambers, vine_phi
 from .errors import (
@@ -27,7 +28,8 @@ from .errors import (
     PreconditionError,
     TrivialTwistError,
 )
-from .graph import DualGraph, VineCurve, enumerate_vines, make_vine, vine_to_dict
+from .graph import (DualGraph, VineCurve, _json_int, enumerate_vines,
+                    make_vine, vine_to_dict)
 from .stability import (
     SheafDatum,
     epsilon_stream,
@@ -39,6 +41,8 @@ from .stability import (
 )
 
 log = logging.getLogger(__name__)
+
+_table_int = partial(_json_int, doc="phi table", error=PreconditionError)
 
 SCOPE_NOTE = ("phi table is per-vine; whether it lifts to a global "
               "stability parameter is not decided here")
@@ -114,14 +118,21 @@ class VinePhiTable:
     @classmethod
     def from_dict(cls, data: dict) -> "VinePhiTable":
         """Rows may name either side first; each becomes its canonical vine,
-        with phi negated when the sides swap.  A missing key or a wrong
-        container raises :class:`PreconditionError`."""
+        with phi negated when the sides swap.  A missing key, a wrong
+        container, a ``g``, ``n``, ``g1``, ``g2``, ``e`` or ``S`` entry that
+        is not an integer, or a row whose ``g1 + g2 + e - 1`` is not ``g``
+        raises :class:`PreconditionError`."""
         try:
-            g, n = data["g"], data["n"]
+            g, n = _table_int(data["g"], "g"), _table_int(data["n"], "n")
             entries = {}
             for row in data["entries"]:
-                S = sorted(row["S"])
-                vine = make_vine(row["g1"], row["g2"], row["e"], S, n)
+                g1, g2, e = (_table_int(row[k], k) for k in ("g1", "g2", "e"))
+                S = sorted(_table_int(m, "S entry") for m in row["S"])
+                if g1 + g2 + e - 1 != g:
+                    raise PreconditionError(
+                        "malformed phi table JSON: row g1=%d, g2=%d, e=%d has "
+                        "genus %d, not g=%d" % (g1, g2, e, g1 + g2 + e - 1, g))
+                vine = make_vine(g1, g2, e, S, n)
                 phi = exact_rational(row["phi"])
                 entries[vine] = phi if list(vine.S) == S else -phi
             return cls(g, n, entries)
@@ -161,18 +172,20 @@ class ExtendsResult:
         return report
 
 
-ClassificationResult = ExtendsResult
-
-
 def sigma_extends(g: int, n: int, aj: AJDatum,
                   table: VinePhiTable) -> ExtendsResult:
     """Check stability of the Abel-Jacobi multidegree on all e >= 2 vines.
 
-    The table must cover every such vine with a nondegenerate small
-    perturbation (else :class:`PreconditionError` names the first vine that
-    is not); the first failing vine (canonical order) is returned as witness.
+    The table must be one for (g, n) and cover every such vine with a
+    nondegenerate small perturbation (else :class:`PreconditionError` names
+    the mismatch or the first vine that is not); the first failing vine
+    (canonical order) is returned as witness.
     """
     aj.check()
+    if (table.g, table.n) != (g, n):
+        raise PreconditionError(
+            "phi table is for g=%d, n=%d, not for g=%d, n=%d"
+            % (table.g, table.n, g, n))
     vines = enumerate_vines(g, n, 2)
     missing = table.missing_for(vines)
     if missing:

@@ -254,13 +254,3 @@ def atlas_to_csv(records: list[AtlasRecord]) -> str:
             ])
     return buf.getvalue()
 
-
-def export(records: list[AtlasRecord], path, fmt: str = "json") -> None:
-    if fmt == "json":
-        text = atlas_to_json(records)
-    elif fmt == "csv":
-        text = atlas_to_csv(records)
-    else:
-        raise ValueError("unknown format: %s" % fmt)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)

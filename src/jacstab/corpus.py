@@ -141,35 +141,3 @@ def random_wall_phi(graph: DualGraph, rng: random.Random) -> PhiVector | None:
     vals[outside[0]] = -target
     return PhiVector(graph, vals)
 
-
-def random_stable_graph(rng: random.Random, max_vertices: int = 5) -> DualGraph:
-    """A random connected stable dual graph (for sum-to-zero spot checks)."""
-    nv = rng.randint(1, max_vertices)
-    ends = []
-    for v in range(1, nv):
-        ends.append((rng.randint(0, v - 1), v))
-    for _ in range(rng.randint(0, 3)):
-        a = rng.randint(0, nv - 1)
-        b = rng.randint(0, nv - 1)
-        ends.append((min(a, b), max(a, b)))
-    hs = [rng.randint(0, 2) for _ in range(nv)]
-    n = rng.randint(1, 4)
-    assign = [rng.randint(0, nv - 1) for _ in range(n)]
-    marks = [tuple(sorted(i + 1 for i in range(n) if assign[i] == v))
-             for v in range(nv)]
-    graph = DualGraph.build([(v, hs[v], marks[v]) for v in range(nv)], ends, n)
-    # repair stability / genus by bumping component genera
-    changed = True
-    while changed:
-        changed = False
-        for v in range(nv):
-            if not _side_stable(hs[v], graph.valence(v), len(marks[v])):
-                hs[v] += 1
-                changed = True
-        if sum(hs) + len(ends) - nv + 1 < 1:
-            hs[0] += 1
-            changed = True
-        if changed:
-            graph = DualGraph.build(
-                [(v, hs[v], marks[v]) for v in range(nv)], ends, n)
-    return graph

@@ -9,10 +9,6 @@ class InvalidGraphError(JacstabError):
     """A dual graph violates a structural requirement (e.g. disconnected)."""
 
 
-class InvalidSubcurveError(JacstabError):
-    """A subcurve is empty, improper, or references unknown vertices."""
-
-
 class MismatchedGraphError(JacstabError):
     """An operation mixed objects attached to different graphs."""
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
 
-from .errors import InvalidGraphError, InvalidSubcurveError, PreconditionError
+from .errors import InvalidGraphError, PreconditionError
 
 # Most vertices whose 2^V - 2 subcurves DualGraph.subcurve_data enumerates.
 MAX_SUBCURVE_VERTICES = 16
@@ -133,13 +133,6 @@ class DualGraph:
         return cls(vertices, edges, n, g)
 
     @cached_property
-    def signature(self) -> tuple:
-        """Structural identity: two graphs with equal signatures are the
-        same dual graph.  Operations on phis and sheaf data compare graphs
-        by identity, not by signature."""
-        return (self.g, self.n, self.vertices, self.edges)
-
-    @cached_property
     def edge_by_id(self) -> dict[int, Edge]:
         return {e.id: e for e in self.edges}
 
@@ -198,20 +191,6 @@ class DualGraph:
                 out.append(_SubcurveData(vertices, combo, a ^ b, a & b))
         return tuple(out)
 
-    @cached_property
-    def _subcurve_index(self) -> dict[frozenset[int], int]:
-        return {d.vertex_set: i for i, d in enumerate(self.subcurve_data)}
-
-    def subcurve_position(self, c0: Subcurve) -> int:
-        """Index of the subcurve in :attr:`subcurve_data`."""
-        i = self._subcurve_index.get(c0.vertex_set)
-        if i is None:
-            raise InvalidSubcurveError("subcurve not proper/nonempty: %s" % set(c0.vertex_set))
-        return i
-
-    def subcurve_info(self, c0: Subcurve) -> _SubcurveData:
-        return self.subcurve_data[self.subcurve_position(c0)]
-
 
 def _structural_faults(graph: DualGraph) -> list[str]:
     """Repeated vertex or edge ids and edges with an unknown end, in that
@@ -254,21 +233,6 @@ def validate(graph: DualGraph) -> list[str]:
     if graph.n < 1:
         diags.append("fewer than 1 marking")
     return diags
-
-
-def subcurves(graph: DualGraph):
-    """All 2^#V - 2 nonempty proper subcurves, in deterministic order."""
-    for data in graph.subcurve_data:
-        yield Subcurve(data.vertex_set)
-
-
-def crossing_count(graph: DualGraph, c0: Subcurve) -> int:
-    """Number of edges with exactly one endpoint in the subcurve."""
-    return graph.subcurve_info(c0).cr
-
-
-def complement(graph: DualGraph, c0: Subcurve) -> Subcurve:
-    return Subcurve(frozenset(graph.vertex_ids) - c0.vertex_set)
 
 
 @dataclass(frozen=True, order=True)
@@ -409,11 +373,12 @@ def graph_to_dict(graph: DualGraph) -> dict:
     }
 
 
-def _json_int(value, what: str) -> int:
+def _json_int(value, what: str, doc: str = "graph",
+              error=InvalidGraphError) -> int:
     # bool is an int subclass, but JSON true is not an id or a genus
     if type(value) is not int:
-        raise InvalidGraphError("malformed graph JSON: %s must be an integer,"
-                                " got %r" % (what, value))
+        raise error("malformed %s JSON: %s must be an integer, got %r"
+                    % (doc, what, value))
     return value
 
 

@@ -56,7 +56,7 @@ from .errors import (
     PreconditionError,
     UnknownEdgeError,
 )
-from .graph import MAX_NONFREE_EDGES, DualGraph, Subcurve, VineCurve
+from .graph import MAX_NONFREE_EDGES, DualGraph, Subcurve
 
 log = logging.getLogger(__name__)
 
@@ -193,10 +193,6 @@ class SheafDatum:
         """Canonical sort/identity key: (sorted S, D in vertex-id order)."""
         return (_edge_ids(self.graph.edge_order, self.mask), self.degrees)
 
-    @property
-    def is_line_bundle(self) -> bool:
-        return not self.mask
-
     def __repr__(self):
         S, degrees = self.key
         return "SheafDatum(S=%s, D=%s)" % (list(S), degrees)
@@ -207,25 +203,6 @@ class SheafDatum:
 
     def __hash__(self):
         return hash((self.mask, self.degrees))
-
-
-def total_degree(F: SheafDatum) -> int:
-    return sum(F.degrees) + F.mask.bit_count()
-
-
-def degree_on(F: SheafDatum, c0: Subcurve) -> int:
-    info = F.graph.subcurve_info(c0)
-    return (sum(map(F.degrees.__getitem__, info.positions))
-            + (F.mask & info.internal_mask).bit_count())
-
-
-def delta_on(F: SheafDatum, c0: Subcurve) -> int:
-    return (F.mask & F.graph.subcurve_info(c0).crossing_mask).bit_count()
-
-
-def phi_of(phi: PhiVector, c0: Subcurve) -> Fraction:
-    """Exact rational sum of phi over the subcurve's vertices."""
-    return Fraction(phi.subcurve_sums()[phi.graph.subcurve_position(c0)], phi.q)
 
 
 def _check_same_graph(graph, *objs):
@@ -244,7 +221,7 @@ def _phi_context(graph, phi):
             for info, s in zip(graph.subcurve_data, phi.subcurve_sums())]
 
 
-def _satisfies_ctx(ctx, S: int, D: tuple, strict: bool) -> bool:
+def _satisfies_ctx(ctx, S: int, D: tuple) -> bool:
     """The inequality on every subcurve in ``ctx`` for ``S`` a mask and ``D``
     a degree tuple, as a :class:`SheafDatum` stores them."""
     at = D.__getitem__
@@ -257,7 +234,7 @@ def _satisfies_ctx(ctx, S: int, D: tuple, strict: bool) -> bool:
             delta = 0
         lhs = abs(2 * q * deg - twos + q * delta)
         rhs = q * (cr - delta)
-        if lhs > rhs or (strict and lhs == rhs):
+        if lhs >= rhs:
             return False
     return True
 
@@ -268,14 +245,7 @@ def is_stable(graph: DualGraph, phi: PhiVector, F: SheafDatum) -> bool:
     Single-vertex graphs have no proper subcurves and are vacuously stable.
     """
     _check_same_graph(graph, phi, F)
-    return _satisfies_ctx(_phi_context(graph, phi), F.mask, F.degrees,
-                          strict=True)
-
-
-def is_semistable(graph: DualGraph, phi: PhiVector, F: SheafDatum) -> bool:
-    _check_same_graph(graph, phi, F)
-    return _satisfies_ctx(_phi_context(graph, phi), F.mask, F.degrees,
-                          strict=False)
+    return _satisfies_ctx(_phi_context(graph, phi), F.mask, F.degrees)
 
 
 def is_nondegenerate(graph: DualGraph, phi: PhiVector) -> bool:
@@ -388,7 +358,7 @@ def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
             rest = target - sum(head)
             if rest in last:
                 D = head + (rest,)
-                if _satisfies_ctx(ctx, S, D, strict=True):
+                if _satisfies_ctx(ctx, S, D):
                     found.append((S, D))
     return found
 
@@ -474,22 +444,6 @@ def first_admissible(candidates, ok, failure: str):
     raise PhiConstructionError(failure)
 
 
-def make_t_stable_phi(vine: VineCurve, t: int, seed: int = 0) -> PhiVector:
-    """Nondegenerate phi on the vine making the line bundle (t, -t) stable.
-
-    phi(side 1) = t + eps with eps a deterministic non-wall rational drawn
-    from the seed; the stability postcondition is checked explicitly.
-    """
-    graph = vine.to_graph()
-    target = SheafDatum(graph, frozenset(), {0: t, 1: -t})
-    return first_admissible(
-        (PhiVector(graph, {0: t + eps, 1: -t - eps})
-         for eps in epsilon_stream(seed)),
-        lambda phi: (is_nondegenerate(graph, phi)
-                     and is_stable(graph, phi, target)),
-        "no admissible perturbation found for %s, t=%d" % (vine, t))
-
-
 # --- JSON schemas ----------------------------------------------------------
 #
 # PhiVector:  {"values": {vertexId: "p/q"}}
@@ -513,7 +467,3 @@ def phi_from_dict(graph: DualGraph, data: dict) -> PhiVector:
 def datum_to_dict(F: SheafDatum) -> dict:
     return {"S": list(F.key[0]), "D": {str(v): d for v, d in F.D.items()}}
 
-
-def datum_from_dict(graph: DualGraph, data: dict) -> SheafDatum:
-    return SheafDatum(graph, data["S"],
-                      {int(vid): d for vid, d in data["D"].items()})

@@ -237,23 +237,29 @@ SUITES = tuple(_SUITES)
 
 def run_suite(name: str, max_vertices=4, max_edges=7, trials=50,
               seed=0, jobs=1) -> SuiteResult:
-    """Run one suite over its items, in ``jobs`` worker processes when
-    ``jobs > 1``; prop41's twists do not depend on the graph bounds."""
+    """Run one suite over its items, in up to ``jobs`` worker processes
+    when ``jobs > 1``; prop41's twists do not depend on the graph bounds.
+
+    Workers are handed chunks of 32 items, and the pool starts all its
+    processes at once, so it gets at most one per chunk."""
     if name not in _SUITES:
         raise ValueError("unknown suite %r; expected one of %s" % (name, SUITES))
     if trials < 1 or max_vertices < 1 or max_edges < 0:
         raise PreconditionError(
             "need trials >= 1, max_vertices >= 1 and max_edges >= 0")
+    if jobs < 1:
+        raise PreconditionError("need jobs >= 1, got %d" % jobs)
     build, noun, case, cap = _SUITES[name]
     fn = partial(_run_item, case,
                  trials if cap is None else min(trials, cap), seed)
     work = list(enumerate(build(max_vertices, max_edges)))
     log.debug("%s: %d %s", name, len(work), noun)
-    if jobs > 1 and len(work) > 1:
+    workers = min(jobs, -(-len(work) // 32))
+    if workers > 1:
         # imported here so that importing the CLI does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        log.debug("%s: pool of %d workers", name, jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        log.debug("%s: pool of %d workers", name, workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, work, chunksize=32))
     else:
         results = [fn(item) for item in work]

@@ -1,6 +1,7 @@
 """Independent brute-force oracles used only by the tests."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import (chain, combinations, combinations_with_replacement,
                        permutations, product)
@@ -44,6 +45,39 @@ def count_spanning_trees_exhaustive(graph):
         if acyclic:
             count += 1
     return count
+
+
+def random_stable_graph(rng: random.Random, max_vertices: int = 5) -> DualGraph:
+    """A random connected stable dual graph (for sum-to-zero spot checks)."""
+    nv = rng.randint(1, max_vertices)
+    ends = []
+    for v in range(1, nv):
+        ends.append((rng.randint(0, v - 1), v))
+    for _ in range(rng.randint(0, 3)):
+        a = rng.randint(0, nv - 1)
+        b = rng.randint(0, nv - 1)
+        ends.append((min(a, b), max(a, b)))
+    hs = [rng.randint(0, 2) for _ in range(nv)]
+    n = rng.randint(1, 4)
+    assign = [rng.randint(0, nv - 1) for _ in range(n)]
+    marks = [tuple(sorted(i + 1 for i in range(n) if assign[i] == v))
+             for v in range(nv)]
+    graph = DualGraph.build([(v, hs[v], marks[v]) for v in range(nv)], ends, n)
+    # repair stability / genus by bumping component genera
+    changed = True
+    while changed:
+        changed = False
+        for v in range(nv):
+            if not _side_stable(hs[v], graph.valence(v), len(marks[v])):
+                hs[v] += 1
+                changed = True
+        if sum(hs) + len(ends) - nv + 1 < 1:
+            hs[0] += 1
+            changed = True
+        if changed:
+            graph = DualGraph.build(
+                [(v, hs[v], marks[v]) for v in range(nv)], ends, n)
+    return graph
 
 
 # --- Subcurve edges read off graph.edges ------------------------------------
@@ -290,6 +324,12 @@ def _satisfies_ctx(ctx, S, D, strict: bool) -> bool:
         if lhs > rhs or (strict and lhs == rhs):
             return False
     return True
+
+
+def reference_is_semistable(graph, phi, F) -> bool:
+    """The inequality with <= on every subcurve, edges as frozensets."""
+    _check_same_graph(graph, phi, F)
+    return _satisfies_ctx(_phi_context(graph, phi), F.S, F.D, strict=False)
 
 
 def _edge_subsets(graph):

@@ -3,13 +3,13 @@ import itertools
 import json
 import logging
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from jacstab.abel_jacobi import (
     AJDatum,
-    ClassificationResult,
     ExtendsResult,
     VinePhiTable,
     aj_multidegree,
@@ -20,7 +20,6 @@ from jacstab.abel_jacobi import (
     vine_bidegree,
 )
 from jacstab.atlas import chambers
-from jacstab.corpus import random_stable_graph
 from jacstab.errors import (
     IncompleteTableError,
     JacstabError,
@@ -30,7 +29,7 @@ from jacstab.errors import (
 )
 from jacstab.graph import DualGraph, enumerate_vines, make_vine
 from jacstab.stability import SheafDatum, is_nondegenerate, is_small_perturbation
-from oracles import reference_construct_prop_phi
+from oracles import random_stable_graph, reference_construct_prop_phi
 
 
 def genus1_unmarked_vine():
@@ -326,7 +325,7 @@ def test_one_report_for_both_result_names():
     table = construct_prop_phi(2, 2, 1, 2)
     checked = sigma_extends(2, 2, AJDatum(0, (1, -1), 2, 2), table)
     classified = classify_extension(2, 2, AJDatum(0, (1, -1), 2, 2))
-    assert isinstance(checked, ClassificationResult)
+    assert isinstance(checked, ExtendsResult)
     assert isinstance(classified, ExtendsResult)
     assert checked.to_report() == classified.to_report()
 
@@ -361,6 +360,18 @@ def test_phi_table_decimal_rejected():
         VinePhiTable.from_dict(data)
 
 
+@pytest.mark.parametrize("declared,g", [((7, 2), 2), ((2, 2), 3)],
+                         ids=["declared-g7", "g2-table-for-g3"])
+def test_sigma_extends_refuses_table_for_another_g_n(declared, g):
+    table = construct_prop_phi(2, 2, 1, 2)
+    table = VinePhiTable(*declared, table.entries)
+    aj = AJDatum(0, (1, -1), g, 2)
+    with pytest.raises(PreconditionError,
+                       match=r"phi table is for g=%d, n=%d, not for g=%d, "
+                             r"n=2$" % (*declared, g)):
+        sigma_extends(g, 2, aj, table)
+
+
 def test_classify_reports_are_pinned():
     # sha256 over the sorted-key JSON reports of all 916 twists at seeds 0
     # and 3; any change to an answer, a witness, a certificate or a table
@@ -377,13 +388,33 @@ def test_classify_reports_are_pinned():
         "3f0c5536ebde29d842de2db948366771061e36af8e53c786cf240b3551baaafc")
 
 
-@pytest.mark.parametrize("data", [
-    {"g": 1, "n": 2, "entries": 3},
-    {"g": 1, "n": 2,
-     "entries": [{"g1": 0, "g2": 0, "e": 2, "S": 5, "phi": "1/2"}]},
-    {"g": 1, "n": 2, "entries": [{"g1": 0, "g2": 0, "e": 2, "S": [1]}]},
-    [1],
-], ids=["int-entries", "int-S", "no-phi", "list"])
-def test_phi_table_malformed_json_rejected(data):
-    with pytest.raises(PreconditionError, match="malformed phi table JSON"):
+_ROW = {"g1": 0, "g2": 0, "e": 2, "S": [1], "phi": "1/2"}
+
+
+@pytest.mark.parametrize("data,reason", [
+    ({"g": 1, "n": 2, "entries": 3}, ""),
+    ({"g": 1, "n": 2, "entries": [{**_ROW, "S": 5}]}, ""),
+    ({"g": 1, "n": 2, "entries": [{"g1": 0, "g2": 0, "e": 2, "S": [1]}]},
+     ""),
+    ([1], ""),
+    ({"g": 1.0, "n": 2, "entries": [_ROW]},
+     "g must be an integer, got 1.0"),
+    ({"g": 1, "n": True, "entries": [_ROW]},
+     "n must be an integer, got True"),
+    ({"g": 1, "n": 2, "entries": [{**_ROW, "e": 2.0}]},
+     "e must be an integer, got 2.0"),
+    ({"g": 1, "n": 2, "entries": [{**_ROW, "g1": False}]},
+     "g1 must be an integer, got False"),
+    ({"g": 1, "n": 2, "entries": [{**_ROW, "g2": "0"}]},
+     "g2 must be an integer, got '0'"),
+    ({"g": 1, "n": 2, "entries": [{**_ROW, "S": [1.0]}]},
+     "S entry must be an integer, got 1.0"),
+    ({"g": 7, "n": 2, "entries": [_ROW]},
+     "row g1=0, g2=0, e=2 has genus 1, not g=7"),
+], ids=["int-entries", "int-S", "no-phi", "list", "float-g", "bool-n",
+        "float-e", "bool-g1", "string-g2", "float-S-entry",
+        "row-of-another-genus"])
+def test_phi_table_malformed_json_rejected(data, reason):
+    with pytest.raises(PreconditionError,
+                       match="malformed phi table JSON: " + re.escape(reason)):
         VinePhiTable.from_dict(data)

@@ -15,11 +15,11 @@ from jacstab.abel_jacobi import AJDatum, aj_multidegree
 from jacstab.corpus import (
     random_nondegenerate_phi,
     random_small_perturbation_phi,
-    random_stable_graph,
 )
 from jacstab.graph import DualGraph, enumerate_vines
 from jacstab.stability import stable_sheaf_data
 from jacstab.verify import _per_graph_rng, run_suite
+from oracles import random_stable_graph
 
 GOLDEN = Path(__file__).parent / "golden" / "atlas_g2_n1.json"
 JOBS = 4

@@ -500,6 +500,12 @@ class TestOtherCommands:
             1, "", "error: need trials >= 1, max_vertices >= 1 and "
                    "max_edges >= 0\n")
 
+    def test_verify_refuses_jobs_below_one(self):
+        result = CliRunner().invoke(
+            cli.main, ["verify", "--suite", "prop41", "--jobs", "0"])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            1, "", "error: need jobs >= 1, got 0\n")
+
     def test_verify_sampling_failure_exits_cleanly(self, monkeypatch):
         def fail(*args, **kwargs):
             raise PhiConstructionError("failed to sample a nondegenerate phi")

@@ -7,29 +7,26 @@ import time
 import pytest
 
 import jacstab
-from jacstab.errors import (InvalidGraphError, InvalidSubcurveError,
-                            PreconditionError)
+from jacstab.errors import InvalidGraphError, PreconditionError
 from jacstab.graph import (
     MAX_SUBCURVE_VERTICES,
     MAX_VINE_CANDIDATES,
     DualGraph,
     Edge,
-    Subcurve,
     VineCurve,
-    complement,
-    crossing_count,
     enumerate_vines,
     graph_from_dict,
     graph_from_json,
     graph_to_json,
     make_vine,
     spanning_tree_count,
-    subcurves,
     validate,
 )
 from jacstab.stability import PhiVector, stable_sheaf_data
 
-from oracles import count_spanning_trees_exhaustive, reference_enumerate_vines
+from oracles import (count_spanning_trees_exhaustive, crossing_edges,
+                     internal_edges, random_stable_graph,
+                     reference_enumerate_vines)
 
 
 def two_vertex(h1=1, h2=1, edges=1, marks1=(1,), marks2=(), n=1):
@@ -64,40 +61,55 @@ class TestValidate:
         assert any("genus formula" in d for d in diags)
 
 
+def vertex_sets(graph):
+    return [sorted(info.vertices) for info in graph.subcurve_data]
+
+
 class TestCrossingCount:
+    """``cr`` of each ``subcurve_data`` entry, the mask its edges come
+    from, against the edges read off ``graph.edges``."""
+
     def test_vine_three_edges(self):
         g = make_vine(1, 1, 3, (1,), 1).to_graph()
-        assert crossing_count(g, Subcurve(frozenset({0}))) == 3
+        assert vertex_sets(g) == [[0], [1]]
+        assert g.subcurve_data[0].cr == 3
 
     def test_triangle_single_vertex(self):
-        assert crossing_count(triangle(), Subcurve(frozenset({0}))) == 2
+        assert triangle().subcurve_data[0].cr == 2
 
     def test_loop_is_internal(self):
         g = DualGraph.build([(0, 1, (1,)), (1, 1, ())],
                             [(0, 0), (0, 1)], 1)
-        assert crossing_count(g, Subcurve(frozenset({0}))) == 1
+        side = g.subcurve_data[0]
+        assert side.vertices == (0,)
+        assert (side.cr, side.crossing_mask, side.internal_mask) == \
+            (1, 0b10, 0b01)
 
     def test_symmetric_under_complement(self):
-        g = triangle()
-        for c0 in subcurves(g):
-            assert crossing_count(g, c0) == crossing_count(g, complement(g, c0))
+        for g in (triangle(), two_vertex(edges=3)):
+            data = {frozenset(info.vertices): info for info in g.subcurve_data}
+            for vertices, info in data.items():
+                other = data[frozenset(g.vertex_ids) - vertices]
+                assert info.cr == other.cr \
+                    == len(crossing_edges(g, vertices))
+                assert info.crossing_mask == other.crossing_mask
+                assert info.internal_mask.bit_count() \
+                    == len(internal_edges(g, vertices))
 
     def test_improper_subcurve_rejected(self):
-        g = triangle()
-        with pytest.raises(InvalidSubcurveError):
-            crossing_count(g, Subcurve(frozenset()))
-        with pytest.raises(InvalidSubcurveError):
-            crossing_count(g, Subcurve(frozenset({0, 1, 2})))
+        # the table holds the nonempty proper vertex subsets only
+        sizes = [len(info.vertices) for info in triangle().subcurve_data]
+        assert sizes == [1, 1, 1, 2, 2, 2]
 
 
 class TestSubcurves:
     def test_counts(self):
-        assert len(list(subcurves(two_vertex()))) == 2
-        assert len(list(subcurves(triangle()))) == 6
+        assert len(two_vertex().subcurve_data) == 2
+        assert len(triangle().subcurve_data) == 6
 
     def test_single_vertex_has_none(self):
         g = DualGraph.build([(0, 1, (1,))], [], 1)
-        assert list(subcurves(g)) == []
+        assert g.subcurve_data == ()
 
     def test_vertex_ceiling_fails_fast(self):
         assert MAX_SUBCURVE_VERTICES >= 10
@@ -105,12 +117,11 @@ class TestSubcurves:
                                [(i, i + 1) for i in range(39)], 1)
         start = time.monotonic()
         with pytest.raises(InvalidGraphError, match="40 vertices"):
-            list(subcurves(path))
+            path.subcurve_data
         assert time.monotonic() - start < 1
 
     def test_deterministic_order(self):
-        g = triangle()
-        assert [sorted(c.vertex_set) for c in subcurves(g)] == [
+        assert vertex_sets(triangle()) == [
             [0], [1], [2], [0, 1], [0, 2], [1, 2]]
 
 
@@ -208,7 +219,7 @@ class TestSpanningTreeCount:
 
     def test_against_exhaustive_enumeration(self):
         # all corpus graphs with <= 5 vertices / <= 8 edges, plus random ones
-        from jacstab.corpus import random_stable_graph, stable_graph_corpus
+        from jacstab.corpus import stable_graph_corpus
 
         for graph in stable_graph_corpus(max_vertices=4, max_edges=7):
             assert spanning_tree_count(graph) == \
@@ -251,7 +262,6 @@ def test_json_round_trip():
     g = make_vine(0, 1, 2, (1,), 2).to_graph()
     text = graph_to_json(g)
     back = graph_from_json(text)
-    assert back.signature == g.signature
     assert graph_to_json(back) == text
 
 

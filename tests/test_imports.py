@@ -1,9 +1,10 @@
 """Every name a jacstab module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+module-level name, private or public, is used somewhere in the package.
 
-No linter runs on this repository, so these AST scans keep unused imports
-and orphaned private helpers from creeping back.  ``__init__.py`` is
-skipped by the import scan: its imports are the public re-exports.
+No linter runs on this repository, so these AST scans keep unused imports,
+orphaned helpers and test-only API from creeping back.
+``__init__.py`` is skipped by the import scan: its imports are the public
+re-exports.
 """
 
 import ast
@@ -32,17 +33,23 @@ def test_every_import_is_used():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
-def private_definitions(tree):
-    """Module-level private functions, classes and constants."""
-    names = set()
+def definitions(tree):
+    """(name, statement) for each module-level function, class and
+    constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield t.id, node
+
+
+def private_definitions(tree):
+    """Module-level private functions, classes and constants."""
+    return {name for name, _ in definitions(tree)
             if name.startswith("_") and not name.startswith("__")}
 
 
@@ -67,3 +74,28 @@ def test_every_private_name_is_referenced():
     dead = {name: sorted(private_definitions(tree) - used)
             for name, tree in trees.items()}
     assert {name: names for name, names in dead.items() if names} == {}
+
+
+# Public names that no statement of the package uses, each with the reason
+# it stays.
+UNUSED_PUBLIC = {
+    "graph_to_json": "a failing suite's reproducer will write its graph",
+    "phi_to_dict": "a failing suite's reproducer will write its phi",
+}
+
+
+def test_every_public_name_is_used_in_the_package():
+    # Tests are not users: a name only they read is test-only API.  A
+    # re-export in __init__.py is not a use, nor is the name's own
+    # definition; a decorator, which registers what it decorates (the CLI
+    # commands), is.
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    uses = [(stmt, references(stmt)) for tree in trees for stmt in tree.body]
+    unused = {public for tree in trees
+              for public, node in definitions(tree)
+              if not public.startswith("_")
+              and not getattr(node, "decorator_list", ())
+              and not any(public in used for stmt, used in uses
+                          if stmt is not node)}
+    assert sorted(unused) == sorted(UNUSED_PUBLIC)

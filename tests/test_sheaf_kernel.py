@@ -20,7 +20,6 @@ from jacstab.stability import (
     SheafDatum,
     is_nondegenerate,
     stable_sheaf_data,
-    total_degree,
     verify_support_lemma,
 )
 
@@ -71,10 +70,8 @@ def phis():
 
 
 def views(data):
-    """Everything a datum shows: key, S, D, repr, line-bundle flag and
-    total degree."""
-    return [(F.key, F.S, list(F.D.items()), repr(F), F.is_line_bundle,
-             total_degree(F)) for F in data]
+    """Everything a datum shows: key, S, D and repr."""
+    return [(F.key, F.S, list(F.D.items()), repr(F)) for F in data]
 
 
 @pytest.mark.parametrize("include_nonfree", [False, True])

@@ -10,6 +10,8 @@ from oracles import (
     fraction_is_nondegenerate,
     fraction_is_small_perturbation,
     fraction_subcurve_sum,
+    internal_edges,
+    reference_is_semistable,
 )
 
 from jacstab.corpus import (
@@ -30,34 +32,24 @@ from jacstab.errors import (
 from jacstab.graph import (
     MAX_NONFREE_EDGES,
     DualGraph,
-    Subcurve,
-    complement,
     make_vine,
     spanning_tree_count,
-    subcurves,
 )
 from jacstab.stability import (
     PhiVector,
     SheafDatum,
-    datum_from_dict,
     datum_to_dict,
-    degree_on,
-    delta_on,
     epsilon_stream,
     equivalent_small_perturbation_check,
     exact_rational,
     find_equality_witness,
     first_admissible,
     is_nondegenerate,
-    is_semistable,
     is_small_perturbation,
     is_stable,
-    make_t_stable_phi,
     phi_from_dict,
-    phi_of,
     phi_to_dict,
     stable_sheaf_data,
-    total_degree,
     verify_support_lemma,
 )
 
@@ -70,27 +62,42 @@ def vine_phi2(graph, x):
     return PhiVector(graph, {0: Fraction(x), 1: -Fraction(x)})
 
 
-SIDE1 = Subcurve(frozenset({0}))
-SIDE2 = Subcurve(frozenset({1}))
+def subcurve_entry(graph, vertices):
+    """The ``graph.subcurve_data`` entry whose vertex set is ``vertices``."""
+    return next(info for info in graph.subcurve_data
+                if info.vertex_set == frozenset(vertices))
+
+
+def phi_on(phi, vertices):
+    """phi(C0) from the integer kernel, checked against the Fraction sum."""
+    graph = phi.graph
+    info = subcurve_entry(graph, vertices)
+    x = Fraction(phi.subcurve_sums()[graph.subcurve_data.index(info)], phi.q)
+    assert x == fraction_subcurve_sum(phi, info)
+    return x
+
+
+def total_degree(F):
+    return sum(F.D.values()) + len(F.S)
 
 
 class TestPhiOf:
     def test_vine_value(self):
         g = vine_graph(2)
         phi = vine_phi2(g, Fraction(3, 10))
-        assert phi_of(phi, SIDE1) == Fraction(3, 10)
+        assert phi_on(phi, {0}) == Fraction(3, 10)
 
     def test_complement_sums_to_zero(self):
         g = vine_graph(3)
         phi = vine_phi2(g, Fraction(5, 7))
-        assert phi_of(phi, SIDE1) + phi_of(phi, SIDE2) == 0
+        assert phi_on(phi, {0}) + phi_on(phi, {1}) == 0
 
     def test_three_vertex_path(self):
         g = DualGraph.build([(0, 1, (1,)), (1, 1, ()), (2, 1, ())],
                             [(0, 1), (1, 2)], 1)
         phi = PhiVector(g, {0: Fraction(1, 4), 1: Fraction(1, 4),
                             2: Fraction(-1, 2)})
-        assert phi_of(phi, Subcurve(frozenset({0, 1}))) == Fraction(1, 2)
+        assert phi_on(phi, {0, 1}) == Fraction(1, 2)
 
     def test_nonzero_sum_rejected(self):
         g = vine_graph(2)
@@ -190,7 +197,6 @@ def test_integer_kernel_matches_fraction_reference():
             for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
                 x = fraction_subcurve_sum(phi, info)
                 assert Fraction(s, phi.q) == x
-                assert phi_of(phi, Subcurve(info.vertex_set)) == x
             nondegenerate = fraction_is_nondegenerate(graph, phi)
             if on_wall:
                 assert not nondegenerate
@@ -202,7 +208,7 @@ def test_integer_kernel_matches_fraction_reference():
             assert (witness is None) == nondegenerate
             if witness is not None:
                 c0, deg, delta = witness
-                info = graph.subcurve_info(c0)
+                info = subcurve_entry(graph, c0.vertex_set)
                 assert abs(deg - fraction_subcurve_sum(phi, info)
                            + Fraction(delta, 2)) \
                     == Fraction(len(crossing_edges(graph, c0.vertex_set))
@@ -265,7 +271,7 @@ class TestStability:
         for graph in stable_graph_corpus(max_vertices=3, max_edges=5)[:80]:
             phi = random_nondegenerate_phi(graph, rng)
             for F in stable_sheaf_data(graph, phi, 0, include_nonfree=True):
-                assert is_semistable(graph, phi, F)
+                assert reference_is_semistable(graph, phi, F)
             # and a non-stable datum is also not semistable
             vid = graph.vertex_ids[0]
             D = {v: 0 for v in graph.vertex_ids}
@@ -273,7 +279,8 @@ class TestStability:
             if len(graph.vertex_ids) > 1:
                 D[graph.vertex_ids[1]] -= 5
                 F = SheafDatum(graph, (), D)
-                assert is_stable(graph, phi, F) == is_semistable(graph, phi, F)
+                assert is_stable(graph, phi, F) == \
+                    reference_is_semistable(graph, phi, F)
 
 
 class TestAdditivity:
@@ -286,10 +293,21 @@ class TestAdditivity:
             S = frozenset(rng.sample(eids, k=rng.randint(0, len(eids))))
             D = {v: rng.randint(-3, 3) for v in graph.vertex_ids}
             F = SheafDatum(graph, S, D)
-            for c0 in subcurves(graph):
-                c1 = complement(graph, c0)
-                assert degree_on(F, c0) + degree_on(F, c1) + delta_on(F, c0) \
+
+            def degree_on(vertices):
+                return sum(D[v] for v in vertices) \
+                    + len(S & internal_edges(graph, vertices))
+
+            for info in graph.subcurve_data:
+                rest = set(graph.vertex_ids) - info.vertex_set
+                delta = len(S & crossing_edges(graph, info.vertices))
+                assert degree_on(info.vertices) + degree_on(rest) + delta \
                     == total_degree(F)
+                # the kernel's masks give the same degree and delta
+                assert sum(F.degrees[p] for p in info.positions) \
+                    + (F.mask & info.internal_mask).bit_count() \
+                    == degree_on(info.vertices)
+                assert (F.mask & info.crossing_mask).bit_count() == delta
 
 
 class TestNondegeneracy:
@@ -304,7 +322,7 @@ class TestNondegeneracy:
         witness = find_equality_witness(g, phi)
         assert witness is not None
         c0, deg, delta = witness
-        assert abs(deg - phi_of(phi, c0) + Fraction(delta, 2)) \
+        assert abs(deg - phi_on(phi, c0.vertex_set) + Fraction(delta, 2)) \
             == Fraction(2 - delta, 2)
 
     def test_vine_e1_zero_not_wall(self):
@@ -437,14 +455,28 @@ class TestSupportLemma:
             verify_support_lemma(g, vine_phi2(g, 0))
 
 
+def t_stable_phi(vine, t, seed):
+    """The first phi(side 1) = t + eps, eps drawn from the seed's epsilon
+    stream, that is off the walls and makes the bundle (t, -t) stable."""
+    graph = vine.to_graph()
+    target = SheafDatum(graph, (), {0: t, 1: -t})
+    return first_admissible(
+        (vine_phi(vine, t + eps) for eps in epsilon_stream(seed)),
+        lambda phi: (is_nondegenerate(graph, phi)
+                     and is_stable(graph, phi, target)),
+        "no admissible perturbation for %s, t=%d" % (vine, t))
+
+
 class TestMakeTStablePhi:
     @pytest.mark.parametrize("e,t", [(2, 5), (2, 0), (4, -3)])
     def test_target_bidegree_stable(self, e, t):
         vine = make_vine(1, max(1, e - 1), e, (1,), 1)
-        phi = make_t_stable_phi(vine, t, seed=0)
+        phi = t_stable_phi(vine, t, seed=0)
         g = vine.to_graph()
         assert is_nondegenerate(g, phi)
         assert is_stable(g, phi, SheafDatum(g, (), {0: t, 1: -t}))
+        # |t - phi(side 1)| < e/2 already at the first draw
+        assert phi.values[0] == t + Fraction(1, 200)
 
     def test_epsilon_stream_values(self):
         # 1/(100 p) over the primes from the (seed % 997 + 1)-th on
@@ -458,8 +490,8 @@ class TestMakeTStablePhi:
 
     def test_deterministic(self):
         vine = make_vine(0, 1, 2, (1,), 1)
-        assert make_t_stable_phi(vine, 3, seed=4).values == \
-            make_t_stable_phi(vine, 3, seed=4).values
+        assert t_stable_phi(vine, 3, seed=4).values == \
+            t_stable_phi(vine, 3, seed=4).values
 
 
 class TestFirstAdmissible:
@@ -509,4 +541,4 @@ def test_serialization_round_trip():
     phi = vine_phi2(g, Fraction(3, 10))
     assert phi_from_dict(g, phi_to_dict(phi)).values == phi.values
     F = SheafDatum(g, {1}, {0: 2, 1: -3})
-    assert datum_from_dict(g, datum_to_dict(F)) == F
+    assert datum_to_dict(F) == {"S": [1], "D": {"0": 2, "1": -3}}

@@ -1,3 +1,4 @@
+import concurrent.futures
 import logging
 import random
 
@@ -120,3 +121,46 @@ def test_run_suite_logs_corpus_and_pool_size(caplog, jobs):
                       seed=1, jobs=jobs)
         pool = ["%s: pool of 2 workers" % suite] if jobs > 1 else []
         assert caplog.messages == [items, *pool]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(PreconditionError, match="need jobs >= 1, got %d" % jobs):
+        run_suite("prop41", jobs=jobs)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no
+    process and maps in this one."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("suite,jobs,bounds,workers", [
+    ("prop41", 100_000, (2, 3), [6]),        # 177 twists: 6 chunks of 32
+    ("prop41", 3, (2, 3), [3]),
+    ("tree-count", 100_000, (2, 3), [4]),    # 103 graphs: 4 chunks
+    ("tree-count", 100_000, (1, 0), []),     # 6 graphs: one chunk, no pool
+])
+def test_pool_sized_to_its_chunks(monkeypatch, suite, jobs, bounds, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    max_vertices, max_edges = bounds
+    pooled = run_suite(suite, max_vertices, max_edges, trials=2, seed=1,
+                       jobs=jobs)
+    assert _RecordingPool.sizes == workers
+    assert pooled == run_suite(suite, max_vertices, max_edges, trials=2,
+                               seed=1)
