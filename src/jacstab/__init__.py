@@ -14,7 +14,6 @@ from .atlas import AtlasRecord, Chamber, WallSet, atlas, chambers, walls
 from .errors import JacstabError
 from .graph import (
     DualGraph,
-    Subcurve,
     VineCurve,
     enumerate_vines,
     make_vine,

@@ -94,15 +94,9 @@ class VinePhiTable:
     """Map from canonical vines of one (g, n) to exact rational phi(side 1)."""
 
     def __init__(self, g: int, n: int, entries):
-        self.g = int(g)
-        self.n = int(n)
+        self.g = _table_int(g, "g")
+        self.n = _table_int(n, "n")
         self.entries = {vine: exact_rational(x) for vine, x in entries.items()}
-
-    def get(self, vine: VineCurve) -> Fraction:
-        return self.entries[vine]
-
-    def missing_for(self, vines) -> list[VineCurve]:
-        return [v for v in vines if v not in self.entries]
 
     def to_dict(self) -> dict:
         return {
@@ -120,22 +114,23 @@ class VinePhiTable:
         """Rows may name either side first; each becomes its canonical vine,
         with phi negated when the sides swap.  A missing key, a wrong
         container, a ``g``, ``n``, ``g1``, ``g2``, ``e`` or ``S`` entry that
-        is not an integer, or a row whose ``g1 + g2 + e - 1`` is not ``g``
-        raises :class:`PreconditionError`."""
+        is not an integer, or a row that is no vine of ``(g, n)`` or repeats
+        an earlier row's vine raises :class:`PreconditionError`."""
         try:
-            g, n = _table_int(data["g"], "g"), _table_int(data["n"], "n")
-            entries = {}
+            table = cls(data["g"], data["n"], {})
+            vines = set(enumerate_vines(table.g, table.n, 1))
             for row in data["entries"]:
                 g1, g2, e = (_table_int(row[k], k) for k in ("g1", "g2", "e"))
                 S = sorted(_table_int(m, "S entry") for m in row["S"])
-                if g1 + g2 + e - 1 != g:
-                    raise PreconditionError(
-                        "malformed phi table JSON: row g1=%d, g2=%d, e=%d has "
-                        "genus %d, not g=%d" % (g1, g2, e, g1 + g2 + e - 1, g))
-                vine = make_vine(g1, g2, e, S, n)
+                vine = make_vine(g1, g2, e, S, table.n)
+                if vine not in vines:
+                    raise ValueError("row %s is no vine of g=%d, n=%d"
+                                     % (vine, table.g, table.n))
+                if vine in table.entries:
+                    raise ValueError("row %s repeats an earlier row" % vine)
                 phi = exact_rational(row["phi"])
-                entries[vine] = phi if list(vine.S) == S else -phi
-            return cls(g, n, entries)
+                table.entries[vine] = phi if list(vine.S) == S else -phi
+            return table
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise PreconditionError("malformed phi table JSON: %s" % exc) from exc
 
@@ -187,16 +182,16 @@ def sigma_extends(g: int, n: int, aj: AJDatum,
             "phi table is for g=%d, n=%d, not for g=%d, n=%d"
             % (table.g, table.n, g, n))
     vines = enumerate_vines(g, n, 2)
-    missing = table.missing_for(vines)
+    missing = [vine for vine in vines if vine not in table.entries]
     if missing:
         raise IncompleteTableError(missing)
-    phis = [vine_phi(vine, table.get(vine)) for vine in vines]
+    phis = [vine_phi(vine, table.entries[vine]) for vine in vines]
     for vine, phi in zip(vines, phis):
         if not (is_small_perturbation(phi.graph, phi)
                 and is_nondegenerate(phi.graph, phi)):
             raise PreconditionError(
                 "phi(%s) = %s is not a nondegenerate small perturbation"
-                % (vine, table.get(vine)))
+                % (vine, table.entries[vine]))
     for vine, phi in zip(vines, phis):
         D = aj_multidegree(phi.graph, aj)
         if not is_stable(phi.graph, phi, SheafDatum(phi.graph, frozenset(), D)):
@@ -307,13 +302,11 @@ def classify_extension(g: int, n: int, aj: AJDatum,
         raise JacstabError("twist data context differs from (g, n)")
 
     ij = _unit_difference_markings(aj.a)
-    if ij is not None and aj.k * (2 - 2 * g) == 0:
-        # No sigma_extends check follows: it would rebuild phis and bundles
-        # per vine.  The table covers every vine of enumerate_vines(g, n, 1),
-        # each entry is the Fraction vine_phi was accepted with on its
-        # (e, m) class's first vine, and k != 0 only for g = 1, whose e >= 2
-        # vines have e = 2 and g1 = g2 = 0, so each bundle {0: m, 1: -m} is
-        # aj's multidegree (2h - 2 + val = 0).
+    if ij is not None:
+        # aj.check() with sum(a) = 0 forces k(2 - 2g) = 0, so k != 0 only
+        # for g = 1, whose e >= 2 vines have g1 = g2 = 0 and e = 2; there
+        # the bundle {0: m, 1: -m} that construct_prop_phi checks is aj's
+        # multidegree, so no sigma_extends re-check is needed.
         return ExtendsResult(True, None, None,
                              construct_prop_phi(g, n, ij[0], ij[1], seed))
 

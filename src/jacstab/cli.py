@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 domain error, 2 usage error.  One error boundary,
 the command group's ``invoke``, turns every domain error (``JacstabError``)
 and every unreadable input (``OSError``, ``ValueError`` such as malformed
-JSON, ``KeyError``) into ``error: ...`` on stderr and exit 1; a failed
-``--out`` write reads ``error: cannot write PATH: ...`` on every command.
+JSON, ``KeyError``) into ``error: ...`` on stderr and exit 1; an unreadable
+input file reads ``error: cannot read WHAT PATH: ...`` and a failed
+``--out`` write ``error: cannot write PATH: ...``.
 Oversized input fails fast: ``enumerate_vines`` refuses (g, n) above
 ``graph.MAX_VINE_CANDIDATES`` and ``walls`` a window of more than
 ``atlas.MAX_WALLS`` walls.  Rationals are accepted only as "p/q" strings
@@ -69,12 +70,14 @@ def _parse_window(text: str) -> tuple[Fraction, Fraction]:
         raise click.UsageError(str(exc))
 
 
-def _read_graph(path: str) -> graph_mod.DualGraph:
+def _load(path: str, what: str, parse):
+    """``parse`` of the JSON document in the file at ``path``, or the
+    error ``cannot read WHAT PATH: ...``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return graph_mod.graph_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, JacstabError) as exc:
-        _fail("cannot read graph %s: %s" % (path, exc))
+            return parse(json.load(fh))
+    except (OSError, ValueError, JacstabError) as exc:
+        _fail("cannot read %s %s: %s" % (what, path, exc))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -120,7 +123,7 @@ def vines(g, n, min_edges, fmt, out):
               required=True)
 def check(graph_path):
     """Validate a graph JSON file; print diagnostics."""
-    g = _read_graph(graph_path)
+    g = _load(graph_path, "graph", graph_mod.graph_from_dict)
     diags = graph_mod.validate(g)
     if diags:
         for d in diags:
@@ -138,12 +141,11 @@ def check(graph_path):
 @_format_out("text", "json")
 def stable(graph_path, phi_path, degree, include_nonfree, fmt, out):
     """List all phi-stable sheaf data of the given total degree."""
-    g = _read_graph(graph_path)
+    g = _load(graph_path, "graph", graph_mod.graph_from_dict)
     diags = graph_mod.validate(g)
     if diags:
         _fail("invalid graph %s: %s" % (graph_path, "; ".join(diags)))
-    with open(phi_path, encoding="utf-8") as fh:
-        phi = stability.phi_from_dict(g, json.load(fh))
+    phi = _load(phi_path, "phi", lambda data: stability.phi_from_dict(g, data))
     data = stability.stable_sheaf_data(g, phi, degree, include_nonfree)
     _report(fmt, out, lambda: [stability.datum_to_dict(F) for F in data],
             map(repr, data))
@@ -210,8 +212,8 @@ def extends_cmd(g, n, k, a_text, phi_path, seed, fmt, out):
     """Check the Abel-Jacobi extension criterion against a phi table."""
     aj = _parse_twist(g, n, k, a_text)
     if phi_path:
-        with open(phi_path, encoding="utf-8") as fh:
-            table = abel_jacobi.VinePhiTable.from_dict(json.load(fh))
+        table = _load(phi_path, "phi table",
+                      abel_jacobi.VinePhiTable.from_dict)
     else:
         if aj.is_trivial:
             _fail("trivial twist")

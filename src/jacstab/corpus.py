@@ -96,16 +96,16 @@ def _balanced_phi(graph: DualGraph, rng: random.Random, q: int,
     return PhiVector._from_numerators(graph, q, dict(zip(vids, nums)))
 
 
-def random_phi(graph: DualGraph, rng: random.Random, spread: int = 3) -> PhiVector:
+def random_phi(graph: DualGraph, rng: random.Random) -> PhiVector:
     """Random exact rational phi summing to zero."""
     q = rng.choice(_DENOMINATORS)
-    return _balanced_phi(graph, rng, q, spread * q)
+    return _balanced_phi(graph, rng, q, 3 * q)
 
 
-def random_nondegenerate_phi(graph: DualGraph, rng: random.Random,
-                             spread: int = 3) -> PhiVector:
+def random_nondegenerate_phi(graph: DualGraph,
+                             rng: random.Random) -> PhiVector:
     for _ in range(1000):
-        phi = random_phi(graph, rng, spread)
+        phi = random_phi(graph, rng)
         if is_nondegenerate(graph, phi):
             return phi
     raise PhiConstructionError("failed to sample a nondegenerate phi")

@@ -62,13 +62,6 @@ class Edge:
         return self.ends[0] == self.ends[1]
 
 
-@dataclass(frozen=True)
-class Subcurve:
-    """A nonempty proper subset of the vertex set of a dual graph."""
-
-    vertex_set: frozenset[int]
-
-
 class _SubcurveData:
     """Precomputed incidence data for one subcurve (internal); immutable by
     convention.
@@ -104,10 +97,7 @@ class DualGraph:
             v if isinstance(v, Vertex) else Vertex(v[0], v[1], frozenset(v[2]))
             for v in vertices
         )
-        self.edges: tuple[Edge, ...] = tuple(
-            e if isinstance(e, Edge) else Edge(e[0], (min(e[1]), max(e[1])))
-            for e in edges
-        )
+        self.edges: tuple[Edge, ...] = tuple(edges)
         self.vertex_ids: tuple[int, ...] = tuple([v.id for v in self.vertices])
         # multidegree tuples follow vertex_order, and bit i of an edge mask
         # stands for edge_order[i]
@@ -131,10 +121,6 @@ class DualGraph:
         """
         edges = [Edge(i, (min(vw), max(vw))) for i, vw in enumerate(edge_ends)]
         return cls(vertices, edges, n, g)
-
-    @cached_property
-    def edge_by_id(self) -> dict[int, Edge]:
-        return {e.id: e for e in self.edges}
 
     def valence(self, vid: int) -> int:
         """Number of edge ends at the vertex; a loop counts twice."""
@@ -409,7 +395,3 @@ def graph_from_dict(data: dict) -> DualGraph:
 
 def graph_to_json(graph: DualGraph) -> str:
     return json.dumps(graph_to_dict(graph), indent=2)
-
-
-def graph_from_json(text: str) -> DualGraph:
-    return graph_from_dict(json.loads(text))

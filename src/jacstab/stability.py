@@ -56,7 +56,7 @@ from .errors import (
     PreconditionError,
     UnknownEdgeError,
 )
-from .graph import MAX_NONFREE_EDGES, DualGraph, Subcurve
+from .graph import MAX_NONFREE_EDGES, DualGraph
 
 log = logging.getLogger(__name__)
 
@@ -160,10 +160,9 @@ class SheafDatum:
 
     def __init__(self, graph: DualGraph, S, D):
         S = frozenset(S)
-        edges = graph.edge_by_id.keys()
-        if not S <= edges:
+        if not S.issubset(graph.edge_order):
             raise UnknownEdgeError("unknown edge ids in S: %s"
-                                   % sorted(S - edges))
+                                   % sorted(S.difference(graph.edge_order)))
         vids = graph.vertex_ids
         if len(D) != len(vids) or not all(map(D.__contains__, vids)):
             raise MismatchedGraphError("multidegree must cover exactly the vertex set")
@@ -268,7 +267,7 @@ def find_equality_witness(graph: DualGraph, phi: PhiVector):
     every delta in [0, cr] and every integer degree in the window
     |deg - phi + delta/2| <= (cr + 1)/2, testing the equality scaled by 2q:
     |2q*deg - 2s + q*delta| == q*(cr - delta) with phi(C0) = s/q.
-    Returns (C0, deg, delta) or None.
+    Returns (vertex set of C0, deg, delta) or None.
     """
     _check_same_graph(graph, phi)
     q = phi.q
@@ -280,7 +279,7 @@ def find_equality_witness(graph: DualGraph, phi: PhiVector):
             high = 2 * s - q * delta + q * (cr + 1)
             for deg in range(-(-low // (2 * q)), high // (2 * q) + 1):
                 if abs(2 * q * deg - 2 * s + q * delta) == q * (cr - delta):
-                    return (Subcurve(info.vertex_set), deg, delta)
+                    return (info.vertex_set, deg, delta)
     return None
 
 
@@ -392,8 +391,8 @@ def verify_support_lemma(graph: DualGraph, phi: PhiVector):
     For every phi-stable degree-0 datum F and every subcurve C0 the strict
     bound deg_C0(F) < cr(C0) - delta_C0(F) must hold, so a nonzero section
     (which would force deg_C0(F) >= cr(C0)) cannot exist.  Returns True or
-    the first violating (F, C0) in canonical order.  The check runs on the
-    search's (S, D) pairs; objects are built only for a violation.
+    the first violating (F, vertex set of C0) in canonical order, checked on
+    the search's (S, D) pairs; objects are built only for a violation.
     """
     if not is_small_perturbation(graph, phi):
         raise PreconditionError("phi is not a small perturbation of 0")
@@ -412,7 +411,7 @@ def verify_support_lemma(graph: DualGraph, phi: PhiVector):
         return True
     S, D, info = min(violations, key=lambda v: v[:2])
     return (SheafDatum(graph, S, dict(zip(graph.vertex_order, D))),
-            Subcurve(info.vertex_set))
+            info.vertex_set)
 
 
 # Primes in order, grown by trial division as draws reach further; shared by

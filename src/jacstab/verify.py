@@ -127,7 +127,7 @@ def _support_cases(graph, rng, trials, seed):
         outcome = verify_support_lemma(graph, phi)
         yield None if outcome is True else (
             "%r phi=%r: %r violates on C0=%s"
-            % (graph, phi, outcome[0], sorted(outcome[1].vertex_set)))
+            % (graph, phi, outcome[0], sorted(outcome[1])))
 
 
 # --- Spanning-tree count of stable multidegrees ------------------------------

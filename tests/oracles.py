@@ -11,8 +11,8 @@ from jacstab.abel_jacobi import VinePhiTable
 from jacstab.atlas import vine_phi
 from jacstab.errors import (DegenerateParameterError, InvalidGraphError,
                             JacstabError, PreconditionError)
-from jacstab.graph import (MAX_NONFREE_EDGES, DualGraph, Subcurve,
-                           _side_stable, enumerate_vines, make_vine)
+from jacstab.graph import (MAX_NONFREE_EDGES, DualGraph, _side_stable,
+                           enumerate_vines, make_vine)
 from jacstab.stability import (PhiVector, SheafDatum, _check_same_graph,
                                _integer_window, epsilon_stream,
                                first_admissible, is_nondegenerate,
@@ -333,7 +333,7 @@ def reference_is_semistable(graph, phi, F) -> bool:
 
 
 def _edge_subsets(graph):
-    eids = sorted(graph.edge_by_id)
+    eids = graph.edge_order
     if len(eids) > MAX_NONFREE_EDGES:
         raise InvalidGraphError("%d edges, non-free limit is %d"
                                 % (len(eids), MAX_NONFREE_EDGES))
@@ -426,7 +426,7 @@ def reference_verify_support_lemma(graph: DualGraph, phi: PhiVector):
         for verts, internal, crossing in subcurves:
             deg = sum(D[v] for v in verts) + len(S & internal)
             if not deg < len(crossing) - len(S & crossing):
-                return (F, Subcurve(frozenset(verts)))
+                return (F, frozenset(verts))
     return True
 
 

@@ -12,6 +12,7 @@ from jacstab.abel_jacobi import (
     AJDatum,
     ExtendsResult,
     VinePhiTable,
+    _unit_difference_markings,
     aj_multidegree,
     certify_unstable_on_vine,
     classify_extension,
@@ -389,6 +390,8 @@ def test_classify_reports_are_pinned():
 
 
 _ROW = {"g1": 0, "g2": 0, "e": 2, "S": [1], "phi": "1/2"}
+# the rows of a table for the 8 vines of g = 2, n = 2
+_G2N2_ROWS = construct_prop_phi(2, 2, 1, 2).to_dict()["entries"]
 
 
 @pytest.mark.parametrize("data,reason", [
@@ -410,11 +413,48 @@ _ROW = {"g1": 0, "g2": 0, "e": 2, "S": [1], "phi": "1/2"}
     ({"g": 1, "n": 2, "entries": [{**_ROW, "S": [1.0]}]},
      "S entry must be an integer, got 1.0"),
     ({"g": 7, "n": 2, "entries": [_ROW]},
-     "row g1=0, g2=0, e=2 has genus 1, not g=7"),
+     "row vine(g1=0, g2=0, e=2, S={1}) is no vine of g=7, n=2"),
+    ({"g": 2, "n": 2, "entries": _G2N2_ROWS + [{**_ROW, "g2": 1, "S": [5]}]},
+     "row vine(g1=0, g2=1, e=2, S={5}) is no vine of g=2, n=2"),
+    # side 1 has genus 0, 2 nodes and no marking: unstable
+    ({"g": 2, "n": 2, "entries": _G2N2_ROWS + [{**_ROW, "g2": 1, "S": []}]},
+     "row vine(g1=0, g2=1, e=2, S={}) is no vine of g=2, n=2"),
+    ({"g": 2, "n": 2,
+      "entries": _G2N2_ROWS + [{**_G2N2_ROWS[-1], "phi": "1/3"}]},
+     "row vine(g1=0, g2=0, e=3, S={1}) repeats an earlier row"),
 ], ids=["int-entries", "int-S", "no-phi", "list", "float-g", "bool-n",
         "float-e", "bool-g1", "string-g2", "float-S-entry",
-        "row-of-another-genus"])
+        "row-of-another-genus", "marking-outside-1-n", "unstable-side",
+        "repeated-row"])
 def test_phi_table_malformed_json_rejected(data, reason):
     with pytest.raises(PreconditionError,
                        match="malformed phi table JSON: " + re.escape(reason)):
         VinePhiTable.from_dict(data)
+
+
+@pytest.mark.parametrize("g,n,reason", [
+    (2.9, 2, "g must be an integer, got 2.9"),
+    (2, True, "n must be an integer, got True"),
+], ids=["float-g", "bool-n"])
+def test_phi_table_refuses_non_int_g_n(g, n, reason):
+    with pytest.raises(PreconditionError, match=re.escape(reason)):
+        VinePhiTable(g, n, {})
+
+
+def test_unit_difference_twists_have_k_times_2_minus_2g_zero():
+    # classify_extension answers a twist a = e_i - e_j "yes" without asking
+    # for k(2 - 2g) = 0: sum(a) = 0, so the degree constraint aj.check()
+    # enforces already forces it
+    count = 0
+    for n in range(1, 6):
+        for a in itertools.product(range(-3, 4), repeat=n):
+            if _unit_difference_markings(a) is None:
+                continue
+            for g, k in itertools.product(range(1, 9), range(-3, 4)):
+                try:
+                    AJDatum(k, a, g, n).check()
+                except JacstabError:
+                    continue
+                assert k * (2 - 2 * g) == 0, (g, n, k, a)
+                count += 1
+    assert count == 560

@@ -309,7 +309,35 @@ class TestMalformedPhiJson:
                        "--phi", str(path))
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error: malformed phi table JSON: ")
+        assert proc.stderr.startswith(
+            "error: cannot read phi table %s: malformed phi table JSON: " % path)
+
+
+class TestUnreadableInputFile:
+    """A graph, phi or phi-table file that cannot be opened, decoded or
+    parsed is named in its error: ``cannot read WHAT PATH: ...``."""
+
+    @pytest.mark.parametrize("content", [b"{not json", b"[1]", b"\xff"],
+                             ids=["not-json", "wrong-shape", "not-utf8"])
+    @pytest.mark.parametrize("what,args", [
+        ("graph", ("check", "--graph", "BAD")),
+        ("graph", ("stable", "--graph", "BAD", "--phi", "PHI")),
+        ("phi", ("stable", "--graph", "GRAPH", "--phi", "BAD")),
+        ("phi table", ("extends", "--g", "1", "--n", "2", "--a", "1,-1",
+                       "--phi", "BAD")),
+    ], ids=["check-graph", "stable-graph", "stable-phi", "extends-phi-table"])
+    def test_named(self, vine_files, tmp_path, content, what, args):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        paths = {"BAD": str(bad), "GRAPH": str(vine_files[0]),
+                 "PHI": str(vine_files[1])}
+        result = CliRunner().invoke(cli.main,
+                                    [paths.get(arg, arg) for arg in args])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: cannot read %s %s: "
+                                        % (what, bad))
+        assert result.stderr.count("\n") == 1
 
 
 class TestEmptyTextOutput:
@@ -682,4 +710,4 @@ def test_cli_outputs_are_pinned(tmp_path, monkeypatch):
         digest.update(json.dumps([list(args), result.exit_code, result.stdout,
                                   result.stderr]).encode())
     assert digest.hexdigest() == (
-        "3ed21ed7d74904f3713f408f6917e43b50d04382ffec2bab281786b776d99c9b")
+        "26d3e97eca8c13ae3aea46a0c4e0cdc732171746eba8f0b7d971cb656382737e")

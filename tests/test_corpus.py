@@ -46,11 +46,12 @@ def test_first_phi_per_seed_is_pinned(sampler):
         == PINNED[sampler]
 
 
-def test_nondegenerate_sampling_failure_is_a_jacstab_error():
-    # spread=0 draws phi = 0 every time, and 0 + 2/2 is an integer: a wall
+def test_nondegenerate_sampling_failure_is_a_jacstab_error(monkeypatch):
+    # every draw is refused, so the sampler gives up after its 1,000 tries
+    monkeypatch.setattr(corpus, "is_nondegenerate", lambda graph, phi: False)
     graph = make_vine(0, 1, 2, (1,), 1).to_graph()
     with pytest.raises(PhiConstructionError, match="nondegenerate"):
-        random_nondegenerate_phi(graph, random.Random(0), spread=0)
+        random_nondegenerate_phi(graph, random.Random(0))
     assert issubclass(PhiConstructionError, JacstabError)
 
 

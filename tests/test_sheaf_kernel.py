@@ -14,7 +14,7 @@ from jacstab.corpus import (
     random_small_perturbation_phi,
     stable_graph_corpus,
 )
-from jacstab.graph import DualGraph, Edge, Subcurve, Vertex
+from jacstab.graph import DualGraph, Edge, Vertex
 from jacstab.stability import (
     PhiVector,
     SheafDatum,
@@ -144,7 +144,7 @@ def test_support_lemma_that_holds_builds_no_objects(monkeypatch):
     graphs = CORPUS[::10] + [UNSORTED]
     phis = [random_small_perturbation_phi(g, random.Random(i))
             for i, g in enumerate(graphs)]
-    calls = counted_inits(monkeypatch, SheafDatum, Subcurve)
+    calls = counted_inits(monkeypatch, SheafDatum)
     assert all(verify_support_lemma(g, phi) is True
                for g, phi in zip(graphs, phis))
     assert calls == []
@@ -154,10 +154,12 @@ def test_support_violation_builds_one_datum_and_one_subcurve(monkeypatch):
     graph = CORPUS[-1]
     phi = mixed_phi(graph, random.Random(1))
     monkeypatch.setattr(stability, "is_small_perturbation", lambda g, p: True)
-    calls = counted_inits(monkeypatch, SheafDatum, Subcurve)
+    calls = counted_inits(monkeypatch, SheafDatum)
     F, c0 = verify_support_lemma(graph, phi)
-    assert sorted(calls) == ["SheafDatum", "Subcurve"]
-    assert isinstance(F, SheafDatum) and isinstance(c0, Subcurve)
+    assert calls == ["SheafDatum"]
+    assert isinstance(F, SheafDatum)
+    # the subcurve is its row's vertex set in the graph's subcurve table
+    assert c0 in [info.vertex_set for info in graph.subcurve_data]
 
 
 @pytest.mark.parametrize(

@@ -208,10 +208,10 @@ def test_integer_kernel_matches_fraction_reference():
             assert (witness is None) == nondegenerate
             if witness is not None:
                 c0, deg, delta = witness
-                info = subcurve_entry(graph, c0.vertex_set)
+                info = subcurve_entry(graph, c0)
                 assert abs(deg - fraction_subcurve_sum(phi, info)
                            + Fraction(delta, 2)) \
-                    == Fraction(len(crossing_edges(graph, c0.vertex_set))
+                    == Fraction(len(crossing_edges(graph, c0))
                                 - delta, 2)
             else:
                 # exercises the integer singleton windows of stable_sheaf_data
@@ -289,7 +289,7 @@ class TestAdditivity:
         for graph in stable_graph_corpus(max_vertices=4, max_edges=6)[::17]:
             if len(graph.vertices) == 1:
                 continue
-            eids = sorted(graph.edge_by_id)
+            eids = graph.edge_order
             S = frozenset(rng.sample(eids, k=rng.randint(0, len(eids))))
             D = {v: rng.randint(-3, 3) for v in graph.vertex_ids}
             F = SheafDatum(graph, S, D)
@@ -322,7 +322,7 @@ class TestNondegeneracy:
         witness = find_equality_witness(g, phi)
         assert witness is not None
         c0, deg, delta = witness
-        assert abs(deg - phi_on(phi, c0.vertex_set) + Fraction(delta, 2)) \
+        assert abs(deg - phi_on(phi, c0) + Fraction(delta, 2)) \
             == Fraction(2 - delta, 2)
 
     def test_vine_e1_zero_not_wall(self):

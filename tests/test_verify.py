@@ -6,7 +6,6 @@ import pytest
 
 from jacstab import verify
 from jacstab.errors import PreconditionError
-from jacstab.graph import Subcurve
 from jacstab.stability import stable_sheaf_data
 from jacstab.verify import SUITES, _per_graph_rng, run_suite
 
@@ -77,7 +76,7 @@ _LIES = {
                        "'-20/31', 1: '20/31'}): closed form False, brute "
                        "force True"),
     "support-lemma": ("verify_support_lemma", lambda ok, g, phi: (
-        stable_sheaf_data(g, phi, 0)[0], Subcurve(frozenset(g.vertex_order)))
+        stable_sheaf_data(g, phi, 0)[0], frozenset(g.vertex_order))
         if _two_vertices(g) else ok, 121,
         "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: '-1/31', 1: "
         "'1/31'}): SheafDatum(S=[], D=(0, 0)) violates on C0=[0, 1]"),
