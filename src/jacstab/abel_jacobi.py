@@ -96,6 +96,10 @@ class VinePhiTable:
     def __init__(self, g: int, n: int, entries):
         self.g = _table_int(g, "g")
         self.n = _table_int(n, "n")
+        for what, value in (("g", self.g), ("n", self.n)):
+            if value < 1:
+                raise PreconditionError("malformed phi table JSON: %s must be"
+                                        " at least 1, got %d" % (what, value))
         self.entries = {vine: exact_rational(x) for vine, x in entries.items()}
 
     def to_dict(self) -> dict:
@@ -104,8 +108,7 @@ class VinePhiTable:
             "n": self.n,
             "entries": [
                 {**vine_to_dict(v), "phi": str(x)}
-                for v, x in sorted(self.entries.items(),
-                                   key=lambda kv: (kv[0].e, kv[0].g1, kv[0].S))
+                for v, x in sorted(self.entries.items())
             ],
         }
 

@@ -37,7 +37,6 @@ MAX_WALLS = 1 << 12
 
 @dataclass(frozen=True)
 class WallSet:
-    vine: VineCurve
     lo: Fraction
     hi: Fraction
     walls: tuple[Fraction, ...]
@@ -58,8 +57,6 @@ class Chamber:
 
 @dataclass(frozen=True)
 class AtlasRecord:
-    g: int
-    n: int
     vine: VineCurve
     wall_set: WallSet
     chambers: tuple[Chamber, ...]
@@ -83,7 +80,7 @@ def walls(vine: VineCurve, window: tuple[Fraction, Fraction]) -> WallSet:
                                 "limit is %d" % (lo, hi, last - first + 1,
                                                   vine, MAX_WALLS))
     positions = [Fraction(m) - half_e for m in range(first, last + 1)]
-    return WallSet(vine, lo, hi, tuple(positions))
+    return WallSet(lo, hi, tuple(positions))
 
 
 def vine_phi(vine: VineCurve, x: Fraction) -> PhiVector:
@@ -117,10 +114,10 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
 
     Walls and stable tables depend on a vine only through e, so ``walls``
     and ``chambers`` run on the first vine of each edge count alone; every
-    other vine gets a ``WallSet`` of its own with the same window and wall
-    positions, and the same tables rebuilt on its own graph.  Every
-    e-edge vine graph has vertex order (0, 1) and edge order 0..e-1, so
-    each datum's mask and degree tuple carry over unchecked.  Runs
+    other vine with that count shares its ``WallSet`` and gets the same
+    tables rebuilt on its own graph.  Every e-edge vine graph has vertex
+    ids (0, 1) and edge order 0..e-1, so each datum's mask and degree
+    tuple carry over unchecked.  Runs
     serially: ``jobs`` is accepted for compatibility and has no effect.
     """
     if g < 1 or n < 1:
@@ -143,7 +140,7 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
             lk, rk = set(left.table_keys), set(right.table_keys)
             deltas.append((tuple(sorted(rk - lk)), tuple(sorted(lk - rk))))
         deltas = tuple(deltas)
-        records.append(AtlasRecord(g, n, group[0], shared, first, deltas))
+        records.append(AtlasRecord(group[0], shared, first, deltas))
         for vine in group[1:]:
             graph = vine.to_graph()
             chs = tuple(
@@ -152,9 +149,7 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
                               for F in c.stable_table),
                         c.is_small_perturbation)
                 for c in first)
-            records.append(AtlasRecord(
-                g, n, vine, WallSet(vine, shared.lo, shared.hi, shared.walls),
-                chs, deltas))
+            records.append(AtlasRecord(vine, shared, chs, deltas))
     return records
 
 
@@ -176,8 +171,8 @@ def table_string(chamber: Chamber) -> str:
 
 def _vine_fields(record: AtlasRecord) -> dict:
     return {
-        "g": record.g,
-        "n": record.n,
+        "g": record.vine.g,
+        "n": record.vine.n,
         "vine": vine_to_dict(record.vine),
         "window": [str(record.wall_set.lo), str(record.wall_set.hi)],
         "walls": [str(w) for w in record.wall_set.walls],
@@ -233,7 +228,7 @@ def atlas_to_json(records: list[AtlasRecord]) -> str:
         texts.append("{%s,%s\n    }" % (_members(_vine_fields(r), 2),
                                          chamber_text))
     return ('{\n  "g": %d,\n  "n": %d,\n  "records": [\n    %s\n  ]\n}\n'
-            % (records[0].g, records[0].n, ",\n    ".join(texts)))
+            % (records[0].vine.g, records[0].vine.n, ",\n    ".join(texts)))
 
 
 CSV_COLUMNS = ["g", "n", "g1", "g2", "e", "S", "chamber_lo", "chamber_hi",
@@ -247,7 +242,7 @@ def atlas_to_csv(records: list[AtlasRecord]) -> str:
     for r in records:
         for c in r.chambers:
             writer.writerow([
-                r.g, r.n, r.vine.g1, r.vine.g2, r.vine.e,
+                r.vine.g, r.vine.n, r.vine.g1, r.vine.g2, r.vine.e,
                 ";".join(map(str, r.vine.S)),
                 str(c.lo), str(c.hi),
                 int(c.is_small_perturbation), table_string(c),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -158,12 +159,12 @@ def stable(graph_path, phi_path, degree, include_nonfree, fmt, out):
 def walls_cmd(g, n, window, fmt, out):
     """Wall positions for every vine of (g, n) inside the window."""
     lo_hi = _parse_window(window)
-    sets = [walls(v, lo_hi) for v in graph_mod.enumerate_vines(g, n, 1)]
+    sets = [(v, walls(v, lo_hi)) for v in graph_mod.enumerate_vines(g, n, 1)]
     _report(fmt, out,
-            lambda: [{"vine": graph_mod.vine_to_dict(w.vine),
-                      "walls": [str(x) for x in w.walls]} for w in sets],
-            ("%s: %s" % (w.vine, " ".join(str(x) for x in w.walls))
-             for w in sets))
+            lambda: [{"vine": graph_mod.vine_to_dict(v),
+                      "walls": [str(x) for x in w.walls]} for v, w in sets],
+            ("%s: %s" % (v, " ".join(str(x) for x in w.walls))
+             for v, w in sets))
 
 
 @main.command(name="atlas")
@@ -191,12 +192,11 @@ def _verdict_lines(result: abel_jacobi.ExtendsResult) -> list[str]:
 
 
 def _parse_twist(g, n, k, a_text):
-    try:
-        a = tuple(int(x) for x in a_text.split(",") if x != "")
-    except ValueError:
+    # every item is an optional sign and ASCII digits, nothing else
+    if not re.fullmatch(r"[+-]?[0-9]+(,[+-]?[0-9]+)*", a_text):
         raise click.UsageError("expected comma-separated integers, got %r"
                                % a_text)
-    return abel_jacobi.AJDatum(k, a, g, n)
+    return abel_jacobi.AJDatum(k, tuple(map(int, a_text.split(","))), g, n)
 
 
 @main.command(name="extends")

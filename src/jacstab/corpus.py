@@ -90,7 +90,7 @@ def _balanced_phi(graph: DualGraph, rng: random.Random, q: int,
                   bound: int) -> PhiVector:
     """Phi with numerators over ``q`` drawn from [-bound, bound] on every
     vertex but the last (in id order); the last one balances the sum."""
-    vids = graph.vertex_order
+    vids = graph.vertex_ids
     nums = [rng.randint(-bound, bound) for _ in vids[:-1]]
     nums.append(-sum(nums))
     return PhiVector._from_numerators(graph, q, dict(zip(vids, nums)))

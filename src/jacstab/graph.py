@@ -10,7 +10,8 @@ Abel-Jacobi extension question.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
@@ -66,7 +67,7 @@ class _SubcurveData:
     """Precomputed incidence data for one subcurve (internal); immutable by
     convention.
 
-    ``positions`` index the subcurve's vertices in ``DualGraph.vertex_order``
+    ``positions`` index the subcurve's vertices in ``DualGraph.vertex_ids``
     and bit ``i`` of an edge mask stands for ``DualGraph.edge_order[i]``.
     """
 
@@ -98,10 +99,10 @@ class DualGraph:
             for v in vertices
         )
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self.vertex_ids: tuple[int, ...] = tuple([v.id for v in self.vertices])
-        # multidegree tuples follow vertex_order, and bit i of an edge mask
-        # stands for edge_order[i]
-        self.vertex_order: tuple[int, ...] = tuple(sorted(self.vertex_ids))
+        # multidegree tuples follow vertex_ids, and bit i of an edge mask
+        # stands for edge_order[i]; both are sorted
+        self.vertex_ids: tuple[int, ...] = tuple(
+            sorted(v.id for v in self.vertices))
         self.edge_order: tuple[int, ...] = tuple(
             sorted([e.id for e in self.edges]))
         self.n = int(n)
@@ -122,11 +123,13 @@ class DualGraph:
         edges = [Edge(i, (min(vw), max(vw))) for i, vw in enumerate(edge_ends)]
         return cls(vertices, edges, n, g)
 
+    @cached_property
+    def _valences(self) -> Counter:
+        return Counter(vid for e in self.edges for vid in e.ends)
+
     def valence(self, vid: int) -> int:
         """Number of edge ends at the vertex; a loop counts twice."""
-        return sum(
-            (e.ends[0] == vid) + (e.ends[1] == vid) for e in self.edges
-        )
+        return self._valences[vid]
 
     def is_connected(self) -> bool:
         """False for no vertices or a repeated id; ignores unknown ends."""
@@ -146,7 +149,7 @@ class DualGraph:
         and a disconnected graph.  Vertex stability and the genus formula
         are not enforced here; :func:`validate` reports them.
         """
-        ids = self.vertex_order
+        ids = self.vertex_ids
         nv = len(ids)
         if nv > MAX_SUBCURVE_VERTICES:
             raise InvalidGraphError("%d vertices, subcurve limit is %d"
@@ -232,10 +235,10 @@ class VineCurve:
 
     e: int
     g1: int
-    S: tuple[int, ...] = field(default=())
-    g2: int = 0
-    n: int = 1
-    g: int = 1
+    S: tuple[int, ...]
+    g2: int
+    n: int
+    g: int
 
     @property
     def side2_markings(self) -> tuple[int, ...]:
@@ -321,7 +324,7 @@ def spanning_tree_count(graph: DualGraph) -> int:
     nv = len(graph.vertices)
     if nv == 1:
         return 1
-    index = {vid: i for i, vid in enumerate(sorted(graph.vertex_ids))}
+    index = {vid: i for i, vid in enumerate(graph.vertex_ids)}
     lap = [[0] * nv for _ in range(nv)]
     for e in graph.edges:
         if e.is_loop:
@@ -370,15 +373,18 @@ def _json_int(value, what: str, doc: str = "graph",
 
 def graph_from_dict(data: dict) -> DualGraph:
     """The graph of a JSON dict; :class:`InvalidGraphError` for a missing
-    key, a wrong container, or an id, ``h``, ``n``, ``genus``, marking or
-    edge end that is not an integer.  Structure is checked by
-    :func:`validate`."""
+    key, a wrong container, an id, ``h``, ``n``, ``genus``, marking or edge
+    end that is not an integer, or a marking listed twice on one vertex.
+    Structure is checked by :func:`validate`."""
     try:
-        vertices = [Vertex(_json_int(v["id"], "vertex id"),
-                           _json_int(v["h"], "h"),
-                           frozenset(_json_int(m, "marking")
-                                     for m in v["markings"]))
-                    for v in data["vertices"]]
+        vertices = []
+        for v in data["vertices"]:
+            vid, h = _json_int(v["id"], "vertex id"), _json_int(v["h"], "h")
+            marks = [_json_int(m, "marking") for m in v["markings"]]
+            if len(set(marks)) != len(marks):
+                raise InvalidGraphError("malformed graph JSON: vertex %d lists"
+                                        " a marking twice: %r" % (vid, marks))
+            vertices.append(Vertex(vid, h, frozenset(marks)))
         edges = []
         for e in data["edges"]:
             ends = [_json_int(x, "edge end") for x in e["ends"]]

@@ -18,7 +18,7 @@ every subcurve test runs on the integers ``q*phi(C0)``
 (:meth:`PhiVector.subcurve_sums`) with the inequality scaled by ``2q``.
 The sheaf side runs on integers too: a :class:`SheafDatum` stores ``S`` as
 an edge mask (bit ``i`` for ``graph.edge_order[i]``) and ``D`` as a tuple in
-``graph.vertex_order``, the form the search works in, and
+``graph.vertex_ids``, the form the search works in, and
 ``#(S intersect X)`` is ``(S & mask).bit_count()`` against the subcurve's
 ``internal_mask`` and ``crossing_mask`` (``int.bit_count`` needs Python
 3.10).  The search builds objects only for its results.
@@ -153,7 +153,7 @@ class SheafDatum:
     """Combinatorial rank-1 torsion-free sheaf: non-free edges S, degrees D.
 
     Stored as ``mask`` (bit ``i`` for ``graph.edge_order[i]``) and ``degrees``
-    (D in ``graph.vertex_order``); ``S``, ``D`` and ``key`` are built on read.
+    (D in ``graph.vertex_ids``); ``S``, ``D`` and ``key`` are built on read.
     """
 
     __slots__ = ("graph", "mask", "degrees")
@@ -169,7 +169,7 @@ class SheafDatum:
         self.graph = graph
         self.mask = sum(1 << i for i, eid in enumerate(graph.edge_order)
                         if eid in S)
-        self.degrees = tuple(int(D[vid]) for vid in graph.vertex_order)
+        self.degrees = tuple(int(D[vid]) for vid in graph.vertex_ids)
 
     @classmethod
     def _from_kernel(cls, graph: DualGraph, mask: int, degrees: tuple):
@@ -185,7 +185,7 @@ class SheafDatum:
 
     @property
     def D(self) -> dict:
-        return dict(zip(self.graph.vertex_order, self.degrees))
+        return dict(zip(self.graph.vertex_ids, self.degrees))
 
     @property
     def key(self) -> tuple:
@@ -323,7 +323,7 @@ def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
         raise InvalidGraphError("%d edges, non-free limit is %d"
                                 % (ne, MAX_NONFREE_EDGES))
     masks = range(1 << ne) if include_nonfree else (0,)
-    vids = graph.vertex_order
+    vids = graph.vertex_ids
     nv = len(vids)
     if nv == 1:
         # No proper subcurves: D is pinned by the total degree and every
@@ -410,7 +410,7 @@ def verify_support_lemma(graph: DualGraph, phi: PhiVector):
     if not violations:
         return True
     S, D, info = min(violations, key=lambda v: v[:2])
-    return (SheafDatum(graph, S, dict(zip(graph.vertex_order, D))),
+    return (SheafDatum(graph, S, dict(zip(graph.vertex_ids, D))),
             info.vertex_set)
 
 
@@ -455,9 +455,16 @@ def phi_to_dict(phi: PhiVector) -> dict:
 
 def phi_from_dict(graph: DualGraph, data: dict) -> PhiVector:
     """The phi of a JSON dict; :class:`PreconditionError` for a missing key,
-    a wrong container or a vertex id that is not an integer."""
+    a wrong container or a vertex id key that is not a canonical integer
+    (one that ``str(int(key))`` gives back unchanged, so no two keys name
+    one vertex)."""
     try:
-        values = {int(vid): val for vid, val in data["values"].items()}
+        values = {}
+        for key, val in data["values"].items():
+            if str(int(key)) != key:
+                raise ValueError("vertex id %r is not a canonical integer"
+                                 % key)
+            values[int(key)] = val
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise PreconditionError("malformed phi JSON: %s" % exc) from exc
     return PhiVector(graph, values)

@@ -141,9 +141,9 @@ def atlas_json_reference(records):
     def keys(ks):
         return [[list(S), list(D)] for S, D in ks]
 
-    payload = {"g": records[0].g, "n": records[0].n, "records": [{
-        "g": r.g,
-        "n": r.n,
+    payload = {"g": records[0].vine.g, "n": records[0].vine.n, "records": [{
+        "g": r.vine.g,
+        "n": r.vine.n,
         "vine": {"g1": r.vine.g1, "g2": r.vine.g2, "e": r.vine.e,
                  "S": list(r.vine.S)},
         "window": [str(r.wall_set.lo), str(r.wall_set.hi)],

@@ -422,10 +422,12 @@ _G2N2_ROWS = construct_prop_phi(2, 2, 1, 2).to_dict()["entries"]
     ({"g": 2, "n": 2,
       "entries": _G2N2_ROWS + [{**_G2N2_ROWS[-1], "phi": "1/3"}]},
      "row vine(g1=0, g2=0, e=3, S={1}) repeats an earlier row"),
+    ({"g": 0, "n": 1, "entries": []}, "g must be at least 1, got 0"),
+    ({"g": 1, "n": -1, "entries": []}, "n must be at least 1, got -1"),
 ], ids=["int-entries", "int-S", "no-phi", "list", "float-g", "bool-n",
         "float-e", "bool-g1", "string-g2", "float-S-entry",
         "row-of-another-genus", "marking-outside-1-n", "unstable-side",
-        "repeated-row"])
+        "repeated-row", "zero-g", "negative-n"])
 def test_phi_table_malformed_json_rejected(data, reason):
     with pytest.raises(PreconditionError,
                        match="malformed phi table JSON: " + re.escape(reason)):

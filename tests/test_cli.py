@@ -151,6 +151,11 @@ SheafDatum(S=[9], D=(0, 0, -1))
         {},
         {"genus": 1, "n": 1, "vertices": [{"id": 0, "h": 1, "markings": [1]}],
          "edges": [{"id": 0, "ends": []}]},
+        # the valid vine of vine_files, with marking 1 listed twice
+        {"genus": 2, "n": 1,
+         "vertices": [{"id": 0, "h": 0, "markings": [1, 1]},
+                      {"id": 1, "h": 1, "markings": []}],
+         "edges": [{"id": 0, "ends": [0, 1]}, {"id": 1, "ends": [0, 1]}]},
     ])
     def test_malformed_graph_exits_1(self, vine_files, tmp_path, graph):
         _, ppath = vine_files
@@ -278,6 +283,9 @@ class TestExtends:
         assert proc.stdout == ""
 
 
+_NOT_CANONICAL = "malformed phi JSON: vertex id %s is not a canonical integer"
+
+
 class TestMalformedPhiJson:
     """A phi or phi table file of the wrong shape is an error, not a
     traceback."""
@@ -286,7 +294,15 @@ class TestMalformedPhiJson:
         ({"values": [1, 2]}, "malformed phi JSON"),
         ([1], "malformed phi JSON"),
         ({"values": {"0": True, "1": -1}}, "booleans"),
-    ], ids=["list-values", "list", "bool-value"])
+        # keys int() reads but no canonical integer; "00" repeats vertex 0
+        ({"values": {"0": "1/2", "00": "3/10", "1": "-3/10"}},
+         _NOT_CANONICAL % "'00'"),
+        ({"values": {" 0": "3/10", "1": "-3/10"}}, _NOT_CANONICAL % "' 0'"),
+        ({"values": {"+0": "3/10", "1": "-3/10"}}, _NOT_CANONICAL % "'+0'"),
+        ({"values": {"0_0": "3/10", "1": "-3/10"}},
+         _NOT_CANONICAL % "'0_0'"),
+    ], ids=["list-values", "list", "bool-value", "repeated-vertex-key",
+            "space-key", "plus-key", "underscore-key"])
     def test_stable(self, vine_files, tmp_path, phi, message):
         gpath, _ = vine_files
         ppath = tmp_path / "phi.json"
@@ -430,6 +446,15 @@ class TestUsageErrors:
         proc = run_cli("stable", "--graph", str(gpath), "--phi", str(ppath))
         assert proc.returncode == 1
         assert "p/q" in proc.stderr
+
+    @pytest.mark.parametrize("a_text", ["1,,-1", "1,", " 1_0,-1_0"])
+    def test_twist_items_are_signed_ascii_digits(self, a_text):
+        result = CliRunner().invoke(cli.main, ["classify", "--g", "2", "--n",
+                                               "2", "--a", a_text])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "expected comma-separated integers, got %r" % a_text \
+            in result.stderr
 
     def test_missing_required_flag(self):
         proc = run_cli("vines", "--g", "2")

@@ -60,6 +60,15 @@ class TestValidate:
         assert any("not connected" in d for d in diags)
         assert any("genus formula" in d for d in diags)
 
+    def test_large_cycle_is_fast(self):
+        # edge ends are counted once per graph, not once per vertex
+        nv = 20_000
+        g = DualGraph.build([(i, 1, (1,) if i == 0 else ()) for i in range(nv)],
+                            [(i, (i + 1) % nv) for i in range(nv)], 1)
+        start = time.perf_counter()
+        assert validate(g) == []
+        assert time.perf_counter() - start < 5
+
 
 def vertex_sets(graph):
     return [sorted(info.vertices) for info in graph.subcurve_data]
@@ -345,3 +354,15 @@ class TestGraphFromDict:
         data["edges"][0]["ends"] = ends
         with pytest.raises(InvalidGraphError, match="two vertex ids"):
             graph_from_dict(data)
+
+    def test_marking_listed_twice_on_a_vertex(self):
+        data = self.good()
+        data["vertices"][0]["markings"] = [1, 1]
+        with pytest.raises(InvalidGraphError, match="vertex 0 lists a "
+                           "marking twice"):
+            graph_from_dict(data)
+
+
+def test_vine_curve_takes_all_six_fields():
+    with pytest.raises(TypeError):
+        VineCurve(2, 0)

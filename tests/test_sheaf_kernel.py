@@ -184,7 +184,7 @@ def test_integer_constructor_reduces_like_fractions():
     graph = CORPUS[-1]
     for q, nums in [(6, (2, -4, 0, 2)), (7, (0, 0, 0, 0)), (5, (3, -1, -1, -1)),
                     (12, (8, -2, -3, -3))]:
-        numerators = dict(zip(graph.vertex_order, nums))
+        numerators = dict(zip(graph.vertex_ids, nums))
         phi = PhiVector._from_numerators(graph, q, numerators)
         ref = PhiVector(graph, {v: Fraction(x, q) for v, x in numerators.items()})
         assert (phi.q, phi.numerators, phi.values) == \

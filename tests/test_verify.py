@@ -57,7 +57,7 @@ def test_vacuous_bounds_rejected(suite, bounds):
 
 
 def _two_vertices(graph):
-    return len(graph.vertex_order) == 2
+    return len(graph.vertex_ids) == 2
 
 
 # For each suite, a predicate of jacstab.verify and a lie(answer, *args) that
@@ -76,7 +76,7 @@ _LIES = {
                        "'-20/31', 1: '20/31'}): closed form False, brute "
                        "force True"),
     "support-lemma": ("verify_support_lemma", lambda ok, g, phi: (
-        stable_sheaf_data(g, phi, 0)[0], frozenset(g.vertex_order))
+        stable_sheaf_data(g, phi, 0)[0], frozenset(g.vertex_ids))
         if _two_vertices(g) else ok, 121,
         "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: '-1/31', 1: "
         "'1/31'}): SheafDatum(S=[], D=(0, 0)) violates on C0=[0, 1]"),
