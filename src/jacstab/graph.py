@@ -67,16 +67,19 @@ class _SubcurveData:
     """Precomputed incidence data for one subcurve (internal); immutable by
     convention.
 
-    ``positions`` index the subcurve's vertices in ``DualGraph.vertex_ids``
-    and bit ``i`` of an edge mask stands for ``DualGraph.edge_order[i]``.
+    ``prefix`` indexes the same subcurve without its last vertex, an earlier
+    entry of ``DualGraph.subcurve_data`` (-1 for a singleton), and ``last``
+    is that vertex's position in ``DualGraph.vertex_ids``, so a per-subcurve
+    sum is one addition.  Bit ``i`` of an edge mask is ``edge_order[i]``.
     """
 
-    __slots__ = ("vertices", "positions", "cr", "crossing_mask",
+    __slots__ = ("vertices", "prefix", "last", "cr", "crossing_mask",
                  "internal_mask")
 
-    def __init__(self, vertices, positions, crossing_mask, internal_mask):
+    def __init__(self, vertices, prefix, last, crossing_mask, internal_mask):
         self.vertices: tuple[int, ...] = vertices
-        self.positions: tuple[int, ...] = positions
+        self.prefix = prefix
+        self.last = last
         self.cr = crossing_mask.bit_count()   # number of crossing edges
         self.crossing_mask = crossing_mask    # exactly one endpoint inside
         self.internal_mask = internal_mask    # both endpoints inside, loops incl.
@@ -142,12 +145,15 @@ class DualGraph:
     def subcurve_data(self) -> tuple[_SubcurveData, ...]:
         """Incidence data for all nonempty proper vertex subsets.
 
-        Deterministic order: by subset size, then by sorted vertex tuple.
-        This is the structural chokepoint of every subcurve test: it raises
-        :class:`InvalidGraphError` above ``MAX_SUBCURVE_VERTICES``, for no
-        vertices, repeated vertex or edge ids, an edge with an unknown end,
-        and a disconnected graph.  Vertex stability and the genus formula
-        are not enforced here; :func:`validate` reports them.
+        Deterministic order: by subset size, then by sorted vertex tuple, so
+        the singletons come first and every ``prefix`` points back.  An
+        entry's edge masks, like any sum over it, take one step from its
+        prefix's and its last vertex's.  This is the structural chokepoint
+        of every subcurve test: it raises :class:`InvalidGraphError` above
+        ``MAX_SUBCURVE_VERTICES``, for no vertices, repeated vertex or edge
+        ids, an edge with an unknown end, and a disconnected graph.  Vertex
+        stability and the genus formula are not enforced here;
+        :func:`validate` reports them.
         """
         ids = self.vertex_ids
         nv = len(ids)
@@ -167,17 +173,23 @@ class DualGraph:
             a, b = e.ends
             first[a] |= 1 << bit
             second[b] |= 1 << bit
-        out = []
-        for size in range(1, nv):
-            for combo, vertices in zip(combinations(range(nv), size),
-                                       combinations(ids, size)):
-                a = b = 0
-                for v in vertices:
-                    a |= first[v]
-                    b |= second[v]
-                if a == b:
-                    raise InvalidGraphError("graph not connected")
-                out.append(_SubcurveData(vertices, combo, a ^ b, a & b))
+        # by position; a vertex joining a subcurve turns the crossing edges at
+        # it internal and its other non-loop edges (touch) crossing.  out grows
+        # as it is read, so entries come breadth first: lexicographic by size
+        touch = [first[v] ^ second[v] for v in ids]
+        loops = [first[v] & second[v] for v in ids]
+        out = [_SubcurveData((vid,), -1, i, touch[i], loops[i])
+               for i, vid in enumerate(ids)] if nv > 1 else []
+        for prefix, p in enumerate(out):
+            if len(p.vertices) == nv - 1:
+                break
+            for last in range(p.last + 1, nv):
+                cross, t = p.crossing_mask, touch[last]
+                out.append(_SubcurveData(
+                    p.vertices + (ids[last],), prefix, last, cross ^ t,
+                    p.internal_mask | cross & t | loops[last]))
+        if not all(info.crossing_mask for info in out):
+            raise InvalidGraphError("graph not connected")
         return tuple(out)
 
 

@@ -21,7 +21,9 @@ an edge mask (bit ``i`` for ``graph.edge_order[i]``) and ``D`` as a tuple in
 ``graph.vertex_ids``, the form the search works in, and
 ``#(S intersect X)`` is ``(S & mask).bit_count()`` against the subcurve's
 ``internal_mask`` and ``crossing_mask`` (``int.bit_count`` needs Python
-3.10).  The search builds objects only for its results.
+3.10).  The search builds objects only for its results.  Each sum over a
+subcurve, of phi or of degrees, is one addition: the sum on its ``prefix``
+(itself without its last vertex, earlier in the table) plus one value.
 
 Wall criterion
 --------------
@@ -60,7 +62,8 @@ from .graph import MAX_NONFREE_EDGES, DualGraph
 
 log = logging.getLogger(__name__)
 
-_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
+# ASCII only: int() and Fraction() also read other Unicode digits and spaces
+_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*", re.ASCII)
 
 
 def exact_rational(x) -> Fraction:
@@ -133,9 +136,11 @@ class PhiVector:
         """``q * phi(C0)`` for every subcurve, in ``self.graph.subcurve_data``
         order.  Computed once per vector."""
         if self._sums is None:
-            nums = self.numerators.__getitem__
-            self._sums = tuple(sum(map(nums, info.vertices))
-                               for info in self.graph.subcurve_data)
+            # the table starts with the singletons: their sums are the values
+            sums = [self.numerators[vid] for vid in self.graph.vertex_ids]
+            for info in self.graph.subcurve_data[len(sums):]:
+                sums.append(sums[info.prefix] + sums[info.last])
+            self._sums = tuple(sums) if len(sums) > 1 else ()   # one vertex
         return self._sums
 
     def __repr__(self):
@@ -215,17 +220,20 @@ def _phi_context(graph, phi):
     # |deg - s/q + delta/2| < (cr - delta)/2 becomes
     # |2q*deg - 2s + q*delta| < q*(cr - delta).
     q = phi.q
-    return [(info.positions, info.internal_mask, info.crossing_mask,
-             info.cr, 2 * s, q)
-            for info, s in zip(graph.subcurve_data, phi.subcurve_sums())]
+    return [(i, info.prefix, info.last, info.internal_mask,
+             info.crossing_mask, info.cr, 2 * s, q)
+            for i, (info, s) in enumerate(zip(graph.subcurve_data,
+                                              phi.subcurve_sums()))]
 
 
 def _satisfies_ctx(ctx, S: int, D: tuple) -> bool:
     """The inequality on every subcurve in ``ctx`` for ``S`` a mask and ``D``
-    a degree tuple, as a :class:`SheafDatum` stores them."""
-    at = D.__getitem__
-    for positions, internal, crossing, cr, twos, q in ctx:
-        deg = sum(map(at, positions))
+    a degree tuple, as a :class:`SheafDatum` stores them; ``ctx`` is the
+    table or its part after the singletons.  Each degree sum is its prefix's
+    plus one vertex, built as the test goes (``degs[-1]`` is the empty one)."""
+    degs = list(D) + [0] * (len(ctx) + 1)
+    for i, prefix, last, internal, crossing, cr, twos, q in ctx:
+        deg = degs[i] = degs[prefix] + D[last]
         if S:
             deg += (S & internal).bit_count()
             delta = (S & crossing).bit_count()
@@ -400,10 +408,10 @@ def verify_support_lemma(graph: DualGraph, phi: PhiVector):
         raise PreconditionError("phi is degenerate")
     violations = []
     for S, D in _stable_pairs(graph, phi, 0, include_nonfree=True):
-        at = D.__getitem__
-        for info in graph.subcurve_data:
-            deg = sum(map(at, info.positions)) \
-                + (S & info.internal_mask).bit_count()
+        degs = [0] * (len(graph.subcurve_data) + 1)   # as in _satisfies_ctx
+        for i, info in enumerate(graph.subcurve_data):
+            deg = degs[i] = degs[info.prefix] + D[info.last]
+            deg += (S & info.internal_mask).bit_count()
             if not deg < info.cr - (S & info.crossing_mask).bit_count():
                 violations.append((_edge_ids(graph.edge_order, S), D, info))
                 break

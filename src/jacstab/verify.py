@@ -77,13 +77,20 @@ def _per_graph_rng(seed: int, index: int) -> random.Random:
 def _run_item(case, trials, seed, work):
     """Run ``case(item, rng, trials, seed)``, which yields None for each
     passing case and a message for a failing one, on one indexed item up to
-    its first message; return (cases run, that message or None)."""
+    its first message; return (cases run, that message or None).  A case
+    that raises counts as run and failing, and its message names the item,
+    its replay seed and the exception."""
     index, item = work
     cases = 0
-    for bad in case(item, _per_graph_rng(seed, index), trials, seed):
-        cases += 1
-        if bad is not None:
-            return cases, bad
+    try:
+        for bad in case(item, _per_graph_rng(seed, index), trials, seed):
+            cases += 1
+            if bad is not None:
+                return cases, bad
+    except Exception as exc:
+        log.debug("item %d raised", index, exc_info=True)
+        return cases + 1, "item %d (replay seed %d) raised %s: %s" % (
+            index, seed * 1_000_003 + index, type(exc).__name__, exc)
     return cases, None
 
 

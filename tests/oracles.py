@@ -293,34 +293,34 @@ def reference_enumerate_vines(g: int, n: int, min_edges: int):
 
 # --- The frozenset sheaf-data search that the edge-mask kernel replaced ---
 #
-# Edge sets are frozensets intersected per subcurve, and each subcurve's
-# internal and crossing edges are read off graph.edges; jacstab.stability's
+# Edge sets are frozensets intersected per subcurve, each subcurve's
+# internal and crossing edges are read off graph.edges, and phi(C0) and the
+# preconditions come from the Fraction references above; jacstab.stability's
 # stable_sheaf_data and verify_support_lemma must return the same lists and
 # the same first violation.
 
 def _phi_context(graph, phi):
-    # Scaled to integers: with phi(C0) = s/q, the inequality
-    # |deg - s/q + delta/2| < (cr - delta)/2 becomes
-    # |2q*deg - 2s + q*delta| < q*(cr - delta).
-    q = phi.q
+    # phi(C0) summed as Fractions per subcurve, not read from the kernel's
+    # PhiVector.subcurve_sums
     ctx = []
-    for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
+    for info in graph.subcurve_data:
         crossing = crossing_edges(graph, info.vertices)
         ctx.append((info.vertices, internal_edges(graph, info.vertices),
-                    crossing, len(crossing), 2 * s, q))
+                    crossing, len(crossing), fraction_subcurve_sum(phi, info)))
     return ctx
 
 
 def _satisfies_ctx(ctx, S, D, strict: bool) -> bool:
-    for verts, internal, crossing, cr, twos, q in ctx:
+    # |deg - phi(C0) + delta/2| < (cr - delta)/2, in Fractions
+    for verts, internal, crossing, cr, x in ctx:
         deg = sum(D[v] for v in verts)
         if S:
             deg += len(S & internal)
             delta = len(S & crossing)
         else:
             delta = 0
-        lhs = abs(2 * q * deg - twos + q * delta)
-        rhs = q * (cr - delta)
+        lhs = abs(deg - x + Fraction(delta, 2))
+        rhs = Fraction(cr - delta, 2)
         if lhs > rhs or (strict and lhs == rhs):
             return False
     return True
@@ -357,7 +357,7 @@ def reference_stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
     canonically ordered by (sorted S, D).
     """
     _check_same_graph(graph, phi)
-    if not is_nondegenerate(graph, phi):
+    if not fraction_is_nondegenerate(graph, phi):
         raise DegenerateParameterError(
             "degenerate parameter: stable != semistable ambiguity")
 
@@ -414,9 +414,9 @@ def reference_verify_support_lemma(graph: DualGraph, phi: PhiVector):
     (which would force deg_C0(F) >= cr(C0)) cannot exist.  Returns True or
     the first violating (F, C0).
     """
-    if not is_small_perturbation(graph, phi):
+    if not fraction_is_small_perturbation(graph, phi):
         raise PreconditionError("phi is not a small perturbation of 0")
-    if not is_nondegenerate(graph, phi):
+    if not fraction_is_nondegenerate(graph, phi):
         raise PreconditionError("phi is degenerate")
     subcurves = [(info.vertices, internal_edges(graph, info.vertices),
                   crossing_edges(graph, info.vertices))

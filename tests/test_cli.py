@@ -439,6 +439,13 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert "zero denominator" in proc.stderr
 
+    def test_non_ascii_digit_window_rejected(self):
+        # Arabic-Indic one on both ends of the window
+        proc = run_cli("walls", "--g", "2", "--n", "1",
+                       "--window", "-\u0661..\u0661")
+        assert proc.returncode == 2
+        assert "p/q" in proc.stderr
+
     def test_decimal_phi_file_rejected(self, vine_files, tmp_path):
         gpath, _ = vine_files
         ppath = tmp_path / "decimal_phi.json"
@@ -558,6 +565,26 @@ class TestOtherCommands:
             cli.main, ["verify", "--suite", "prop41", "--jobs", "0"])
         assert (result.exit_code, result.stdout, result.stderr) == (
             1, "", "error: need jobs >= 1, got 0\n")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_verify_raising_case_prints_fail(self, monkeypatch, jobs):
+        # an exception inside a case is a failing case, not a traceback
+        true = verify.is_small_perturbation
+
+        def check(graph, phi):
+            if len(graph.vertices) == 2:
+                raise RuntimeError("boom")
+            return true(graph, phi)
+
+        monkeypatch.setattr(verify, "is_small_perturbation", check)
+        result = CliRunner().invoke(cli.main, [
+            "verify", "--suite", "cor25", "--max-vertices", "2",
+            "--max-edges", "3", "--trials", "2", "--seed", "1",
+            "--jobs", jobs])
+        assert (result.exit_code, result.stderr) == (1, "")
+        assert result.stdout == (
+            "cor25: FAIL (121 cases)\n  first counterexample: item 18 "
+            "(replay seed 1000021) raised RuntimeError: boom\n")
 
     def test_verify_sampling_failure_exits_cleanly(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -4,10 +4,12 @@ import random
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import pytest
 
 import jacstab
+from jacstab.corpus import stable_graph_corpus
 from jacstab.errors import InvalidGraphError, PreconditionError
 from jacstab.graph import (
     MAX_SUBCURVE_VERTICES,
@@ -132,6 +134,49 @@ class TestSubcurves:
     def test_deterministic_order(self):
         assert vertex_sets(triangle()) == [
             [0], [1], [2], [0, 1], [0, 2], [1, 2]]
+
+
+def _edge_mask(graph, eids):
+    """The mask of ``eids``: bit ``i`` for ``graph.edge_order[i]``."""
+    return sum(1 << graph.edge_order.index(eid) for eid in eids)
+
+
+def _prefix_link_graphs():
+    rng = random.Random(20)
+    unsorted = DualGraph(
+        [(5, 0, (1,)), (2, 1, ()), (9, 0, (2,)), (4, 0, ())],
+        [Edge(7, (2, 5)), Edge(3, (5, 9)), Edge(100, (2, 9)),
+         Edge(42, (2, 2)), Edge(8, (4, 5)), Edge(1, (4, 9))], 2)
+    return (stable_graph_corpus(5, 7)
+            + [random_stable_graph(rng, 6) for _ in range(200)] + [unsorted])
+
+
+class TestPrefixLinks:
+    """Each entry's prefix is itself without its last vertex, earlier in
+    the table, and the masks built from it are those of the edges read off
+    ``graph.edges``."""
+
+    def test_prefix_links_and_masks(self):
+        checked = 0
+        for graph in _prefix_link_graphs():
+            data = graph.subcurve_data
+            ids = graph.vertex_ids
+            assert [info.vertices for info in data] == [
+                c for k in range(1, len(ids)) for c in combinations(ids, k)]
+            for i, info in enumerate(data):
+                if len(info.vertices) == 1:
+                    assert info.prefix == -1
+                else:
+                    assert 0 <= info.prefix < i
+                    assert data[info.prefix].vertices == info.vertices[:-1]
+                assert graph.vertex_ids[info.last] == info.vertices[-1]
+                internal = internal_edges(graph, info.vertices)
+                crossing = crossing_edges(graph, info.vertices)
+                assert (info.cr, info.internal_mask, info.crossing_mask) == (
+                    len(crossing), _edge_mask(graph, internal),
+                    _edge_mask(graph, crossing))
+                checked += 1
+        assert checked > 25_000
 
 
 class TestEnumerateVines:

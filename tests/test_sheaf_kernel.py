@@ -107,7 +107,8 @@ def test_first_support_violation_matches_frozenset_reference(
     # Off the small-perturbation locus the bound fails, which exercises
     # the choice of the first violating (F, C0).
     monkeypatch.setattr(stability, "is_small_perturbation", lambda g, p: True)
-    monkeypatch.setattr(oracles, "is_small_perturbation", lambda g, p: True)
+    monkeypatch.setattr(oracles, "fraction_is_small_perturbation",
+                        lambda g, p: True)
     if nonfree_only:
         # Line bundles come first in canonical order and one of them fails
         # whenever any datum does; without them the bound is tested on

@@ -125,6 +125,12 @@ class TestExactInput:
         with pytest.raises(PreconditionError):
             exact_rational(x)
 
+    @pytest.mark.parametrize("x", ["\u0661/\u0662", "\u0661", "1/\u0662"])
+    def test_non_ascii_digits_rejected(self, x):
+        # int() reads any Unicode decimal digit; a rational takes 0-9 only
+        with pytest.raises(PreconditionError):
+            exact_rational(x)
+
     def test_float_phi_rejected(self):
         g = vine_graph(2)
         with pytest.raises(PreconditionError):
@@ -304,7 +310,7 @@ class TestAdditivity:
                 assert degree_on(info.vertices) + degree_on(rest) + delta \
                     == total_degree(F)
                 # the kernel's masks give the same degree and delta
-                assert sum(F.degrees[p] for p in info.positions) \
+                assert sum(F.D[v] for v in info.vertices) \
                     + (F.mask & info.internal_mask).bit_count() \
                     == degree_on(info.vertices)
                 assert (F.mask & info.crossing_mask).bit_count() == delta

@@ -100,6 +100,29 @@ def test_lying_predicate_fails_suite(suite, monkeypatch):
         (False, cases, counterexample)
 
 
+def _raise_on_two_vertices(monkeypatch):
+    true = verify.is_small_perturbation
+
+    def check(graph, phi):
+        if len(graph.vertices) == 2:
+            raise RuntimeError("boom on %r" % graph)
+        return true(graph, phi)
+
+    monkeypatch.setattr(verify, "is_small_perturbation", check)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raising_case_fails_suite_with_replay_seed(monkeypatch, jobs):
+    # item 18 is the first two-vertex graph; its replay seed is
+    # 1 * 1_000_003 + 18
+    _raise_on_two_vertices(monkeypatch)
+    result = run_suite("cor25", max_vertices=2, max_edges=3, trials=2,
+                       seed=1, jobs=jobs)
+    assert (result.passed, result.cases, result.counterexample) == (
+        False, 121, "item 18 (replay seed 1000021) raised RuntimeError: "
+                    "boom on DualGraph(g=2, n=1, V=2, E=1)")
+
+
 def test_per_graph_seed_is_replayable():
     # the documented replay formula: random.Random(seed * 1_000_003 + index)
     for seed, index in ((0, 0), (1, 7), (3, 1022)):
