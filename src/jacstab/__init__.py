@@ -16,6 +16,7 @@ from .graph import (
     DualGraph,
     VineCurve,
     enumerate_vines,
+    iter_vines,
     make_vine,
     spanning_tree_count,
     validate,

@@ -29,7 +29,7 @@ from .errors import (
     TrivialTwistError,
 )
 from .graph import (DualGraph, VineCurve, _json_int, enumerate_vines,
-                    make_vine, vine_to_dict)
+                    iter_vines, make_vine, vine_to_dict)
 from .stability import (
     SheafDatum,
     epsilon_stream,
@@ -121,7 +121,7 @@ class VinePhiTable:
         an earlier row's vine raises :class:`PreconditionError`."""
         try:
             table = cls(data["g"], data["n"], {})
-            vines = set(enumerate_vines(table.g, table.n, 1))
+            vines = set(iter_vines(table.g, table.n, 1))
             for row in data["entries"]:
                 g1, g2, e = (_table_int(row[k], k) for k in ("g1", "g2", "e"))
                 S = sorted(_table_int(m, "S entry") for m in row["S"])
@@ -295,8 +295,9 @@ def classify_extension(g: int, n: int, aj: AJDatum,
 
     "yes" answers carry the table from :func:`construct_prop_phi`, whose
     acceptance, once per (e, m) class, is the check :func:`sigma_extends`
-    makes per vine, so it is not run twice; "no" answers carry an
-    obstructing vine together with an exhaustive chamber certificate.
+    makes per vine, so it is not run twice; "no" answers carry the first
+    obstructing vine in canonical order together with an exhaustive chamber
+    certificate, and build no vine after it.
     """
     if aj.is_trivial:
         raise TrivialTwistError("trivial twist")
@@ -313,7 +314,7 @@ def classify_extension(g: int, n: int, aj: AJDatum,
         return ExtendsResult(True, None, None,
                              construct_prop_phi(g, n, ij[0], ij[1], seed))
 
-    for vine in enumerate_vines(g, n, 2):
+    for vine in iter_vines(g, n, 2):
         m = vine_bidegree(vine, aj)
         cert = certify_unstable_on_vine(vine, m)
         if cert is not None:

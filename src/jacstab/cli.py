@@ -6,7 +6,7 @@ and every unreadable input (``OSError``, ``ValueError`` such as malformed
 JSON, ``KeyError``) into ``error: ...`` on stderr and exit 1; an unreadable
 input file reads ``error: cannot read WHAT PATH: ...`` and a failed
 ``--out`` write ``error: cannot write PATH: ...``.
-Oversized input fails fast: ``enumerate_vines`` refuses (g, n) above
+Oversized input fails fast: ``iter_vines`` refuses (g, n) above
 ``graph.MAX_VINE_CANDIDATES`` and ``walls`` a window of more than
 ``atlas.MAX_WALLS`` walls.  Rationals are accepted only as "p/q" strings
 (no decimals).  Set JACSTAB_LOG to a level name (DEBUG, INFO, ...) for
@@ -159,7 +159,7 @@ def stable(graph_path, phi_path, degree, include_nonfree, fmt, out):
 def walls_cmd(g, n, window, fmt, out):
     """Wall positions for every vine of (g, n) inside the window."""
     lo_hi = _parse_window(window)
-    sets = [(v, walls(v, lo_hi)) for v in graph_mod.enumerate_vines(g, n, 1)]
+    sets = [(v, walls(v, lo_hi)) for v in graph_mod.iter_vines(g, n, 1)]
     _report(fmt, out,
             lambda: [{"vine": graph_mod.vine_to_dict(v),
                       "walls": [str(x) for x in w.walls]} for v, w in sets],

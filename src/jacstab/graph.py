@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -289,17 +290,18 @@ def make_vine(g1: int, g2: int, e: int, S, n: int) -> VineCurve:
     return VineCurve(e, g2, s2, g1, n, g)
 
 
-def enumerate_vines(g: int, n: int, min_edges: int) -> list[VineCurve]:
-    """All canonical vines with e >= min_edges for fixed (g, n).
+def iter_vines(g: int, n: int, min_edges: int) -> Iterator[VineCurve]:
+    """All canonical vines with e >= min_edges for fixed (g, n), built one at
+    a time as they are read, so a reader that stops early builds no more.
 
     Finite because g1 + g2 + e - 1 = g forces e <= g + 1.  Both sides must
     satisfy the vertex stability inequality.  One orderly pass: each side-1
     marking set is met once, with its complement, in lexicographic order,
-    and only the canonical orientation is kept, so the output is already
-    in ``(e, g1, S)`` order with no duplicates to remove.  Raises
-    :class:`PreconditionError` before building anything when the pass would
-    visit more than ``MAX_VINE_CANDIDATES`` triples, bounded by
-    ``(g + 1)^2 * 2^n``.
+    and only the canonical orientation is kept, so the walk is already in
+    ``(e, g1, S)`` order with no duplicates to remove.  The arguments are
+    checked when this is called, not when the walk starts: it raises
+    :class:`PreconditionError` when the pass would visit more than
+    ``MAX_VINE_CANDIDATES`` triples, bounded by ``(g + 1)^2 * 2^n``.
     """
     if g < 1 or n < 1 or min_edges < 1:
         raise ValueError("require g >= 1, n >= 1, min_edges >= 1")
@@ -313,15 +315,20 @@ def enumerate_vines(g: int, n: int, min_edges: int) -> list[VineCurve]:
     sides = [(s1, tuple(m for m in marks if m not in s1))
              for s1 in sorted(s for size in range(n + 1)
                               for s in combinations(marks, size))]
-    out = []
-    for e in range(min_edges, g + 2):
-        for g1 in range(0, (g - e + 1) // 2 + 1):
-            g2 = g - e + 1 - g1
-            out.extend(VineCurve(e, g1, s1, g2, n, g) for s1, s2 in sides
-                       if (g1 < g2 or s1 <= s2)
-                       and _side_stable(g1, e, len(s1))
-                       and _side_stable(g2, e, len(s2)))
-    return out
+    return (VineCurve(e, g1, s1, g2, n, g)
+            for e in range(min_edges, g + 2)
+            for g1 in range(0, (g - e + 1) // 2 + 1)
+            for g2 in (g - e + 1 - g1,)
+            for s1, s2 in sides
+            if (g1 < g2 or s1 <= s2)
+            and _side_stable(g1, e, len(s1))
+            and _side_stable(g2, e, len(s2)))
+
+
+def enumerate_vines(g: int, n: int, min_edges: int) -> list[VineCurve]:
+    """The whole :func:`iter_vines` walk as a list, for readers that read it
+    more than once; raises what it raises."""
+    return list(iter_vines(g, n, min_edges))
 
 
 def spanning_tree_count(graph: DualGraph) -> int:

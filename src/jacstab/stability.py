@@ -218,20 +218,22 @@ def _check_same_graph(graph, *objs):
 def _phi_context(graph, phi):
     # Scaled to integers: with phi(C0) = s/q, the inequality
     # |deg - s/q + delta/2| < (cr - delta)/2 becomes
-    # |2q*deg - 2s + q*delta| < q*(cr - delta).
+    # |2q*deg - 2s + q*delta| < q*(cr - delta).  Lazy: a caller that tests
+    # once stops building at the first failing subcurve.
     q = phi.q
-    return [(i, info.prefix, info.last, info.internal_mask,
+    return ((i, info.prefix, info.last, info.internal_mask,
              info.crossing_mask, info.cr, 2 * s, q)
             for i, (info, s) in enumerate(zip(graph.subcurve_data,
-                                              phi.subcurve_sums()))]
+                                              phi.subcurve_sums())))
 
 
-def _satisfies_ctx(ctx, S: int, D: tuple) -> bool:
+def _satisfies_ctx(ctx, S: int, D: tuple, size: int) -> bool:
     """The inequality on every subcurve in ``ctx`` for ``S`` a mask and ``D``
     a degree tuple, as a :class:`SheafDatum` stores them; ``ctx`` is the
-    table or its part after the singletons.  Each degree sum is its prefix's
-    plus one vertex, built as the test goes (``degs[-1]`` is the empty one)."""
-    degs = list(D) + [0] * (len(ctx) + 1)
+    table or its part after the singletons, ``size`` the table's length.
+    Each degree sum is its prefix's plus one vertex, built as the test goes
+    (``degs[-1]`` is the empty one)."""
+    degs = list(D) + [0] * size
     for i, prefix, last, internal, crossing, cr, twos, q in ctx:
         deg = degs[i] = degs[prefix] + D[last]
         if S:
@@ -247,12 +249,14 @@ def _satisfies_ctx(ctx, S: int, D: tuple) -> bool:
 
 
 def is_stable(graph: DualGraph, phi: PhiVector, F: SheafDatum) -> bool:
-    """Strict stability inequality over every nonempty proper subcurve.
+    """Strict stability inequality over every nonempty proper subcurve,
+    tested in table order up to the first that fails.
 
     Single-vertex graphs have no proper subcurves and are vacuously stable.
     """
     _check_same_graph(graph, phi, F)
-    return _satisfies_ctx(_phi_context(graph, phi), F.mask, F.degrees)
+    return _satisfies_ctx(_phi_context(graph, phi), F.mask, F.degrees,
+                          len(graph.subcurve_data))
 
 
 def is_nondegenerate(graph: DualGraph, phi: PhiVector) -> bool:
@@ -342,7 +346,8 @@ def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
     # below are their strict inequalities, so only larger subcurves are
     # tested
     singletons = graph.subcurve_data[:nv]
-    ctx = _phi_context(graph, phi)[nv:]
+    ctx = list(_phi_context(graph, phi))[nv:]
+    size = len(graph.subcurve_data)
     q = phi.q
     twos = [2 * phi.numerators[vid] for vid in vids]
     found = []
@@ -365,7 +370,7 @@ def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
             rest = target - sum(head)
             if rest in last:
                 D = head + (rest,)
-                if _satisfies_ctx(ctx, S, D):
+                if _satisfies_ctx(ctx, S, D, size):
                     found.append((S, D))
     return found
 

@@ -31,7 +31,7 @@ from .corpus import (
 )
 from .errors import PreconditionError, TrivialTwistError
 from fractions import Fraction
-from .graph import enumerate_vines, spanning_tree_count
+from .graph import iter_vines, spanning_tree_count
 from .stability import (
     equivalent_small_perturbation_check,
     find_equality_witness,
@@ -159,7 +159,7 @@ def _is_unit_difference(a) -> bool:
 def brute_force_extends(g: int, n: int, aj: AJDatum) -> bool:
     """Independent decision: every e >= 2 vine must admit a chamber of the
     small-perturbation interval whose stable table contains the AJ bidegree."""
-    for vine in enumerate_vines(g, n, 2):
+    for vine in iter_vines(g, n, 2):
         m = vine_bidegree(vine, aj)
         half_e = Fraction(vine.e, 2)
         found = False

@@ -4,6 +4,8 @@ import json
 import logging
 import random
 import re
+import time
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -28,7 +30,7 @@ from jacstab.errors import (
     PreconditionError,
     TrivialTwistError,
 )
-from jacstab.graph import DualGraph, enumerate_vines, make_vine
+from jacstab.graph import DualGraph, VineCurve, enumerate_vines, make_vine
 from jacstab.stability import SheafDatum, is_nondegenerate, is_small_perturbation
 from oracles import random_stable_graph, reference_construct_prop_phi
 
@@ -292,6 +294,36 @@ class TestClassifyExtension:
         assert not result.extends
         assert result.witness == make_vine(0, 1, 2, (1,), 1)
         assert result.witness_bidegree == 2
+
+    def test_no_builds_no_vine_after_its_witness(self, monkeypatch):
+        # the walk stops at the witness: the vines built are the e >= 2
+        # vines up to it, in canonical order, and none of the later ones
+        vines = enumerate_vines(4, 4, 2)
+        built = []
+        init = VineCurve.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(VineCurve, "__init__", counted)
+        result = classify_extension(4, 4, AJDatum(0, (1, 1, -1, -1), 4, 4))
+        assert not result.extends
+        assert vines.index(result.witness) == 1 and len(vines) == 79
+        assert built == [astuple(v) for v in vines[:2]]
+
+    def test_oversized_no_refused_before_any_vine(self, monkeypatch):
+        # (1 + 1)^2 * 2^21 candidates exceed the limit: the lazy walk
+        # refuses when it is called, not after building
+        built = []
+        monkeypatch.setattr(VineCurve, "__init__",
+                            lambda self, *args: built.append(args))
+        aj = AJDatum(0, (2, -2) + (0,) * 19, 1, 21)
+        start = time.monotonic()
+        with pytest.raises(PreconditionError, match="g=1, n=21"):
+            classify_extension(1, 21, aj)
+        assert time.monotonic() - start < 1
+        assert built == []
 
     def test_trivial_twist_raises(self):
         with pytest.raises(TrivialTwistError):

@@ -1,4 +1,6 @@
 import concurrent.futures
+import hashlib
+import itertools
 import time
 from fractions import Fraction
 
@@ -214,6 +216,26 @@ class TestAtlas:
     def test_bad_context(self):
         with pytest.raises(ValueError):
             atlas(0, 1, (Fraction(0), Fraction(1)))
+
+    def test_vine_atlas_documents_are_pinned(self):
+        # sha256 over the JSON and, apart, the CSV of 37 atlases on the
+        # window (-3, 3): every (g, n) up to (8, 4) with line bundles, then
+        # up to (4, 3) non-free; a change to any record, its order or its
+        # rendering moves them
+        specs = ([(g, n, False)
+                  for g, n in itertools.product(range(2, 9), range(1, 5))]
+                 + [(g, n, True)
+                    for g, n in itertools.product(range(2, 5), range(1, 4))])
+        docs, csvs = hashlib.sha256(), hashlib.sha256()
+        for g, n, nonfree in specs:
+            records = atlas(g, n, (Fraction(-3), Fraction(3)), nonfree)
+            docs.update(atlas_to_json(records).encode())
+            csvs.update(atlas_to_csv(records).encode())
+        assert len(specs) == 37
+        assert docs.hexdigest() == (
+            "d6b2b62bb844357a3ffce20a331db072fa6e45a2103a4823339f81241b1296fd")
+        assert csvs.hexdigest() == (
+            "12b9c875eded4124f88f6fb48b936026a31b6f8a496529f3c5106138e625f752")
 
 
 def test_table_string():

@@ -20,6 +20,7 @@ from jacstab.graph import (
     enumerate_vines,
     graph_from_dict,
     graph_to_json,
+    iter_vines,
     make_vine,
     spanning_tree_count,
     validate,
@@ -241,6 +242,14 @@ class TestEnumerateVines:
         with pytest.raises(PreconditionError, match="g=%d, n=%d" % (g, n)):
             enumerate_vines(g, n, 1)
         assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize("args,error", [
+        ((0, 1, 1), ValueError), ((1, 1, 0), ValueError),
+        ((1, 21, 2), PreconditionError), ((2, 10 ** 9, 1), PreconditionError)])
+    def test_walk_refuses_when_called(self, args, error):
+        # the arguments are checked before the walk is first read
+        with pytest.raises(error):
+            iter_vines(*args)
 
     def test_ceiling_is_the_candidate_bound(self, monkeypatch):
         # with the limit at (3 + 1)^2 * 2^2, (3, 2) is allowed and one more
