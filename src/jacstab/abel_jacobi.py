@@ -57,7 +57,10 @@ class AJDatum:
     g: int
     n: int
 
-    def check(self) -> None:
+    def check(self, g: int, n: int) -> None:
+        if (self.g, self.n) != (g, n):
+            raise JacstabError("twist data for (g=%d, n=%d) used for (g=%d, "
+                               "n=%d)" % (self.g, self.n, g, n))
         if len(self.a) != self.n:
             raise JacstabError("twist vector length %d != n=%d"
                                % (len(self.a), self.n))
@@ -73,10 +76,7 @@ class AJDatum:
 
 def aj_multidegree(graph: DualGraph, aj: AJDatum) -> dict[int, int]:
     """Multidegree of omega^{-k}(sum a_i p_i) on the dual graph."""
-    aj.check()
-    if aj.g != graph.g or aj.n != graph.n:
-        raise JacstabError("twist data for (g=%d, n=%d) applied to %r"
-                           % (aj.g, aj.n, graph))
+    aj.check(graph.g, graph.n)
     out = {}
     for v in graph.vertices:
         out[v.id] = (-aj.k * (2 * v.h - 2 + graph.valence(v.id))
@@ -179,7 +179,7 @@ def sigma_extends(g: int, n: int, aj: AJDatum,
     the mismatch or the first vine that is not); the first failing vine
     (canonical order) is returned as witness.
     """
-    aj.check()
+    aj.check(g, n)
     if (table.g, table.n) != (g, n):
         raise PreconditionError(
             "phi table is for g=%d, n=%d, not for g=%d, n=%d"
@@ -301,9 +301,7 @@ def classify_extension(g: int, n: int, aj: AJDatum,
     """
     if aj.is_trivial:
         raise TrivialTwistError("trivial twist")
-    aj.check()
-    if aj.g != g or aj.n != n:
-        raise JacstabError("twist data context differs from (g, n)")
+    aj.check(g, n)
 
     ij = _unit_difference_markings(aj.a)
     if ij is not None:

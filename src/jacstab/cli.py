@@ -215,13 +215,10 @@ def extends_cmd(g, n, k, a_text, phi_path, seed, fmt, out):
         table = _load(phi_path, "phi table",
                       abel_jacobi.VinePhiTable.from_dict)
     else:
-        if aj.is_trivial:
-            _fail("trivial twist")
-        ij = abel_jacobi._unit_difference_markings(aj.a)
-        if ij is None:
+        table = abel_jacobi.classify_extension(g, n, aj, seed).phi_table
+        if table is None:
             _fail("no --phi table given and the twist is not of the "
                   "form +-(e_i - e_j); provide a table explicitly")
-        table = abel_jacobi.construct_prop_phi(g, n, ij[0], ij[1], seed)
     result = abel_jacobi.sigma_extends(g, n, aj, table)
     _report(fmt, out, result.to_report, _verdict_lines(result))
 

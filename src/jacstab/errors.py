@@ -17,12 +17,12 @@ class UnknownEdgeError(JacstabError):
     """A sheaf datum references an edge id that is not in the graph."""
 
 
-class DegenerateParameterError(JacstabError):
-    """A stability parameter sits on a wall where stable != semistable."""
-
-
 class PreconditionError(JacstabError):
     """An operation's stated precondition does not hold."""
+
+
+class DegenerateParameterError(PreconditionError):
+    """A stability parameter sits on a wall where stable != semistable."""
 
 
 class TrivialTwistError(JacstabError):

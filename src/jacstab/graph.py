@@ -161,11 +161,7 @@ class DualGraph:
         if nv > MAX_SUBCURVE_VERTICES:
             raise InvalidGraphError("%d vertices, subcurve limit is %d"
                                     % (nv, MAX_SUBCURVE_VERTICES))
-        if not nv:
-            raise InvalidGraphError("graph has no vertices")
-        faults = _structural_faults(self)
-        if faults:
-            raise InvalidGraphError(faults[0])
+        _refuse_structural_faults(self)
         # per vertex, the mask of edges whose first (second) end it is; over
         # a subcurve, internal = first & second and crossing = first ^ second
         first = dict.fromkeys(ids, 0)
@@ -210,6 +206,16 @@ def _structural_faults(graph: DualGraph) -> list[str]:
                   for e in graph.edges
                   if e.ends[0] not in known or e.ends[1] not in known)
     return faults
+
+
+def _refuse_structural_faults(graph: DualGraph) -> None:
+    """Raise :class:`InvalidGraphError` for no vertices or, else, the first
+    of :func:`_structural_faults`."""
+    if not graph.vertices:
+        raise InvalidGraphError("graph has no vertices")
+    faults = _structural_faults(graph)
+    if faults:
+        raise InvalidGraphError(faults[0])
 
 
 def validate(graph: DualGraph) -> list[str]:
@@ -336,8 +342,10 @@ def spanning_tree_count(graph: DualGraph) -> int:
 
     Matrix-tree theorem: the reduced Laplacian's determinant by fraction-free
     Bareiss elimination (Bareiss 1968), every division exact.  That matrix is
-    positive definite for a connected graph, so no pivot is zero.
+    positive definite for a connected graph, so no pivot is zero.  A broken
+    or disconnected graph is refused as :attr:`DualGraph.subcurve_data` does.
     """
+    _refuse_structural_faults(graph)
     if not graph.is_connected():
         raise InvalidGraphError("graph not connected")
     nv = len(graph.vertices)

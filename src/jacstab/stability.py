@@ -405,12 +405,12 @@ def verify_support_lemma(graph: DualGraph, phi: PhiVector):
     bound deg_C0(F) < cr(C0) - delta_C0(F) must hold, so a nonzero section
     (which would force deg_C0(F) >= cr(C0)) cannot exist.  Returns True or
     the first violating (F, vertex set of C0) in canonical order, checked on
-    the search's (S, D) pairs; objects are built only for a violation.
+    the search's (S, D) pairs; objects are built only for a violation.  A
+    phi that is no small perturbation raises :class:`PreconditionError`, a
+    degenerate one its subclass :class:`DegenerateParameterError`.
     """
     if not is_small_perturbation(graph, phi):
         raise PreconditionError("phi is not a small perturbation of 0")
-    if not is_nondegenerate(graph, phi):
-        raise PreconditionError("phi is degenerate")
     violations = []
     for S, D in _stable_pairs(graph, phi, 0, include_nonfree=True):
         degs = [0] * (len(graph.subcurve_data) + 1)   # as in _satisfies_ctx

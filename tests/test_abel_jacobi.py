@@ -72,16 +72,30 @@ class TestAJMultidegree:
 
     def test_degree_constraint_enforced(self):
         with pytest.raises(JacstabError):
-            AJDatum(0, (1,), 2, 1).check()
+            AJDatum(0, (1,), 2, 1).check(2, 1)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(JacstabError):
-            AJDatum(0, (1, -1), 2, 1).check()
+            AJDatum(0, (1, -1), 2, 1).check(2, 1)
 
     def test_context_mismatch_rejected(self):
         g = genus1_unmarked_vine()
         with pytest.raises(JacstabError):
             aj_multidegree(g, AJDatum(0, (0, 0), 3, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda aj: aj_multidegree(
+        DualGraph.build([(0, 1, (1,)), (1, 1, ())], [(0, 1)], 1), aj),
+    lambda aj: sigma_extends(2, 1, aj, VinePhiTable(2, 1, {})),
+    lambda aj: classify_extension(2, 1, aj),
+], ids=["aj_multidegree", "sigma_extends", "classify_extension"])
+def test_twist_of_another_g_n_refused(call):
+    # AJDatum.check(g, n) is the one test of a twist's (g, n); sigma_extends
+    # names the twist, not the vines the (g=2, n=1) table lacks
+    with pytest.raises(JacstabError, match=re.escape(
+            "twist data for (g=2, n=2) used for (g=2, n=1)")):
+        call(AJDatum(0, (1, -1), 2, 2))
 
 
 class TestVineBidegree:
@@ -486,7 +500,7 @@ def test_unit_difference_twists_have_k_times_2_minus_2g_zero():
                 continue
             for g, k in itertools.product(range(1, 9), range(-3, 4)):
                 try:
-                    AJDatum(k, a, g, n).check()
+                    AJDatum(k, a, g, n).check(g, n)
                 except JacstabError:
                     continue
                 assert k * (2 - 2 * g) == 0, (g, n, k, a)

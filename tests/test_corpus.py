@@ -47,11 +47,13 @@ def test_first_phi_per_seed_is_pinned(sampler):
 
 
 def test_nondegenerate_sampling_failure_is_a_jacstab_error(monkeypatch):
-    # every draw is refused, so the sampler gives up after its 1,000 tries
+    # every draw is refused, so each sampler gives up after its 1,000 tries
     monkeypatch.setattr(corpus, "is_nondegenerate", lambda graph, phi: False)
     graph = make_vine(0, 1, 2, (1,), 1).to_graph()
     with pytest.raises(PhiConstructionError, match="nondegenerate"):
         random_nondegenerate_phi(graph, random.Random(0))
+    with pytest.raises(PhiConstructionError, match="small-perturbation"):
+        random_small_perturbation_phi(graph, random.Random(0))
     assert issubclass(PhiConstructionError, JacstabError)
 
 

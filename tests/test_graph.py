@@ -335,10 +335,11 @@ def test_json_field_order_deterministic():
 
 class TestStructuralChokepoint:
     """Every subcurve test goes through DualGraph.subcurve_data, which
-    refuses structurally broken graphs; building one does not raise.  A
-    repeated vertex id is refused already by PhiVector."""
+    refuses structurally broken graphs, and spanning_tree_count refuses
+    them with the same messages; building one does not raise.  A repeated
+    vertex id is refused already by PhiVector."""
 
-    @pytest.mark.parametrize("vertices, edges, message", [
+    broken_graphs = pytest.mark.parametrize("vertices, edges, message", [
         ([(0, 1, (1,)), (0, 1, ())], [Edge(0, (0, 0))], "duplicate vertex ids"),
         ([(0, 1, (1,)), (1, 1, ())], [Edge(0, (0, 1)), Edge(0, (0, 1))],
          "duplicate edge ids"),
@@ -350,6 +351,8 @@ class TestStructuralChokepoint:
         ([], [], "graph has no vertices"),
     ], ids=["duplicate-vertex", "duplicate-edge", "unknown-end",
             "disconnected", "isolated-vertex", "empty"])
+
+    @broken_graphs
     def test_subcurve_tests_refuse_broken_graphs(self, vertices, edges,
                                                  message):
         graph = DualGraph(vertices, edges, 1)
@@ -357,6 +360,11 @@ class TestStructuralChokepoint:
         with pytest.raises(InvalidGraphError, match=message):
             phi = PhiVector(graph, {vid: 0 for vid in graph.vertex_ids})
             stable_sheaf_data(graph, phi, 0)
+
+    @broken_graphs
+    def test_tree_count_refuses_broken_graphs(self, vertices, edges, message):
+        with pytest.raises(InvalidGraphError, match=message):
+            spanning_tree_count(DualGraph(vertices, edges, 1))
 
     def test_phi_vector_refuses_repeated_vertex_ids(self):
         graph = DualGraph([(0, 1, (1,)), (0, 1, ())], [Edge(0, (0, 0))], 1)
@@ -368,6 +376,11 @@ class TestStructuralChokepoint:
         graph = DualGraph([(0, 0, ()), (1, 0, (1,))], [Edge(0, (0, 1))], 1, g=5)
         assert any("instability" in d for d in validate(graph))
         assert any("genus formula" in d for d in validate(graph))
+        assert [info.cr for info in graph.subcurve_data] == [1, 1]
+        # nor the ranges: a negative vertex genus, g < 1 and no marking
+        graph = DualGraph([(0, -1, ()), (1, 0, ())], [Edge(0, (0, 1))], 0)
+        assert {"negative genus at vertex 0", "total genus below 1",
+                "fewer than 1 marking"} <= set(validate(graph))
         assert [info.cr for info in graph.subcurve_data] == [1, 1]
 
 

@@ -4,10 +4,14 @@ module-level name, private or public, is used somewhere in the package.
 No linter runs on this repository, so these AST scans keep unused imports,
 orphaned helpers and test-only API from creeping back.
 ``__init__.py`` is skipped by the import scan: its imports are the public
-re-exports.
+re-exports.  A last test imports the library in a fresh interpreter, where
+neither the CLI's click nor the suites' process pool may load.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "jacstab"
@@ -99,3 +103,14 @@ def test_every_public_name_is_used_in_the_package():
               and not any(public in used for stmt, used in uses
                           if stmt is not node)}
     assert sorted(unused) == sorted(UNUSED_PUBLIC)
+
+
+def test_library_imports_without_click_or_multiprocessing():
+    # click is the CLI's alone, and run_suite imports its process pool only
+    # for jobs > 1, so an interpreter without click runs the library
+    code = ("import sys, jacstab, jacstab.corpus, jacstab.verify; "
+            "print(sorted({'click', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -460,6 +460,14 @@ class TestSupportLemma:
         with pytest.raises(PreconditionError):
             verify_support_lemma(g, vine_phi2(g, 0))
 
+    def test_degenerate_phi_raises_degenerate_parameter_error(self):
+        # 0 is small on a two-edge vine but lies on a wall; the search's one
+        # nondegeneracy test refuses it, as a PreconditionError
+        g = vine_graph(2)
+        with pytest.raises(DegenerateParameterError) as info:
+            verify_support_lemma(g, vine_phi2(g, 0))
+        assert isinstance(info.value, PreconditionError)
+
 
 def t_stable_phi(vine, t, seed):
     """The first phi(side 1) = t + eps, eps drawn from the seed's epsilon

@@ -1,6 +1,8 @@
 import concurrent.futures
 import logging
 import random
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -60,41 +62,68 @@ def _two_vertices(graph):
     return len(graph.vertex_ids) == 2
 
 
-# For each suite, a predicate of jacstab.verify and a lie(answer, *args) that
-# replaces its answer on the two-vertex graphs (on g = 2 for prop41), so the
-# one-vertex graphs still run every trial.  prop41 counts every twist, as the
-# corpus suites count every graph, not only those up to the failing one.
+# For each suite, lies told by functions of jacstab.verify: the function's
+# name, a lie(true, *args) that answers for it, the case count and the
+# counterexample.  A lie changes the true function's answer on the two-vertex
+# graphs (on g = 2 for prop41), so the one-vertex graphs still run every
+# trial.  prop41 counts every twist, as the corpus suites count every graph,
+# not only those up to the failing one; its lies reach each of its verdicts.
 _LIES = {
-    "cor25": ("is_small_perturbation",
-              lambda ok, g, phi: ok != _two_vertices(g), 121,
-              "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: '-20/31', "
-              "1: '20/31'}): inequality route True, trivial-bundle route "
-              "False"),
-    "wall-criterion": ("is_nondegenerate",
-                       lambda ok, g, phi: ok != _two_vertices(g), 121,
-                       "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: "
-                       "'-20/31', 1: '20/31'}): closed form False, brute "
-                       "force True"),
-    "support-lemma": ("verify_support_lemma", lambda ok, g, phi: (
+    "cor25": [("is_small_perturbation",
+               lambda true, g, phi: true(g, phi) != _two_vertices(g), 121,
+               "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: '-20/31', "
+               "1: '20/31'}): inequality route True, trivial-bundle route "
+               "False")],
+    "wall-criterion": [("is_nondegenerate",
+                        lambda true, g, phi: true(g, phi) != _two_vertices(g),
+                        121, "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0:"
+                        " '-20/31', 1: '20/31'}): closed form False, brute "
+                        "force True")],
+    "support-lemma": [("verify_support_lemma", lambda true, g, phi: (
         stable_sheaf_data(g, phi, 0)[0], frozenset(g.vertex_ids))
-        if _two_vertices(g) else ok, 121,
+        if _two_vertices(g) else true(g, phi), 121,
         "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: '-1/31', 1: "
-        "'1/31'}): SheafDatum(S=[], D=(0, 0)) violates on C0=[0, 1]"),
-    "tree-count": ("spanning_tree_count",
-                   lambda count, g: count + _two_vertices(g), 121,
-                   "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: "
-                   "'-20/31', 1: '20/31'}): 1 stable multidegrees, 2 "
-                   "spanning trees"),
-    "prop41": ("brute_force_extends", lambda ok, g, n, aj: ok != (g == 2),
-               177, "g=2 n=1 k=-1 a=[-2]: disagrees with chamber brute force"),
+        "'1/31'}): SheafDatum(S=[], D=(0, 0)) violates on C0=[0, 1]")],
+    "tree-count": [("spanning_tree_count",
+                    lambda true, g: true(g) + _two_vertices(g), 121,
+                    "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: "
+                    "'-20/31', 1: '20/31'}): 1 stable multidegrees, 2 "
+                    "spanning trees")],
+    "prop41": [
+        ("brute_force_extends",
+         lambda true, g, n, aj: true(g, n, aj) != (g == 2), 177,
+         "g=2 n=1 k=-1 a=[-2]: disagrees with chamber brute force"),
+        # a "no" certificate whose chambers all test stable
+        ("is_stable",
+         lambda true, graph, phi, F: true(graph, phi, F) or graph.g == 2,
+         177, "g=2 n=1 k=-1 a=[-2]: certificate failed re-check"),
+        # a trivial twist answered instead of refused
+        ("classify_extension",
+         lambda true, g, n, aj, seed: None if g == 2 and aj.is_trivial
+         else true(g, n, aj, seed), 177,
+         "g=2 n=1 k=0 a=[0]: trivial twist not rejected"),
+        # every answer flipped
+        ("classify_extension",
+         lambda true, g, n, aj, seed: replace(
+             answer := true(g, n, aj, seed),
+             extends=answer.extends != (g == 2)), 177,
+         "g=2 n=1 k=-1 a=[-2]: classified True, expected False"),
+        # a "yes" table that the independent check refuses
+        ("sigma_extends",
+         lambda true, g, n, aj, table: replace(
+             answer := true(g, n, aj, table),
+             extends=answer.extends and g != 2), 177,
+         "g=2 n=2 k=0 a=[-1, 1]: yes-table fails sigma_extends at None"),
+    ],
 }
 
 
-@pytest.mark.parametrize("suite", SUITES)
-def test_lying_predicate_fails_suite(suite, monkeypatch):
-    name, lie, cases, counterexample = _LIES[suite]
-    true = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda *args: lie(true(*args), *args))
+@pytest.mark.parametrize("suite, name, lie, cases, counterexample", [
+    pytest.param(suite, *told, id=suite if i == 0 else "%s-%d" % (suite, i))
+    for suite in SUITES for i, told in enumerate(_LIES[suite])])
+def test_lying_predicate_fails_suite(suite, name, lie, cases, counterexample,
+                                     monkeypatch):
+    monkeypatch.setattr(verify, name, partial(lie, getattr(verify, name)))
     result = run_suite(suite, max_vertices=2, max_edges=3, trials=2, seed=1)
     assert (result.passed, result.cases, result.counterexample) == \
         (False, cases, counterexample)
