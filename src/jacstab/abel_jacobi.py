@@ -299,9 +299,9 @@ def classify_extension(g: int, n: int, aj: AJDatum,
     obstructing vine in canonical order together with an exhaustive chamber
     certificate, and build no vine after it.
     """
+    aj.check(g, n)
     if aj.is_trivial:
         raise TrivialTwistError("trivial twist")
-    aj.check(g, n)
 
     ij = _unit_difference_markings(aj.a)
     if ij is not None:

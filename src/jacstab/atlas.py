@@ -8,8 +8,10 @@ line: the walls are exactly {m - e/2 : m integer}.  Each chamber carries the
 Walls and chamber tables depend on a vine only through its edge count e, so
 an atlas lists walls and searches chambers once per edge count and gives
 every other vine with that e the same walls, and the same tables on its own
-graph; the JSON export renders each distinct chambers-and-deltas content
-once.  An atlas is built serially in one process.
+graph.  An atlas is built serially in one process.  Its JSON comes from one
+indent-2 writer, not ``json.dumps(indent=2)`` per record, which would run
+CPython's pure-Python encoder over every vine's copy of the shared chambers:
+each distinct chamber block and datum is rendered once per call.
 """
 
 from __future__ import annotations
@@ -169,66 +171,94 @@ def table_string(chamber: Chamber) -> str:
     return " ".join(parts)
 
 
-def _vine_fields(record: AtlasRecord) -> dict:
-    return {
-        "g": record.vine.g,
-        "n": record.vine.n,
-        "vine": vine_to_dict(record.vine),
-        "window": [str(record.wall_set.lo), str(record.wall_set.hi)],
-        "walls": [str(w) for w in record.wall_set.walls],
-    }
+# A datum's rendering depends on these plain ints alone.
+_datum_content = attrgetter("mask", "degrees", "graph.edge_order",
+                            "graph.vertex_ids")
 
 
-def _chamber_fields(record: AtlasRecord) -> dict:
-    return {
-        "chambers": [
-            {
-                "lo": str(c.lo),
-                "hi": str(c.hi),
-                "representative": str(c.representative),
-                "is_small_perturbation": c.is_small_perturbation,
-                "stable_table": [datum_to_dict(F) for F in c.stable_table],
-            }
-            for c in record.chambers
-        ],
-        "wall_crossing_deltas": [
-            {"added": [list(map(list, k)) for k in added],
-             "removed": [list(map(list, k)) for k in removed]}
-            for added, removed in record.deltas
-        ],
-    }
+def _dump(value, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` of a list, dict, str, bool or int,
+    as it reads where the value opens at ``depth`` in a document."""
+    if isinstance(value, list):
+        return _wrap("[]", [_dump(v, depth + 1) for v in value], depth)
+    if isinstance(value, dict):
+        return _wrap("{}", _fields(value, depth + 1), depth)
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return int.__repr__(value)  # a TypeError for any other type
 
 
-def _members(fields: dict, depth: int) -> str:
-    """The members of ``fields`` as they read in an indent=2 document where
-    the dict sits at ``depth``: its standalone rendering with every newline
-    followed by 2*depth spaces, without the braces."""
-    text = json.dumps(fields, indent=2).replace("\n", "\n" + "  " * depth)
-    return text[1:-(2 * depth + 2)]
+def _fields(fields: dict, depth: int) -> list[str]:
+    """The ``"key": value`` members of a dict, rendered at ``depth``."""
+    return ["%s: %s" % (json.encoder.encode_basestring_ascii(k),
+                        _dump(v, depth)) for k, v in fields.items()]
+
+
+def _wrap(brackets: str, items: list[str], depth: int) -> str:
+    """Rendered items between ``brackets`` that open at ``depth``."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * depth
+    return (brackets[0] + pad + "  " + ("," + pad + "  ").join(items)
+            + pad + brackets[1])
+
+
+def _chamber_block(record: AtlasRecord, data: dict) -> str:
+    """The chambers and deltas members, each datum rendered once in ``data``."""
+    chambers = []
+    for c in record.chambers:
+        table = []
+        for F in c.stable_table:
+            key = _datum_content(F)
+            if key not in data:
+                data[key] = _dump(datum_to_dict(F), 6)
+            table.append(data[key])
+        chambers.append(_wrap("{}", _fields({
+            "lo": str(c.lo), "hi": str(c.hi),
+            "representative": str(c.representative),
+            "is_small_perturbation": c.is_small_perturbation,
+        }, 5) + ['"stable_table": ' + _wrap("[]", table, 5)], 4))
+    deltas = [{"added": [list(map(list, k)) for k in added],
+               "removed": [list(map(list, k)) for k in removed]}
+              for added, removed in record.deltas]
+    return '"chambers": %s,\n      "wall_crossing_deltas": %s' % (
+        _wrap("[]", chambers, 3), _dump(deltas, 3))
 
 
 def atlas_to_json(records: list[AtlasRecord]) -> str:
     """``json.dumps({"g", "n", "records": [...]}, indent=2)`` plus a
-    newline, each record the vine fields followed by the chamber fields.
-
-    Vines with one edge count share their chambers and deltas, so each
-    distinct chambers-and-deltas content is rendered once per call and
-    spliced into every record (at depth 2) that has it.
+    newline, from one indent-2 writer: ``json`` with ``indent`` set runs
+    its pure-Python encoder, which would render a shared chamber again for
+    every vine.  Each distinct chamber block (chambers plus deltas) and
+    datum is rendered once per call, keyed on plain-int content; a record
+    adds its vine header and one splice into the one document string.
     """
     if not records:
-        return json.dumps({"records": []}, indent=2) + "\n"
-    rendered = {}
-    texts = []
+        return _dump({"records": []}, 0) + "\n"
+    windows, blocks, data = {}, {}, {}
+    parts = ['{\n  "g": %d,\n  "n": %d,\n  "records": [\n    '
+             % (records[0].vine.g, records[0].vine.n)]
     for r in records:
-        key = (tuple((c.lo, c.hi, c.representative, c.is_small_perturbation,
-                      c.table_keys) for c in r.chambers), r.deltas)
-        chamber_text = rendered.get(key)
-        if chamber_text is None:
-            chamber_text = rendered[key] = _members(_chamber_fields(r), 2)
-        texts.append("{%s,%s\n    }" % (_members(_vine_fields(r), 2),
-                                         chamber_text))
-    return ('{\n  "g": %d,\n  "n": %d,\n  "records": [\n    %s\n  ]\n}\n'
-            % (records[0].vine.g, records[0].vine.n, ",\n    ".join(texts)))
+        ws = r.wall_set  # immutable, so its identity keys its own rendering
+        if id(ws) not in windows:
+            windows[id(ws)] = _fields({"window": [str(ws.lo), str(ws.hi)],
+                                       "walls": [str(w) for w in ws.walls]}, 3)
+        key = (tuple((c.lo.numerator, c.lo.denominator, c.hi.numerator,
+                      c.hi.denominator, c.representative.numerator,
+                      c.representative.denominator, c.is_small_perturbation,
+                      tuple(map(_datum_content, c.stable_table)))
+                     for c in r.chambers), r.deltas)
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = _chamber_block(r, data)
+        head = _fields({"g": r.vine.g, "n": r.vine.n,
+                        "vine": vine_to_dict(r.vine)}, 3) + windows[id(ws)]
+        parts += ("{\n      ", ",\n      ".join(head), ",\n      ", block,
+                  "\n    },\n    ")
+    parts[-1] = "\n    }\n  ]\n}\n"
+    return "".join(parts)
 
 
 CSV_COLUMNS = ["g", "n", "g1", "g2", "e", "S", "chamber_lo", "chamber_hi",

@@ -345,6 +345,11 @@ class TestClassifyExtension:
         with pytest.raises(TrivialTwistError):
             classify_extension(2, 2, AJDatum(0, (0, 0), 2, 2))
 
+    def test_all_zero_twist_of_another_context_is_invalid_not_trivial(self):
+        with pytest.raises(JacstabError,
+                           match=r"\(g=2, n=2\) used for \(g=3, n=2\)"):
+            classify_extension(3, 2, AJDatum(0, (0, 0), 2, 2))
+
     def test_debug_log_names_obstructing_vine(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="jacstab.abel_jacobi"):
             classify_extension(2, 4, AJDatum(0, (1, 1, -1, -1), 2, 4))

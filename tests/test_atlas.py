@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import itertools
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,7 @@ class TestAtlas:
         (5, 2, (Fraction(-5, 2), Fraction(7, 3)), True),
         (4, 3, (Fraction(1, 3), Fraction(1, 3)), False),
         (1, 1, (Fraction(-1), Fraction(1)), False),
+        (8, 4, (Fraction(-3), Fraction(3)), False),
     ])
     def test_json_matches_stdlib_reference(self, g, n, window, nonfree):
         records = atlas(g, n, window, nonfree)
@@ -212,6 +214,25 @@ class TestAtlas:
                  + atlas(3, 1, (Fraction(-1, 2), Fraction(1)))
                  + atlas(3, 1, (Fraction(-2), Fraction(2)), True))
         assert atlas_to_json(mixed) == atlas_json_reference(mixed)
+
+    def test_json_of_hand_built_records_matches_stdlib_reference(self):
+        # a record sharing its neighbour's WallSet and deltas but with its
+        # stable tables reversed, a record with no chambers or deltas, and
+        # a chamber with an empty stable table
+        records = atlas(4, 2, (Fraction(-3), Fraction(3)))
+        mid = len(records) // 2
+        r = records[mid]
+        assert r.wall_set is records[mid - 1].wall_set
+        assert r.deltas is records[mid - 1].deltas
+        emptied = replace(r.chambers[0], stable_table=())
+        reversed_tables = tuple(replace(c, stable_table=c.stable_table[::-1])
+                                for c in r.chambers)
+        for changed in (replace(r, chambers=reversed_tables),
+                        replace(r, chambers=(), deltas=()),
+                        replace(r, chambers=(emptied,) + r.chambers[1:])):
+            hand_built = records[:mid] + [changed] + records[mid + 1:]
+            assert atlas_to_json(hand_built) == \
+                atlas_json_reference(hand_built)
 
     def test_bad_context(self):
         with pytest.raises(ValueError):

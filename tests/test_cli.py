@@ -230,6 +230,12 @@ class TestClassify:
             assert (result.exit_code, result.stdout, result.stderr) == \
                 (1, "", "error: trivial twist\n")
 
+    def test_all_zero_twist_of_wrong_length_is_invalid_not_trivial(self):
+        result = CliRunner().invoke(cli.main, [
+            "classify", "--g", "2", "--n", "2", "--a", "0,0,0"])
+        assert (result.exit_code, result.stdout, result.stderr) == \
+            (1, "", "error: twist vector length 3 != n=2\n")
+
     def test_deterministic(self):
         args = ("classify", "--g", "3", "--n", "2", "--k", "0",
                 "--a", "1,-1", "--format", "json", "--seed", "9")
