@@ -126,9 +126,12 @@ class VinePhiTable:
                 g1, g2, e = (_table_int(row[k], k) for k in ("g1", "g2", "e"))
                 S = sorted(_table_int(m, "S entry") for m in row["S"])
                 vine = make_vine(g1, g2, e, S, table.n)
-                if vine not in vines:
-                    raise ValueError("row %s is no vine of g=%d, n=%d"
-                                     % (vine, table.g, table.n))
+                # a stray or repeated marking is on neither side of vine
+                if vine not in vines or S not in (list(vine.S),
+                                                  list(vine.side2_markings)):
+                    raise ValueError("row %s is no vine of g=%d, n=%d" % (
+                        VineCurve(e, g1, tuple(S), g2, table.n, vine.g),
+                        table.g, table.n))
                 if vine in table.entries:
                     raise ValueError("row %s repeats an earlier row" % vine)
                 phi = exact_rational(row["phi"])

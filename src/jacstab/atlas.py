@@ -6,12 +6,13 @@ line: the walls are exactly {m - e/2 : m integer}.  Each chamber carries the
 (constant) table of stable sheaf data computed at its midpoint.
 
 Walls and chamber tables depend on a vine only through its edge count e, so
-an atlas lists walls and searches chambers once per edge count and gives
-every other vine with that e the same walls, and the same tables on its own
-graph.  An atlas is built serially in one process.  Its JSON comes from one
-indent-2 writer, not ``json.dumps(indent=2)`` per record, which would run
-CPython's pure-Python encoder over every vine's copy of the shared chambers:
-each distinct chamber block and datum is rendered once per call.
+an atlas lists walls and searches chambers once per edge count, and every
+vine with that e shares the one ``WallSet`` and the one ``chambers`` tuple,
+whose data live on the graph of the first such vine.  An atlas is built
+serially in one process.  Its JSON comes from one indent-2 writer, not
+``json.dumps(indent=2)`` per record, which would run CPython's pure-Python
+encoder over the shared chambers once per vine: each distinct chamber block
+and datum is rendered once per call.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ class Chamber:
 
 @dataclass(frozen=True)
 class AtlasRecord:
+    """One vine with the walls, chambers and deltas it shares with its e."""
+
     vine: VineCurve
     wall_set: WallSet
     chambers: tuple[Chamber, ...]
@@ -115,12 +118,13 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
     """Records for every vine of (g, n), in canonical vine order.
 
     Walls and stable tables depend on a vine only through e, so ``walls``
-    and ``chambers`` run on the first vine of each edge count alone; every
-    other vine with that count shares its ``WallSet`` and gets the same
-    tables rebuilt on its own graph.  Every e-edge vine graph has vertex
-    ids (0, 1) and edge order 0..e-1, so each datum's mask and degree
-    tuple carry over unchecked.  Runs
-    serially: ``jobs`` is accepted for compatibility and has no effect.
+    and ``chambers`` run on the first vine of each edge count alone, and
+    every vine with that count shares its ``WallSet``, ``chambers`` tuple
+    and deltas.  The data live on that first vine's graph; every e-edge
+    vine graph has vertex ids (0, 1) and edge order 0..e-1, so a datum's
+    mask, degrees, ``S``, ``D`` and key hold on any vine with that e, and
+    ``SheafDatum(vine.to_graph(), F.S, F.D)`` rebuilds ``F`` on ``vine``'s
+    own graph.  Runs serially: ``jobs`` has no effect.
     """
     if g < 1 or n < 1:
         raise ValueError("require g >= 1 and n >= 1")
@@ -142,16 +146,8 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
             lk, rk = set(left.table_keys), set(right.table_keys)
             deltas.append((tuple(sorted(rk - lk)), tuple(sorted(lk - rk))))
         deltas = tuple(deltas)
-        records.append(AtlasRecord(group[0], shared, first, deltas))
-        for vine in group[1:]:
-            graph = vine.to_graph()
-            chs = tuple(
-                Chamber(c.lo, c.hi, c.representative,
-                        tuple(SheafDatum._from_kernel(graph, F.mask, F.degrees)
-                              for F in c.stable_table),
-                        c.is_small_perturbation)
-                for c in first)
-            records.append(AtlasRecord(vine, shared, chs, deltas))
+        records += (AtlasRecord(vine, shared, first, deltas)
+                    for vine in group)
     return records
 
 
@@ -231,9 +227,12 @@ def atlas_to_json(records: list[AtlasRecord]) -> str:
     """``json.dumps({"g", "n", "records": [...]}, indent=2)`` plus a
     newline, from one indent-2 writer: ``json`` with ``indent`` set runs
     its pure-Python encoder, which would render a shared chamber again for
-    every vine.  Each distinct chamber block (chambers plus deltas) and
-    datum is rendered once per call, keyed on plain-int content; a record
-    adds its vine header and one splice into the one document string.
+    every vine.  Each distinct chamber block is rendered once per call,
+    keyed on the identity of the record's ``chambers`` and ``deltas``
+    tuples (every record is alive for the whole call, so equal ids mean the
+    same immutable objects); each distinct datum in them is rendered once,
+    keyed on plain-int content.  A record adds its vine header and one
+    splice into the one document string.
     """
     if not records:
         return _dump({"records": []}, 0) + "\n"
@@ -245,11 +244,7 @@ def atlas_to_json(records: list[AtlasRecord]) -> str:
         if id(ws) not in windows:
             windows[id(ws)] = _fields({"window": [str(ws.lo), str(ws.hi)],
                                        "walls": [str(w) for w in ws.walls]}, 3)
-        key = (tuple((c.lo.numerator, c.lo.denominator, c.hi.numerator,
-                      c.hi.denominator, c.representative.numerator,
-                      c.representative.denominator, c.is_small_perturbation,
-                      tuple(map(_datum_content, c.stable_table)))
-                     for c in r.chambers), r.deltas)
+        key = (id(r.chambers), id(r.deltas))
         block = blocks.get(key)
         if block is None:
             block = blocks[key] = _chamber_block(r, data)
@@ -266,16 +261,20 @@ CSV_COLUMNS = ["g", "n", "g1", "g2", "e", "S", "chamber_lo", "chamber_hi",
 
 
 def atlas_to_csv(records: list[AtlasRecord]) -> str:
+    """One row per chamber of each record; each distinct chamber's columns
+    are rendered once per call, keyed on its identity as in the JSON."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
+    columns = {}
     for r in records:
+        vine = [r.vine.g, r.vine.n, r.vine.g1, r.vine.g2, r.vine.e,
+                ";".join(map(str, r.vine.S))]
         for c in r.chambers:
-            writer.writerow([
-                r.vine.g, r.vine.n, r.vine.g1, r.vine.g2, r.vine.e,
-                ";".join(map(str, r.vine.S)),
-                str(c.lo), str(c.hi),
-                int(c.is_small_perturbation), table_string(c),
-            ])
+            if id(c) not in columns:
+                columns[id(c)] = [str(c.lo), str(c.hi),
+                                  int(c.is_small_perturbation),
+                                  table_string(c)]
+            writer.writerow(vine + columns[id(c)])
     return buf.getvalue()
 

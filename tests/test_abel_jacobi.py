@@ -441,6 +441,8 @@ def test_classify_reports_are_pinned():
 
 
 _ROW = {"g1": 0, "g2": 0, "e": 2, "S": [1], "phi": "1/2"}
+# vine(g1=0, g2=1, e=2, S={1}) of g = 2, n = 1 with its sides swapped
+_SWAPPED_ROW = {"g1": 1, "g2": 0, "e": 2, "S": [], "phi": "1/3"}
 # the rows of a table for the 8 vines of g = 2, n = 2
 _G2N2_ROWS = construct_prop_phi(2, 2, 1, 2).to_dict()["entries"]
 
@@ -473,12 +475,23 @@ _G2N2_ROWS = construct_prop_phi(2, 2, 1, 2).to_dict()["entries"]
     ({"g": 2, "n": 2,
       "entries": _G2N2_ROWS + [{**_G2N2_ROWS[-1], "phi": "1/3"}]},
      "row vine(g1=0, g2=0, e=3, S={1}) repeats an earlier row"),
+    # sides written swapped: make_vine would drop the stray marking
+    ({"g": 2, "n": 1, "entries": [{**_SWAPPED_ROW, "S": [5]}]},
+     "row vine(g1=1, g2=0, e=2, S={5}) is no vine of g=2, n=1"),
+    ({"g": 2, "n": 1, "entries": [{**_SWAPPED_ROW, "S": [0]}]},
+     "row vine(g1=1, g2=0, e=2, S={0}) is no vine of g=2, n=1"),
+    ({"g": 2, "n": 1, "entries": [{**_SWAPPED_ROW, "S": [-1]}]},
+     "row vine(g1=1, g2=0, e=2, S={-1}) is no vine of g=2, n=1"),
+    ({"g": 2, "n": 1, "entries": [{**_SWAPPED_ROW, "S": [1, 1]}]},
+     "row vine(g1=1, g2=0, e=2, S={1,1}) is no vine of g=2, n=1"),
     ({"g": 0, "n": 1, "entries": []}, "g must be at least 1, got 0"),
     ({"g": 1, "n": -1, "entries": []}, "n must be at least 1, got -1"),
 ], ids=["int-entries", "int-S", "no-phi", "list", "float-g", "bool-n",
         "float-e", "bool-g1", "string-g2", "float-S-entry",
         "row-of-another-genus", "marking-outside-1-n", "unstable-side",
-        "repeated-row", "zero-g", "negative-n"])
+        "repeated-row", "swapped-marking-above-n", "swapped-marking-0",
+        "swapped-negative-marking", "swapped-repeated-marking", "zero-g",
+        "negative-n"])
 def test_phi_table_malformed_json_rejected(data, reason):
     with pytest.raises(PreconditionError,
                        match="malformed phi table JSON: " + re.escape(reason)):

@@ -20,7 +20,7 @@ from jacstab.atlas import (
 )
 from jacstab.errors import InvalidGraphError, PreconditionError
 from jacstab.graph import MAX_NONFREE_EDGES, enumerate_vines, make_vine
-from jacstab.stability import stable_sheaf_data
+from jacstab.stability import SheafDatum, stable_sheaf_data
 
 
 def vine(e, g1=0, g2=1, marks=(1,), n=1):
@@ -161,20 +161,35 @@ class TestAtlas:
 
     @pytest.mark.parametrize("nonfree", [False, True])
     def test_records_match_direct_chamber_search(self, nonfree):
-        # one search per edge count; every vine's tables equal its own
-        # search and live on its own graph
+        # one search per edge count: every record of one e shares the first
+        # such record's chambers, whose data live on that first vine's
+        # graph, and rebuilt on a vine's own graph they equal its own search
         window = (Fraction(-5, 2), Fraction(7, 3))
         records = atlas(5, 2, window, nonfree)
         assert len({r.vine.e for r in records}) < len(records)
+        first = {}
         for r in records:
-            direct = tuple(chambers(r.vine, window, nonfree))
-            graph = r.vine.to_graph()
-            assert [c.table_keys for c in r.chambers] == \
-                [c.table_keys for c in direct]
+            head = first.setdefault(r.vine.e, r)
+            assert r.chambers is head.chambers
+            graph = head.vine.to_graph()
             assert all(F.graph is graph
                        for c in r.chambers for F in c.stable_table)
-            assert r.chambers == direct
+            own = r.vine.to_graph()
+            rehomed = tuple(
+                replace(c, stable_table=tuple(SheafDatum(own, F.S, F.D)
+                                              for F in c.stable_table))
+                for c in r.chambers)
+            assert rehomed == tuple(chambers(r.vine, window, nonfree))
             assert r.wall_set == walls(r.vine, window)
+
+    def test_one_chamber_table_per_edge_count(self):
+        # 354 vines in 9 edge counts: per-vine copies of the shared tables
+        # would show here as more tuples and Chamber objects
+        records = atlas(8, 4, (Fraction(-3), Fraction(3)))
+        assert len(records) == 354
+        assert len({r.vine.e for r in records}) == 9
+        assert len({id(r.chambers) for r in records}) == 9
+        assert len({id(c) for r in records for c in r.chambers}) == 59
 
     def test_nonfree_edge_ceiling_fails_fast(self):
         # g = MAX_NONFREE_EDGES has a vine with g + 1 edges
