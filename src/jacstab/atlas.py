@@ -9,17 +9,17 @@ Walls and chamber tables depend on a vine only through its edge count e, so
 an atlas lists walls and searches chambers once per edge count, and every
 vine with that e shares the one ``WallSet`` and the one ``chambers`` tuple,
 whose data live on the graph of the first such vine.  An atlas is built
-serially in one process.  Its JSON comes from one indent-2 writer, not
-``json.dumps(indent=2)`` per record, which would run CPython's pure-Python
-encoder over the shared chambers once per vine: each distinct chamber block
-and datum is rendered once per call.
+serially in one process.  Its JSON is the bytes of ``json.dumps(indent=2)``,
+written from fixed-shape format strings (a record with its vine header, a
+chamber, a datum, a delta and its keys) rather than by ``json``, whose
+pure-Python indent encoder would walk the shared chambers once per vine:
+each distinct chamber block and datum is rendered once per call.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,9 +28,8 @@ from math import ceil, floor
 from operator import attrgetter
 
 from .errors import InvalidGraphError, PreconditionError
-from .graph import MAX_NONFREE_EDGES, VineCurve, enumerate_vines, vine_to_dict
-from .stability import (PhiVector, SheafDatum, datum_to_dict, exact_rational,
-                        stable_sheaf_data)
+from .graph import MAX_NONFREE_EDGES, VineCurve, enumerate_vines
+from .stability import PhiVector, SheafDatum, exact_rational, stable_sheaf_data
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +98,12 @@ def vine_phi(vine: VineCurve, x: Fraction) -> PhiVector:
 def chambers(vine: VineCurve, window: tuple[Fraction, Fraction],
              include_nonfree: bool = False) -> list[Chamber]:
     """Maximal open intervals between walls, each with its stable table."""
-    wall_set = walls(vine, window)
+    return _chambers(vine, walls(vine, window), include_nonfree)
+
+
+def _chambers(vine: VineCurve, wall_set: WallSet,
+              include_nonfree: bool) -> list[Chamber]:
+    """``chambers`` of ``vine`` between the walls ``wall_set`` lists."""
     lo, hi = wall_set.lo, wall_set.hi
     cuts = sorted({lo, hi} | {w for w in wall_set.walls if lo < w < hi})
     out = []
@@ -140,12 +144,10 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
     records = []
     for group in groups:
         shared = walls(group[0], window)
-        first = tuple(chambers(group[0], window, include_nonfree))
-        deltas = []
-        for left, right in zip(first, first[1:]):
-            lk, rk = set(left.table_keys), set(right.table_keys)
-            deltas.append((tuple(sorted(rk - lk)), tuple(sorted(lk - rk))))
-        deltas = tuple(deltas)
+        first = tuple(_chambers(group[0], shared, include_nonfree))
+        keys = [set(c.table_keys) for c in first]
+        deltas = tuple((tuple(sorted(rk - lk)), tuple(sorted(lk - rk)))
+                       for lk, rk in zip(keys, keys[1:]))
         records += (AtlasRecord(vine, shared, first, deltas)
                     for vine in group)
     return records
@@ -172,33 +174,43 @@ _datum_content = attrgetter("mask", "degrees", "graph.edge_order",
                             "graph.vertex_ids")
 
 
-def _dump(value, depth: int) -> str:
-    """``json.dumps(value, indent=2)`` of a list, dict, str, bool or int,
-    as it reads where the value opens at ``depth`` in a document."""
-    if isinstance(value, list):
-        return _wrap("[]", [_dump(v, depth + 1) for v in value], depth)
-    if isinstance(value, dict):
-        return _wrap("{}", _fields(value, depth + 1), depth)
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return int.__repr__(value)  # a TypeError for any other type
+def _at(depth: int, template: str) -> str:
+    """An indent-2 ``template``, written as if it opened at depth 0,
+    re-indented to open at ``depth`` in the document."""
+    return template.replace("\n", "\n" + "  " * depth)
 
 
-def _fields(fields: dict, depth: int) -> list[str]:
-    """The ``"key": value`` members of a dict, rendered at ``depth``."""
-    return ["%s: %s" % (json.encoder.encode_basestring_ascii(k),
-                        _dump(v, depth)) for k, v in fields.items()]
+# Every atlas JSON value has a fixed shape, so each is one format string at
+# the depth where it opens.  Fraction strings hold only digits, "-" and "/",
+# so ``"%s"`` quotes them with nothing to escape.
+_DATUM = _at(6, '{\n  "S": %s,\n  "D": %s\n}')
+_CHAMBER = _at(4, '{\n  "lo": "%s",\n  "hi": "%s",\n  "representative": "%s",'
+                  '\n  "is_small_perturbation": %s,\n  "stable_table": %s\n}')
+_DELTA = _at(4, '{\n  "added": %s,\n  "removed": %s\n}')
+_KEY = _at(6, '[\n  %s,\n  %s\n]')
+# A record is its vine header and window, then its shared chamber block.
+_RECORD = _at(2, '{\n  "g": %d,\n  "n": %d,\n  "vine": {\n    "g1": %d,'
+                 '\n    "g2": %d,\n    "e": %d,\n    "S": %s\n  },'
+                 '\n  "window": %s,\n  "walls": %s,\n  ')
+_BLOCK = _at(2, '"chambers": %s,\n  "wall_crossing_deltas": %s\n}')
 
 
-def _wrap(brackets: str, items: list[str], depth: int) -> str:
+def _wrap(brackets: str, items, depth: int) -> str:
     """Rendered items between ``brackets`` that open at ``depth``."""
-    if not items:
-        return brackets
     pad = "\n" + "  " * depth
-    return (brackets[0] + pad + "  " + ("," + pad + "  ").join(items)
-            + pad + brackets[1])
+    body = ("," + pad + "  ").join(items)
+    return (brackets[0] + pad + "  " + body + pad + brackets[1] if body
+            else brackets)
+
+
+def _ints(values, depth: int) -> str:
+    """An indent-2 list of ints that opens at ``depth``."""
+    return _wrap("[]", map(str, values), depth)
+
+
+def _strs(values, depth: int) -> str:
+    """An indent-2 list of strings needing no escapes, opening at ``depth``."""
+    return _wrap("[]", ['"%s"' % v for v in values], depth)
 
 
 def _chamber_block(record: AtlasRecord, data: dict) -> str:
@@ -209,50 +221,49 @@ def _chamber_block(record: AtlasRecord, data: dict) -> str:
         for F in c.stable_table:
             key = _datum_content(F)
             if key not in data:
-                data[key] = _dump(datum_to_dict(F), 6)
+                D = ['"%d": %d' % vd for vd in zip(F.graph.vertex_ids,
+                                                   F.degrees)]
+                data[key] = _DATUM % (_ints(F.key[0], 7), _wrap("{}", D, 7))
             table.append(data[key])
-        chambers.append(_wrap("{}", _fields({
-            "lo": str(c.lo), "hi": str(c.hi),
-            "representative": str(c.representative),
-            "is_small_perturbation": c.is_small_perturbation,
-        }, 5) + ['"stable_table": ' + _wrap("[]", table, 5)], 4))
-    deltas = [{"added": [list(map(list, k)) for k in added],
-               "removed": [list(map(list, k)) for k in removed]}
-              for added, removed in record.deltas]
-    return '"chambers": %s,\n      "wall_crossing_deltas": %s' % (
-        _wrap("[]", chambers, 3), _dump(deltas, 3))
+        chambers.append(_CHAMBER % (
+            c.lo, c.hi, c.representative,
+            "true" if c.is_small_perturbation else "false",
+            _wrap("[]", table, 5)))
+    deltas = [_DELTA % tuple(
+        _wrap("[]", [_KEY % (_ints(S, 7), _ints(D, 7)) for S, D in keys], 5)
+        for keys in delta) for delta in record.deltas]
+    return _BLOCK % (_wrap("[]", chambers, 3), _wrap("[]", deltas, 3))
 
 
 def atlas_to_json(records: list[AtlasRecord]) -> str:
     """``json.dumps({"g", "n", "records": [...]}, indent=2)`` plus a
-    newline, from one indent-2 writer: ``json`` with ``indent`` set runs
+    newline, from fixed-shape templates: ``json`` with ``indent`` set runs
     its pure-Python encoder, which would render a shared chamber again for
-    every vine.  Each distinct chamber block is rendered once per call,
-    keyed on the identity of the record's ``chambers`` and ``deltas``
-    tuples (every record is alive for the whole call, so equal ids mean the
-    same immutable objects); each distinct datum in them is rendered once,
-    keyed on plain-int content.  A record adds its vine header and one
-    splice into the one document string.
+    every vine.  A record is its vine header and window, from one format
+    string, then its chamber block.  Each distinct chamber block is
+    rendered once per call, keyed on the identity of the record's
+    ``chambers`` and ``deltas`` tuples (every record is alive for the whole
+    call, so equal ids mean the same immutable objects); each distinct datum
+    in them is rendered once, keyed on plain-int content, and each
+    ``WallSet`` once, keyed on its identity.
     """
     if not records:
-        return _dump({"records": []}, 0) + "\n"
+        return '{\n  "records": []\n}\n'
     windows, blocks, data = {}, {}, {}
     parts = ['{\n  "g": %d,\n  "n": %d,\n  "records": [\n    '
              % (records[0].vine.g, records[0].vine.n)]
     for r in records:
         ws = r.wall_set  # immutable, so its identity keys its own rendering
         if id(ws) not in windows:
-            windows[id(ws)] = _fields({"window": [str(ws.lo), str(ws.hi)],
-                                       "walls": [str(w) for w in ws.walls]}, 3)
+            windows[id(ws)] = (_strs((ws.lo, ws.hi), 3), _strs(ws.walls, 3))
         key = (id(r.chambers), id(r.deltas))
         block = blocks.get(key)
         if block is None:
             block = blocks[key] = _chamber_block(r, data)
-        head = _fields({"g": r.vine.g, "n": r.vine.n,
-                        "vine": vine_to_dict(r.vine)}, 3) + windows[id(ws)]
-        parts += ("{\n      ", ",\n      ".join(head), ",\n      ", block,
-                  "\n    },\n    ")
-    parts[-1] = "\n    }\n  ]\n}\n"
+        v = r.vine
+        parts += (_RECORD % (v.g, v.n, v.g1, v.g2, v.e, _ints(v.S, 4),
+                             *windows[id(ws)]), block, ",\n    ")
+    parts[-1] = "\n  ]\n}\n"
     return "".join(parts)
 
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import itertools
+import json
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -19,8 +20,9 @@ from jacstab.atlas import (
     walls,
 )
 from jacstab.errors import InvalidGraphError, PreconditionError
-from jacstab.graph import MAX_NONFREE_EDGES, enumerate_vines, make_vine
-from jacstab.stability import SheafDatum, stable_sheaf_data
+from jacstab.graph import (MAX_NONFREE_EDGES, DualGraph, enumerate_vines,
+                           make_vine, vine_to_dict)
+from jacstab.stability import SheafDatum, datum_to_dict, stable_sheaf_data
 
 
 def vine(e, g1=0, g2=1, marks=(1,), n=1):
@@ -191,6 +193,17 @@ class TestAtlas:
         assert len({id(r.chambers) for r in records}) == 9
         assert len({id(c) for r in records for c in r.chambers}) == 59
 
+    def test_walls_listed_once_per_edge_count(self, monkeypatch):
+        listed = []
+
+        def counted(vine, window):
+            listed.append(vine.e)
+            return walls(vine, window)
+
+        monkeypatch.setitem(atlas.__globals__, "walls", counted)
+        records = atlas(8, 4, (Fraction(-3), Fraction(3)))
+        assert sorted(listed) == sorted({r.vine.e for r in records})
+
     def test_nonfree_edge_ceiling_fails_fast(self):
         # g = MAX_NONFREE_EDGES has a vine with g + 1 edges
         start = time.monotonic()
@@ -232,8 +245,10 @@ class TestAtlas:
 
     def test_json_of_hand_built_records_matches_stdlib_reference(self):
         # a record sharing its neighbour's WallSet and deltas but with its
-        # stable tables reversed, a record with no chambers or deltas, and
-        # a chamber with an empty stable table
+        # stable tables reversed, a record with no chambers or deltas, a
+        # chamber with an empty stable table, deltas with an empty added or
+        # removed list, and a datum on a graph with 3 vertices and ids that
+        # are not 0..V-1
         records = atlas(4, 2, (Fraction(-3), Fraction(3)))
         mid = len(records) // 2
         r = records[mid]
@@ -242,12 +257,40 @@ class TestAtlas:
         emptied = replace(r.chambers[0], stable_table=())
         reversed_tables = tuple(replace(c, stable_table=c.stable_table[::-1])
                                 for c in r.chambers)
+        (added, _), (_, removed) = r.deltas[:2]
+        one_sided = ((added, ()), ((), removed)) + r.deltas[2:]
+        graph = DualGraph.build([(0, 0, {1}), (5, 1, ()), (12, 0, {2})],
+                                [(0, 5), (5, 12), (0, 12)], 2)
+        far = SheafDatum(graph, {0, 2}, {0: 1, 5: -3, 12: 2})
+        with_far = replace(r.chambers[1],
+                           stable_table=(far,) + r.chambers[1].stable_table)
         for changed in (replace(r, chambers=reversed_tables),
                         replace(r, chambers=(), deltas=()),
-                        replace(r, chambers=(emptied,) + r.chambers[1:])):
+                        replace(r, chambers=(emptied,) + r.chambers[1:]),
+                        replace(r, deltas=one_sided),
+                        replace(r, chambers=(r.chambers[0], with_far)
+                                + r.chambers[2:])):
             hand_built = records[:mid] + [changed] + records[mid + 1:]
             assert atlas_to_json(hand_built) == \
                 atlas_json_reference(hand_built)
+
+    def test_json_agrees_with_dict_serializers(self):
+        # over the 37 vine-atlas atlases, each datum and vine header the
+        # templates render reads back as datum_to_dict and vine_to_dict
+        specs = ([(g, n, False)
+                  for g, n in itertools.product(range(2, 9), range(1, 5))]
+                 + [(g, n, True)
+                    for g, n in itertools.product(range(2, 5), range(1, 4))])
+        for g, n, nonfree in specs:
+            records = atlas(g, n, (Fraction(-3), Fraction(3)), nonfree)
+            doc = json.loads(atlas_to_json(records))
+            assert len(doc["records"]) == len(records)
+            for r, rec in zip(records, doc["records"]):
+                assert (rec["g"], rec["n"]) == (r.vine.g, r.vine.n)
+                assert rec["vine"] == vine_to_dict(r.vine)
+                assert [c["stable_table"] for c in rec["chambers"]] == [
+                    [datum_to_dict(F) for F in c.stable_table]
+                    for c in r.chambers]
 
     def test_bad_context(self):
         with pytest.raises(ValueError):
