@@ -214,9 +214,10 @@ def construct_prop_phi(g: int, n: int, i: int, j: int,
     deterministic small perturbation.  Postconditions (checked with
     re-draws): nondegenerate, small perturbation, and O(p_i - p_j) stable
     on the vine.  A vine's only subcurves are its two sides, both crossed
-    by all e edges, so the check reads a vine only through (e, m): it runs
-    on the first vine of each (e, m) class, drawing from ``seed`` afresh,
-    and the class's other vines get the Fraction accepted there.
+    by all e edges, so the check reads a vine only through (e, m): each
+    (e, m) class is checked once, on the graph of the first vine with that
+    e, drawing from ``seed`` afresh, and all the class's vines get the
+    Fraction accepted there.  A failure names the class's first vine.
     """
     if i == j:
         raise JacstabError("markings i and j must differ")
@@ -224,7 +225,8 @@ def construct_prop_phi(g: int, n: int, i: int, j: int,
         raise JacstabError("markings out of range for n=%d" % n)
     vines = enumerate_vines(g, n, 1)
     entries = {}
-    accepted = {}  # (e, m) -> the Fraction the class's first vine accepted
+    accepted = {}  # (e, m) -> the Fraction accepted for the class
+    first = {}  # e -> the first vine with e edges, whose graph is checked
     for vine in vines:
         if vine.e == 1:
             entries[vine] = Fraction(0)
@@ -232,10 +234,11 @@ def construct_prop_phi(g: int, n: int, i: int, j: int,
         m = (i in vine.S) - (j in vine.S)  # side-1 degree of O(p_i - p_j)
         if (vine.e, m) not in accepted:
             base = Fraction(m, 2)
-            graph = vine.to_graph()
+            checked = first.setdefault(vine.e, vine)
+            graph = checked.to_graph()
             bundle = SheafDatum(graph, frozenset(), {0: m, 1: -m})
             accepted[vine.e, m] = first_admissible(
-                (vine_phi(vine, base + eps) for eps in epsilon_stream(seed)),
+                (vine_phi(checked, base + eps) for eps in epsilon_stream(seed)),
                 lambda phi: (is_nondegenerate(graph, phi)
                              and is_small_perturbation(graph, phi)
                              and is_stable(graph, phi, bundle)),

@@ -301,11 +301,13 @@ def iter_vines(g: int, n: int, min_edges: int) -> Iterator[VineCurve]:
     a time as they are read, so a reader that stops early builds no more.
 
     Finite because g1 + g2 + e - 1 = g forces e <= g + 1.  Both sides must
-    satisfy the vertex stability inequality.  One orderly pass: each side-1
-    marking set is met once, with its complement, in lexicographic order,
-    and only the canonical orientation is kept, so the walk is already in
-    ``(e, g1, S)`` order with no duplicates to remove.  The arguments are
-    checked when this is called, not when the walk starts: it raises
+    satisfy the vertex stability inequality.  One orderly pass over the
+    sorted side-1 marking sets S, with ``n - len(S)`` markings on side 2.
+    As ``g1 <= g2``, only equal genera test the orientation
+    ``S <= complement(S)``, which holds iff S is empty, or starts with 1
+    and is not all of ``1..n``; so the walk is already in ``(e, g1, S)``
+    order with no duplicates to remove.  The arguments are checked when
+    this is called, not when the walk starts: it raises
     :class:`PreconditionError` when the pass would visit more than
     ``MAX_VINE_CANDIDATES`` triples, bounded by ``(g + 1)^2 * 2^n``.
     """
@@ -318,17 +320,16 @@ def iter_vines(g: int, n: int, min_edges: int) -> Iterator[VineCurve]:
             "vines of g=%d, n=%d: (g + 1)^2 * 2^n candidates exceed the "
             "limit %d" % (g, n, MAX_VINE_CANDIDATES))
     marks = range(1, n + 1)
-    sides = [(s1, tuple(m for m in marks if m not in s1))
-             for s1 in sorted(s for size in range(n + 1)
-                              for s in combinations(marks, size))]
+    sides = sorted(s for size in range(n + 1)
+                   for s in combinations(marks, size))
     return (VineCurve(e, g1, s1, g2, n, g)
             for e in range(min_edges, g + 2)
             for g1 in range(0, (g - e + 1) // 2 + 1)
             for g2 in (g - e + 1 - g1,)
-            for s1, s2 in sides
-            if (g1 < g2 or s1 <= s2)
+            for s1 in sides
+            if (g1 < g2 or not s1 or s1[0] == 1 and len(s1) < n)
             and _side_stable(g1, e, len(s1))
-            and _side_stable(g2, e, len(s2)))
+            and _side_stable(g2, e, n - len(s1)))
 
 
 def enumerate_vines(g: int, n: int, min_edges: int) -> list[VineCurve]:

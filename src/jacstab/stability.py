@@ -158,10 +158,11 @@ class SheafDatum:
     """Combinatorial rank-1 torsion-free sheaf: non-free edges S, degrees D.
 
     Stored as ``mask`` (bit ``i`` for ``graph.edge_order[i]``) and ``degrees``
-    (D in ``graph.vertex_ids``); ``S``, ``D`` and ``key`` are built on read.
+    (D in ``graph.vertex_ids``); ``S`` and ``D`` are built on read, and
+    ``key`` on its first read, then kept.
     """
 
-    __slots__ = ("graph", "mask", "degrees")
+    __slots__ = ("graph", "mask", "degrees", "_key")
 
     def __init__(self, graph: DualGraph, S, D):
         S = frozenset(S)
@@ -175,13 +176,14 @@ class SheafDatum:
         self.mask = sum(1 << i for i, eid in enumerate(graph.edge_order)
                         if eid in S)
         self.degrees = tuple(int(D[vid]) for vid in graph.vertex_ids)
+        self._key = None
 
     @classmethod
     def _from_kernel(cls, graph: DualGraph, mask: int, degrees: tuple):
         """The datum ``(mask, degrees)`` of a search result on ``graph``,
         unchecked: both are already in the graph's edge and vertex order."""
         F = cls.__new__(cls)
-        F.graph, F.mask, F.degrees = graph, mask, degrees
+        F.graph, F.mask, F.degrees, F._key = graph, mask, degrees, None
         return F
 
     @property
@@ -195,7 +197,10 @@ class SheafDatum:
     @property
     def key(self) -> tuple:
         """Canonical sort/identity key: (sorted S, D in vertex-id order)."""
-        return (_edge_ids(self.graph.edge_order, self.mask), self.degrees)
+        if self._key is None:
+            self._key = (_edge_ids(self.graph.edge_order, self.mask),
+                         self.degrees)
+        return self._key
 
     def __repr__(self):
         S, degrees = self.key

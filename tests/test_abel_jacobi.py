@@ -224,9 +224,10 @@ class TestClassifyExtension:
                               result.phi_table)
         assert check.extends
 
-    def test_yes_builds_one_graph_per_vine_class(self, monkeypatch):
-        # only construct_prop_phi builds vine graphs, one per (e, m) class:
-        # no second check follows
+    def test_yes_builds_one_graph_per_edge_count(self, monkeypatch):
+        # only construct_prop_phi builds vine graphs, one per edge count
+        # e >= 2 that all its (e, m) classes are checked on: no second
+        # check follows
         built = []
         build = DualGraph.build.__func__
 
@@ -236,7 +237,8 @@ class TestClassifyExtension:
 
         monkeypatch.setattr(DualGraph, "build", classmethod(counted))
         assert classify_extension(3, 2, AJDatum(0, (1, -1), 3, 2)).extends
-        assert len(built) == _vine_classes(3, 2, 1, 2) == 8
+        assert len(built) == len({v.e for v in enumerate_vines(3, 2, 2)}) == 3
+        assert [len(edge_ends) for _, edge_ends, *_ in built] == [2, 3, 4]
 
     def test_yes_checks_each_vine_class_once(self, monkeypatch):
         # one bundle per (e, m) class of e >= 2 vines, the one

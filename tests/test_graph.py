@@ -220,10 +220,21 @@ class TestEnumerateVines:
     def test_matches_set_and_sort_reference(self):
         # same vines in the same order as the builder the orderly pass replaced
         for g in range(1, 9):
-            for n in range(1, 6):
+            for n in range(1, 7):
                 for min_edges in (1, 2, 3):
                     assert enumerate_vines(g, n, min_edges) == \
                         reference_enumerate_vines(g, n, min_edges)
+
+    def test_orientation_rule_matches_complement_order(self):
+        # the walk's equal-genus test: S <= complement(S) iff S is empty,
+        # or starts with 1 and is not all of 1..n
+        for n in range(1, 9):
+            marks = range(1, n + 1)
+            for size in range(n + 1):
+                for S in combinations(marks, size):
+                    complement = tuple(m for m in marks if m not in S)
+                    rule = not S or S[0] == 1 and len(S) < n
+                    assert rule == (S <= complement), (n, S)
 
     @pytest.mark.parametrize("args", [(0, 1, 1), (1, 0, 1), (1, 1, 0),
                                       (-1, 2, 2)])

@@ -2,6 +2,7 @@
 and the integer route of the phi samplers against the Fraction route."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from jacstab.corpus import (
     random_small_perturbation_phi,
     stable_graph_corpus,
 )
-from jacstab.graph import DualGraph, Edge, Vertex
+from jacstab.graph import DualGraph, Edge, Vertex, spanning_tree_count
 from jacstab.stability import (
     PhiVector,
     SheafDatum,
@@ -127,6 +128,26 @@ def test_first_support_violation_matches_frozenset_reference(
             oracles.reference_verify_support_lemma(graph, phi)), graph
         violations += got is not True
     assert violations > len(GRAPHS) // 4
+
+
+def test_nonfree_counts_are_tree_counts():
+    # Degree-0 stable data with support S are the stable multidegrees of
+    # G - S, tau(G - S) of them when G - S is connected and none otherwise;
+    # summed over S that is tau(G) * 2^b1: a spanning tree plus any subset
+    # of the other b1 edges.
+    for i, graph in enumerate(CORPUS[::6] + [UNSORTED]):
+        phi = random_nondegenerate_phi(graph, random.Random(i))
+        data = stable_sheaf_data(graph, phi, 0, include_nonfree=True)
+        b1 = len(graph.edges) - len(graph.vertices) + 1
+        assert len(data) == spanning_tree_count(graph) * 2 ** b1, graph
+        by_mask = Counter(F.mask for F in data)
+        edges = sorted(graph.edges, key=lambda e: e.id)  # bit i: edge_order[i]
+        for mask in range(1 << len(edges)):
+            rest = DualGraph(graph.vertices, [
+                e for bit, e in enumerate(edges) if not mask >> bit & 1],
+                graph.n, graph.g)
+            want = spanning_tree_count(rest) if rest.is_connected() else 0
+            assert by_mask[mask] == want, (graph, mask)
 
 
 def counted_inits(monkeypatch, *classes):
