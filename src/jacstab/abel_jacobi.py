@@ -130,7 +130,7 @@ class VinePhiTable:
                 if vine not in vines or S not in (list(vine.S),
                                                   list(vine.side2_markings)):
                     raise ValueError("row %s is no vine of g=%d, n=%d" % (
-                        VineCurve(e, g1, tuple(S), g2, table.n, vine.g),
+                        VineCurve(e, g1, tuple(S), g2, table.n),
                         table.g, table.n))
                 if vine in table.entries:
                     raise ValueError("row %s repeats an earlier row" % vine)
@@ -141,16 +141,20 @@ class VinePhiTable:
             raise PreconditionError("malformed phi table JSON: %s" % exc) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExtendsResult:
     """Answer of :func:`sigma_extends` and :func:`classify_extension`, with
-    the phi table checked or the chamber certificate of a "no"."""
+    the phi table checked or the chamber certificate of a "no".  Only a
+    "no" names a witness vine, so ``extends`` is ``witness is None``."""
 
-    extends: bool
     witness: VineCurve | None
     witness_bidegree: int | None = None
     phi_table: VinePhiTable | None = None
     certificate: ChamberCertificate | None = None
+
+    @property
+    def extends(self) -> bool:
+        return self.witness is None
 
     def to_report(self) -> dict:
         report = {
@@ -201,8 +205,9 @@ def sigma_extends(g: int, n: int, aj: AJDatum,
     for vine, phi in zip(vines, phis):
         D = aj_multidegree(phi.graph, aj)
         if not is_stable(phi.graph, phi, SheafDatum(phi.graph, frozenset(), D)):
-            return ExtendsResult(False, vine, D[0], table)
-    return ExtendsResult(True, None, None, table)
+            return ExtendsResult(witness=vine, witness_bidegree=D[0],
+                                 phi_table=table)
+    return ExtendsResult(witness=None, phi_table=table)
 
 
 def construct_prop_phi(g: int, n: int, i: int, j: int,
@@ -224,12 +229,12 @@ def construct_prop_phi(g: int, n: int, i: int, j: int,
     if not (1 <= i <= n and 1 <= j <= n):
         raise JacstabError("markings out of range for n=%d" % n)
     vines = enumerate_vines(g, n, 1)
-    entries = {}
+    table = VinePhiTable(g, n, {})
     accepted = {}  # (e, m) -> the Fraction accepted for the class
     first = {}  # e -> the first vine with e edges, whose graph is checked
     for vine in vines:
         if vine.e == 1:
-            entries[vine] = Fraction(0)
+            table.entries[vine] = Fraction(0)
             continue
         m = (i in vine.S) - (j in vine.S)  # side-1 degree of O(p_i - p_j)
         if (vine.e, m) not in accepted:
@@ -243,10 +248,10 @@ def construct_prop_phi(g: int, n: int, i: int, j: int,
                              and is_small_perturbation(graph, phi)
                              and is_stable(graph, phi, bundle)),
                 "no admissible perturbation for %s" % vine).values[0]
-        entries[vine] = accepted[vine.e, m]
+        table.entries[vine] = accepted[vine.e, m]
     log.debug("construct_prop_phi g=%d n=%d: %d vines, %d (e, m) checks",
               g, n, len(vines), len(accepted))
-    return VinePhiTable(g, n, entries)
+    return table
 
 
 @dataclass(frozen=True)
@@ -315,8 +320,8 @@ def classify_extension(g: int, n: int, aj: AJDatum,
         # for g = 1, whose e >= 2 vines have g1 = g2 = 0 and e = 2; there
         # the bundle {0: m, 1: -m} that construct_prop_phi checks is aj's
         # multidegree, so no sigma_extends re-check is needed.
-        return ExtendsResult(True, None, None,
-                             construct_prop_phi(g, n, ij[0], ij[1], seed))
+        return ExtendsResult(witness=None, phi_table=construct_prop_phi(
+            g, n, ij[0], ij[1], seed))
 
     for vine in iter_vines(g, n, 2):
         m = vine_bidegree(vine, aj)
@@ -324,7 +329,8 @@ def classify_extension(g: int, n: int, aj: AJDatum,
         if cert is not None:
             log.debug("g=%d n=%d: %s obstructs with bidegree (%d,%d)",
                       g, n, vine, m, -m)
-            return ExtendsResult(False, vine, m, None, cert)
+            return ExtendsResult(witness=vine, witness_bidegree=m,
+                                 certificate=cert)
     raise JacstabError(
         "no obstructing vine found for a non-unit twist; "
         "classification criterion violated")

@@ -249,7 +249,8 @@ class VineCurve:
 
     Stored in canonical orientation: (g1, sorted side-1 markings) is
     lexicographically <= (g2, sorted side-2 markings).  ``S`` holds the
-    markings on side 1.
+    markings on side 1.  The total genus ``g`` is not stored: the fields
+    fix it as ``g1 + g2 + e - 1``.
     """
 
     e: int
@@ -257,7 +258,10 @@ class VineCurve:
     S: tuple[int, ...]
     g2: int
     n: int
-    g: int
+
+    @property
+    def g(self) -> int:
+        return self.g1 + self.g2 + self.e - 1
 
     @property
     def side2_markings(self) -> tuple[int, ...]:
@@ -288,12 +292,11 @@ def vine_to_dict(vine: VineCurve) -> dict:
 
 def make_vine(g1: int, g2: int, e: int, S, n: int) -> VineCurve:
     """Construct a vine in canonical orientation (sides swapped if needed)."""
-    g = g1 + g2 + e - 1
     s1 = tuple(sorted(S))
     s2 = tuple(sorted(set(range(1, n + 1)) - set(s1)))
     if (g1, s1) <= (g2, s2):
-        return VineCurve(e, g1, s1, g2, n, g)
-    return VineCurve(e, g2, s2, g1, n, g)
+        return VineCurve(e, g1, s1, g2, n)
+    return VineCurve(e, g2, s2, g1, n)
 
 
 def iter_vines(g: int, n: int, min_edges: int) -> Iterator[VineCurve]:
@@ -322,7 +325,7 @@ def iter_vines(g: int, n: int, min_edges: int) -> Iterator[VineCurve]:
     marks = range(1, n + 1)
     sides = sorted(s for size in range(n + 1)
                    for s in combinations(marks, size))
-    return (VineCurve(e, g1, s1, g2, n, g)
+    return (VineCurve(e, g1, s1, g2, n)
             for e in range(min_edges, g + 2)
             for g1 in range(0, (g - e + 1) // 2 + 1)
             for g2 in (g - e + 1 - g1,)

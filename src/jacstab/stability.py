@@ -92,25 +92,26 @@ def exact_rational(x) -> Fraction:
 class PhiVector:
     """Exact rational vertex weights summing to zero on one graph.
 
-    ``values`` maps vertex ids to Fractions.  The same vector is also kept
-    scaled to integers: ``q`` is the lcm of the denominators and
-    ``values[v] == numerators[v] / q``.  A graph with repeated vertex ids
-    raises :class:`InvalidGraphError`.
+    The vector is stored scaled to integers: ``q`` is the lcm of the
+    denominators and ``numerators[v] / q`` is the value at ``v``.
+    ``values``, the map from vertex ids to Fractions, is built from them on
+    first read.  A graph with repeated vertex ids raises
+    :class:`InvalidGraphError`.
     """
 
     def __init__(self, graph: DualGraph, values):
         self.graph = graph
-        self.values = {vid: exact_rational(x) for vid, x in values.items()}
-        if set(self.values) != set(graph.vertex_ids):
+        values = {vid: exact_rational(x) for vid, x in values.items()}
+        if set(values) != set(graph.vertex_ids):
             raise MismatchedGraphError("phi values must cover exactly the vertex set")
-        if len(self.values) != len(graph.vertex_ids):
+        if len(values) != len(graph.vertex_ids):
             raise InvalidGraphError("duplicate vertex ids")
-        self.q = q = lcm(*(x.denominator for x in self.values.values()))
+        self.q = q = lcm(*(x.denominator for x in values.values()))
         self.numerators = {vid: x.numerator * (q // x.denominator)
-                           for vid, x in self.values.items()}
+                           for vid, x in values.items()}
         if sum(self.numerators.values()) != 0:
             raise ValueError("phi values must sum to 0, got %s"
-                             % sum(self.values.values()))
+                             % sum(values.values()))
         self._sums = None
 
     @classmethod
@@ -118,7 +119,7 @@ class PhiVector:
         """The vector ``numerators[v] / q``, for callers that guarantee the
         numerators cover the vertex set and sum to 0.  Reduced by
         ``gcd(q, *numerators)``, so ``q`` and ``numerators`` equal those of
-        the Fraction route; ``values`` is built on first read."""
+        the Fraction route."""
         phi = cls.__new__(cls)
         phi.graph = graph
         common = gcd(q, *numerators.values())
@@ -159,7 +160,9 @@ class SheafDatum:
 
     Stored as ``mask`` (bit ``i`` for ``graph.edge_order[i]``) and ``degrees``
     (D in ``graph.vertex_ids``); ``S`` and ``D`` are built on read, and
-    ``key`` on its first read, then kept.
+    ``key`` on its first read, then kept.  A degree that is not an ``int``
+    (a float, a bool, a string, a Fraction) raises
+    :class:`PreconditionError`; none is converted.
     """
 
     __slots__ = ("graph", "mask", "degrees", "_key")
@@ -172,10 +175,13 @@ class SheafDatum:
         vids = graph.vertex_ids
         if len(D) != len(vids) or not all(map(D.__contains__, vids)):
             raise MismatchedGraphError("multidegree must cover exactly the vertex set")
+        degrees = tuple(D[vid] for vid in vids)
+        if not all(type(x) is int for x in degrees):
+            raise PreconditionError("degrees must be integers: %r" % (D,))
         self.graph = graph
         self.mask = sum(1 << i for i, eid in enumerate(graph.edge_order)
                         if eid in S)
-        self.degrees = tuple(int(D[vid]) for vid in graph.vertex_ids)
+        self.degrees = degrees
         self._key = None
 
     @classmethod
@@ -330,7 +336,10 @@ def _integer_window(low: int, high: int, den: int) -> range:
 
 def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
                   include_nonfree: bool) -> list[tuple[int, tuple]]:
-    """Every phi-stable (mask, degrees) of total degree d, in search order."""
+    """Every phi-stable (mask, degrees) of total degree d, in search order;
+    a ``d`` that is not an ``int`` raises :class:`PreconditionError`."""
+    if type(d) is not int:
+        raise PreconditionError("total degree must be an integer: %r" % (d,))
     _check_same_graph(graph, phi)
     if not is_nondegenerate(graph, phi):
         raise DegenerateParameterError(
@@ -382,7 +391,8 @@ def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
 
 def stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
                       include_nonfree: bool = False) -> list[SheafDatum]:
-    """The complete finite list of phi-stable sheaf data of total degree d.
+    """The complete finite list of phi-stable sheaf data of total degree d,
+    an ``int`` (anything else raises :class:`PreconditionError`).
 
     Requires phi nondegenerate (stable = semistable, so the list is
     unambiguous).  With ``include_nonfree=False`` only line bundles (S

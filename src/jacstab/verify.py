@@ -46,12 +46,17 @@ from .stability import (
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SuiteResult:
+    """A suite's case count and first counterexample; passed iff none."""
+
     suite: str
-    passed: bool
     cases: int
     counterexample: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -271,4 +276,5 @@ def run_suite(name: str, max_vertices=4, max_edges=7, trials=50,
     else:
         results = [fn(item) for item in work]
     bad = next((b for _, b in results if b is not None), None)
-    return SuiteResult(name, bad is None, sum(c for c, _ in results), bad)
+    return SuiteResult(suite=name, cases=sum(c for c, _ in results),
+                       counterexample=bad)

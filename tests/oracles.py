@@ -1,6 +1,7 @@
 """Independent brute-force oracles used only by the tests."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import (chain, combinations, combinations_with_replacement,
@@ -444,6 +445,25 @@ def fraction_balanced_phi(graph: DualGraph, rng, q: int,
     vals = {vid: Fraction(x, q) for vid, x in zip(vids, nums)}
     vals[vids[-1]] = Fraction(-sum(nums), q)
     return PhiVector(graph, vals)
+
+
+# --- The stable table of a vine in closed form -----------------------------
+
+def vine_stable_keys(e: int, x: Fraction, include_nonfree: bool) -> set:
+    """Closed form of the degree-0 stable table of an e-edge vine at
+    phi = (x, -x), as the set of datum keys ``(S, (D(v1), D(v2)))``.
+
+    A datum with non-free edges S (|S| = s) is a line bundle on the vine
+    without them, stable for phi shifted by s/2, so D(v1) runs over the
+    e - s integers strictly inside (x - e/2, x + e/2 - s) and
+    D(v2) = -s - D(v1).  Uses no code of ``jacstab.stability``.
+    """
+    half = Fraction(e, 2)
+    sizes = range(e + 1) if include_nonfree else (0,)
+    return {(S, (d, -s - d))
+            for s in sizes for S in combinations(range(e), s)
+            for d in range(math.floor(x - half) + 1,
+                           math.ceil(x + half - s))}
 
 
 # --- The per-vine admissibility loop of construct_prop_phi -----------------

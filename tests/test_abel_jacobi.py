@@ -32,7 +32,8 @@ from jacstab.errors import (
 )
 from jacstab.graph import DualGraph, VineCurve, enumerate_vines, make_vine
 from jacstab.stability import SheafDatum, is_nondegenerate, is_small_perturbation
-from oracles import random_stable_graph, reference_construct_prop_phi
+from oracles import (random_stable_graph, reference_construct_prop_phi,
+                     vine_stable_keys)
 
 
 def genus1_unmarked_vine():
@@ -365,6 +366,42 @@ class TestClassifyExtension:
         assert report["witness_vine"]["bidegree"] == [2, -2]
         assert report["certificate"]["chambers"]
         assert "note" in report
+
+
+@pytest.mark.parametrize("e", range(2, 10))
+def test_certificate_rows_match_vine_closed_form(e):
+    # m = e lies outside every window (x - e/2, x + e/2) with |x| < e/2, so
+    # a certificate comes back; its rows tile (-e/2, e/2) and list the
+    # closed-form line-bundle degrees of each chamber
+    vine = make_vine(0, 0, e, (1,), 2)
+    cert = certify_unstable_on_vine(vine, e)
+    assert (cert.vine, cert.bidegree) == (vine, e)
+    los = [lo for lo, _, _ in cert.chambers]
+    his = [hi for _, hi, _ in cert.chambers]
+    assert (los[0], his[-1]) == (Fraction(-e, 2), Fraction(e, 2))
+    assert los[1:] == his[:-1]
+    for lo, hi, degs in cert.chambers:
+        keys = vine_stable_keys(e, (lo + hi) / 2, False)
+        assert degs == tuple(sorted(D[0] for _, D in keys))
+
+
+def test_extends_is_read_from_the_witness():
+    # a "no" names its witness and a "yes" does not, so no result can say
+    # both; the positional calls of the old five-field type are refused
+    vine = make_vine(0, 1, 2, (1,), 1)
+    with pytest.raises(TypeError):
+        ExtendsResult(True, vine, 3)
+    with pytest.raises(TypeError):
+        ExtendsResult(True, None, None, None)
+    no = classify_extension(2, 4, AJDatum(0, (1, 1, -1, -1), 2, 4))
+    yes = classify_extension(2, 2, AJDatum(0, (1, -1), 2, 2))
+    assert (no.extends, str(no.witness), no.witness_bidegree) == (
+        False, "vine(g1=0, g2=1, e=2, S={1,2})", 2)
+    assert (yes.extends, yes.witness) == (True, None)
+    assert sigma_extends(2, 2, AJDatum(0, (1, -1), 2, 2),
+                         yes.phi_table).extends
+    assert (no.to_report()["extends"], yes.to_report()["extends"]) == (
+        False, True)
 
 
 def test_phi_table_round_trip():

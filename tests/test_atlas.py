@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from oracles import atlas_json_reference
+from oracles import atlas_json_reference, vine_stable_keys
 
 from jacstab.atlas import (
     MAX_WALLS,
@@ -315,6 +315,23 @@ class TestAtlas:
             "d6b2b62bb844357a3ffce20a331db072fa6e45a2103a4823339f81241b1296fd")
         assert csvs.hexdigest() == (
             "12b9c875eded4124f88f6fb48b936026a31b6f8a496529f3c5106138e625f752")
+
+
+def test_chamber_tables_match_vine_closed_form():
+    # every stable table of the 37 vine-atlas atlases on (-3, 3) is the
+    # closed form of tests/oracles.py at the chamber's representative
+    specs = ([(g, n, False)
+              for g, n in itertools.product(range(2, 9), range(1, 5))]
+             + [(g, n, True)
+                for g, n in itertools.product(range(2, 5), range(1, 4))])
+    tables = 0
+    for g, n, nonfree in specs:
+        for r in atlas(g, n, (Fraction(-3), Fraction(3)), nonfree):
+            for c in r.chambers:
+                assert {F.key for F in c.stable_table} == vine_stable_keys(
+                    r.vine.e, c.representative, nonfree), (r.vine, c)
+                tables += 1
+    assert tables == 16208
 
 
 def test_table_string():

@@ -441,6 +441,19 @@ class TestGraphFromDict:
             graph_from_dict(data)
 
 
-def test_vine_curve_takes_all_six_fields():
+def test_vine_genus_is_read_from_its_fields():
+    # g = g1 + g2 + e - 1 is not a field, so no vine can carry another g
+    with pytest.raises(TypeError):
+        VineCurve(2, 0, (1,), 1, 1, 7)
+    vine = make_vine(0, 1, 2, (1,), 1)
+    assert (vine.g, str(vine)) == (2, "vine(g1=0, g2=1, e=2, S={1})")
+    assert vine == VineCurve(2, 0, (1,), 1, 1)
+    assert validate(vine.to_graph()) == []
+    assert make_vine(3, 0, 2, (), 2).g == 4   # sides swapped
+    for g in (1, 2, 3):
+        assert {v.g for v in enumerate_vines(g, 2, 1)} == {g}
+
+
+def test_vine_curve_takes_all_five_fields():
     with pytest.raises(TypeError):
         VineCurve(2, 0)

@@ -267,6 +267,16 @@ class TestStability:
         with pytest.raises(MismatchedGraphError, match="multidegree"):
             SheafDatum(g, (), D)
 
+    @pytest.mark.parametrize("degree", [0.5, 0.0, True, "-1", Fraction(1)],
+                             ids=repr)
+    def test_degrees_must_be_ints(self, degree):
+        # refused, not truncated or converted: 0.5 used to read as 0, True
+        # as 1 and "-1" as -1
+        g = vine_graph(2)
+        with pytest.raises(PreconditionError, match="degrees must be "
+                           "integers"):
+            SheafDatum(g, (), {0: degree, 1: 0})
+
     def test_single_vertex_vacuously_stable(self):
         g = DualGraph.build([(0, 1, (1,))], [(0, 0)], 1)
         phi = PhiVector(g, {0: Fraction(0)})
@@ -421,6 +431,18 @@ class TestStableSheafData:
         for F in data:
             assert total_degree(F) == 1
         assert stable_sheaf_data(g, phi, 5, include_nonfree=True) == []
+
+    @pytest.mark.parametrize("d", [0.0, True, Fraction(1, 2), Fraction(0),
+                                   "0"], ids=repr)
+    @pytest.mark.parametrize("include_nonfree", [False, True])
+    def test_total_degree_must_be_an_int(self, d, include_nonfree):
+        # 0.0 used to give float degrees, True the degree-1 data and 1/2
+        # an empty list
+        g = vine_graph(2)
+        with pytest.raises(PreconditionError, match="total degree must be "
+                           "an integer"):
+            stable_sheaf_data(g, vine_phi2(g, Fraction(3, 10)), d,
+                              include_nonfree)
 
     def test_nonfree_edge_ceiling_fails_fast(self):
         e = MAX_NONFREE_EDGES + 1

@@ -8,8 +8,9 @@ import pytest
 
 from jacstab import verify
 from jacstab.errors import PreconditionError
+from jacstab.graph import iter_vines
 from jacstab.stability import stable_sheaf_data
-from jacstab.verify import SUITES, _per_graph_rng, run_suite
+from jacstab.verify import SUITES, SuiteResult, _per_graph_rng, run_suite
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -44,6 +45,21 @@ def test_support_lemma_caps_trials_at_five():
     assert capped == five
 
 
+def test_passed_is_read_from_the_counterexample():
+    # a suite passed exactly when it has no counterexample, so no result
+    # can print "pass" above one
+    with pytest.raises(TypeError):
+        SuiteResult("cor25", True, 5, "graph 3 failed")
+    failed = SuiteResult(suite="cor25", cases=5,
+                         counterexample="graph 3 failed")
+    assert not failed.passed
+    assert failed.summary() == ("cor25: FAIL (5 cases)\n"
+                                "  first counterexample: graph 3 failed")
+    result = run_suite("prop41")
+    assert (result.passed, result.summary()) == (
+        True, "prop41: pass (177 cases)")
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("cor26")
@@ -60,6 +76,15 @@ def test_vacuous_bounds_rejected(suite, bounds):
 
 def _two_vertices(graph):
     return len(graph.vertex_ids) == 2
+
+
+def _flipped(answer, g, n):
+    """An extension answer with its verdict flipped on g = 2: a "no" loses
+    its witness and a "yes" gains the first e >= 2 vine as one."""
+    if g != 2:
+        return answer
+    return replace(answer, witness=None if answer.witness
+                   else next(iter_vines(g, n, 2)))
 
 
 # For each suite, lies told by functions of jacstab.verify: the function's
@@ -104,16 +129,15 @@ _LIES = {
          "g=2 n=1 k=0 a=[0]: trivial twist not rejected"),
         # every answer flipped
         ("classify_extension",
-         lambda true, g, n, aj, seed: replace(
-             answer := true(g, n, aj, seed),
-             extends=answer.extends != (g == 2)), 177,
-         "g=2 n=1 k=-1 a=[-2]: classified True, expected False"),
-        # a "yes" table that the independent check refuses
+         lambda true, g, n, aj, seed: _flipped(true(g, n, aj, seed), g, n),
+         177, "g=2 n=1 k=-1 a=[-2]: classified True, expected False"),
+        # a "yes" table that the independent check refuses (the suite asks
+        # sigma_extends only about "yes" tables, which it accepts)
         ("sigma_extends",
-         lambda true, g, n, aj, table: replace(
-             answer := true(g, n, aj, table),
-             extends=answer.extends and g != 2), 177,
-         "g=2 n=2 k=0 a=[-1, 1]: yes-table fails sigma_extends at None"),
+         lambda true, g, n, aj, table: _flipped(true(g, n, aj, table), g, n),
+         177,
+         "g=2 n=2 k=0 a=[-1, 1]: yes-table fails sigma_extends at "
+         "vine(g1=0, g2=1, e=2, S={1})"),
     ],
 }
 
