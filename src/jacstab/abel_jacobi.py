@@ -25,6 +25,7 @@ from .atlas import chambers, vine_phi
 from .errors import (
     IncompleteTableError,
     JacstabError,
+    PhiConstructionError,
     PreconditionError,
     TrivialTwistError,
 )
@@ -34,7 +35,6 @@ from .stability import (
     SheafDatum,
     epsilon_stream,
     exact_rational,
-    first_admissible,
     is_nondegenerate,
     is_small_perturbation,
     is_stable,
@@ -50,7 +50,9 @@ SCOPE_NOTE = ("phi table is per-vine; whether it lifts to a global "
 
 @dataclass(frozen=True)
 class AJDatum:
-    """Twist data (k; a_1, ..., a_n) for fixed (g, n)."""
+    """Twist data (k; a_1, ..., a_n) for fixed (g, n).  :meth:`check`
+    refuses a ``k`` or ``a_i`` that is not an ``int`` (``bool`` included),
+    since such data is no line bundle."""
 
     k: int
     a: tuple[int, ...]
@@ -64,6 +66,9 @@ class AJDatum:
         if len(self.a) != self.n:
             raise JacstabError("twist vector length %d != n=%d"
                                % (len(self.a), self.n))
+        if any(type(x) is not int for x in (self.k, *self.a)):
+            raise PreconditionError("twist data must be integers: k=%r, a=%r"
+                                    % (self.k, self.a))
         lhs = self.k * (2 - 2 * self.g) + sum(self.a)
         if lhs != 0:
             raise JacstabError(
@@ -214,23 +219,25 @@ def construct_prop_phi(g: int, n: int, i: int, j: int,
                        seed: int = 0) -> VinePhiTable:
     """Per-vine stability table stabilizing the bundle O(p_i - p_j).
 
-    Every e = 1 vine gets phi(side 1) = 0; an e >= 2 vine gets m/2, with
-    m = [i in S] - [j in S] the bundle's side-1 degree, plus a
-    deterministic small perturbation.  Postconditions (checked with
-    re-draws): nondegenerate, small perturbation, and O(p_i - p_j) stable
-    on the vine.  A vine's only subcurves are its two sides, both crossed
-    by all e edges, so the check reads a vine only through (e, m): each
-    (e, m) class is checked once, on the graph of the first vine with that
-    e, drawing from ``seed`` afresh, and all the class's vines get the
-    Fraction accepted there.  A failure names the class's first vine.
+    Every e = 1 vine gets phi(side 1) = 0; an e >= 2 vine gets
+    x = m/2 + eps, with m = [i in S] - [j in S] in {-1, 0, 1} its side-1
+    degree and eps = ``next(epsilon_stream(seed))``, drawn once per call.
+    As e >= 2 and 0 < eps <= 1/200, x is admissible: |x| < 1 <= e/2 (a
+    small perturbation), |m - x| = |m/2 - eps| < 1 <= e/2 (the bundle
+    (m, -m) is stable) and x + e/2 = (m + e)/2 + eps is no integer
+    (nondegenerate).  These checks stay as the postcondition.  A vine's
+    sides are its only subcurves, so the checks read it only through
+    (e, m) and run once per class, on the graph of the first vine with that
+    e; a failure raises :class:`PhiConstructionError` naming that vine.
     """
     if i == j:
         raise JacstabError("markings i and j must differ")
     if not (1 <= i <= n and 1 <= j <= n):
         raise JacstabError("markings out of range for n=%d" % n)
+    eps = next(epsilon_stream(seed))
     vines = enumerate_vines(g, n, 1)
     table = VinePhiTable(g, n, {})
-    accepted = {}  # (e, m) -> the Fraction accepted for the class
+    accepted = {}  # (e, m) -> the Fraction checked for the class
     first = {}  # e -> the first vine with e edges, whose graph is checked
     for vine in vines:
         if vine.e == 1:
@@ -238,16 +245,17 @@ def construct_prop_phi(g: int, n: int, i: int, j: int,
             continue
         m = (i in vine.S) - (j in vine.S)  # side-1 degree of O(p_i - p_j)
         if (vine.e, m) not in accepted:
-            base = Fraction(m, 2)
+            x = Fraction(m, 2) + eps
             checked = first.setdefault(vine.e, vine)
             graph = checked.to_graph()
+            phi = vine_phi(checked, x)
             bundle = SheafDatum(graph, frozenset(), {0: m, 1: -m})
-            accepted[vine.e, m] = first_admissible(
-                (vine_phi(checked, base + eps) for eps in epsilon_stream(seed)),
-                lambda phi: (is_nondegenerate(graph, phi)
-                             and is_small_perturbation(graph, phi)
-                             and is_stable(graph, phi, bundle)),
-                "no admissible perturbation for %s" % vine).values[0]
+            if not (is_nondegenerate(graph, phi)
+                    and is_small_perturbation(graph, phi)
+                    and is_stable(graph, phi, bundle)):
+                raise PhiConstructionError(
+                    "no admissible perturbation for %s" % vine)
+            accepted[vine.e, m] = x
         table.entries[vine] = accepted[vine.e, m]
     log.debug("construct_prop_phi g=%d n=%d: %d vines, %d (e, m) checks",
               g, n, len(vines), len(accepted))
@@ -308,7 +316,8 @@ def classify_extension(g: int, n: int, aj: AJDatum,
     acceptance, once per (e, m) class, is the check :func:`sigma_extends`
     makes per vine, so it is not run twice; "no" answers carry the first
     obstructing vine in canonical order together with an exhaustive chamber
-    certificate, and build no vine after it.
+    certificate, and build no vine after it.  Only a "yes" reads ``seed``,
+    which must be an ``int``.
     """
     aj.check(g, n)
     if aj.is_trivial:

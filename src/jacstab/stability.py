@@ -41,11 +41,10 @@ cross-checked against the brute-force equality search
 
 from __future__ import annotations
 
-import logging
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, product, takewhile
+from itertools import product, takewhile
 from math import gcd, lcm
 from numbers import Rational
 from operator import attrgetter
@@ -54,13 +53,10 @@ from .errors import (
     DegenerateParameterError,
     InvalidGraphError,
     MismatchedGraphError,
-    PhiConstructionError,
     PreconditionError,
     UnknownEdgeError,
 )
 from .graph import MAX_NONFREE_EDGES, DualGraph
-
-log = logging.getLogger(__name__)
 
 # ASCII only: int() and Fraction() also read other Unicode digits and spaces
 _RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*", re.ASCII)
@@ -449,8 +445,12 @@ _PRIMES = [2, 3]
 
 def epsilon_stream(seed: int):
     """Deterministic small rationals 1/(100*p) over successive primes p,
-    starting at the ``(seed % 997 + 1)``-th prime."""
-    k = int(seed) % 997
+    starting at the ``(seed % 997 + 1)``-th prime, so the first draw lies
+    between 1/788300 and 1/200.  A ``seed`` that is not an ``int``
+    (``bool`` included) raises :class:`PreconditionError` at that draw."""
+    if type(seed) is not int:
+        raise PreconditionError("seed must be an integer: %r" % (seed,))
+    k = seed % 997
     while True:
         while len(_PRIMES) <= k:
             c = _PRIMES[-1] + 2
@@ -459,16 +459,6 @@ def epsilon_stream(seed: int):
             _PRIMES.append(c)
         yield Fraction(1, 100 * _PRIMES[k])
         k += 1
-
-
-def first_admissible(candidates, ok, failure: str):
-    """The first of at most 50 candidates satisfying ``ok``; raises
-    :class:`PhiConstructionError` with ``failure`` if none does."""
-    for index, candidate in enumerate(islice(candidates, 50)):
-        if ok(candidate):
-            return candidate
-        log.debug("candidate %d rejected: %r", index, candidate)
-    raise PhiConstructionError(failure)
 
 
 # --- JSON schemas ----------------------------------------------------------

@@ -5,18 +5,18 @@ import math
 import random
 from fractions import Fraction
 from itertools import (chain, combinations, combinations_with_replacement,
-                       permutations, product)
+                       islice, permutations, product)
 from operator import attrgetter
 
 from jacstab.abel_jacobi import VinePhiTable
 from jacstab.atlas import vine_phi
 from jacstab.errors import (DegenerateParameterError, InvalidGraphError,
-                            JacstabError, PreconditionError)
+                            JacstabError, PhiConstructionError,
+                            PreconditionError)
 from jacstab.graph import (MAX_NONFREE_EDGES, DualGraph, _side_stable,
                            enumerate_vines, make_vine)
 from jacstab.stability import (PhiVector, SheafDatum, _check_same_graph,
-                               _integer_window, epsilon_stream,
-                               first_admissible, is_nondegenerate,
+                               epsilon_stream, is_nondegenerate,
                                is_small_perturbation, is_stable)
 
 
@@ -350,7 +350,8 @@ def reference_stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
     empty) are returned; with ``include_nonfree=True`` the search runs over
     all 2^E edge subsets, so graphs above ``MAX_NONFREE_EDGES`` edges raise
     :class:`InvalidGraphError`.  The search is bounded and flat: the
-    singleton-subcurve inequality pins each D(v) to a finite window, the
+    singleton-subcurve inequality pins each D(v) to a finite window (found
+    from phi's Fractions, not by the kernel's integer window), the
     search runs over the product of all windows but the last, and the last
     vertex is solved from the total-degree constraint and kept only if it
     lies in its own window.  Each candidate is tested on its (S, D) and
@@ -366,7 +367,6 @@ def reference_stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
     results = []
     subsets = _edge_subsets(graph) if include_nonfree else [()]
     ctx = _phi_context(graph, phi)
-    q = phi.q
 
     if len(vids) == 1:
         # No proper subcurves: D is pinned by the total degree and every
@@ -387,11 +387,12 @@ def reference_stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
             cr = len(crossing[vid])
             delta = len(S & crossing[vid])
             loops_in_S = len(S & loops[vid])
-            # 2q * (center -+ half) with center = phi(v) - delta/2 and
-            # half = (cr - delta)/2
-            twos = 2 * phi.numerators[vid]
-            windows.append([deg - loops_in_S for deg in _integer_window(
-                twos - q * cr, twos + q * (cr - 2 * delta), 2 * q)])
+            # D(v) + loops_in_S lies strictly inside (phi(v) - cr/2,
+            # phi(v) + cr/2 - delta), found here in Fractions
+            x = phi.values[vid]
+            windows.append(range(
+                math.floor(x - Fraction(cr, 2)) + 1 - loops_in_S,
+                math.ceil(x + Fraction(cr, 2) - delta) - loops_in_S))
         if not all(windows):
             continue
         target = d - len(S)
@@ -468,9 +469,10 @@ def vine_stable_keys(e: int, x: Fraction, include_nonfree: bool) -> set:
 
 # --- The per-vine admissibility loop of construct_prop_phi -----------------
 #
-# Every e >= 2 vine builds its own graph and bundle and draws its own phi;
-# jacstab.abel_jacobi.construct_prop_phi, which checks once per (e, m)
-# class, must return the same entries.
+# Every e >= 2 vine builds its own graph and bundle and draws its own phi,
+# re-drawing up to 50 times; jacstab.abel_jacobi.construct_prop_phi, which
+# draws once per call and checks once per (e, m) class, must return the
+# same entries.
 
 def reference_construct_prop_phi(g: int, n: int, i: int, j: int,
                                  seed: int = 0) -> VinePhiTable:
@@ -494,11 +496,14 @@ def reference_construct_prop_phi(g: int, n: int, i: int, j: int,
         base = Fraction(m, 2)
         graph = vine.to_graph()
         bundle = SheafDatum(graph, frozenset(), {0: m, 1: -m})
-        phi = first_admissible(
-            (vine_phi(vine, base + eps) for eps in epsilon_stream(seed)),
-            lambda phi: (is_nondegenerate(graph, phi)
-                         and is_small_perturbation(graph, phi)
-                         and is_stable(graph, phi, bundle)),
-            "no admissible perturbation for %s" % vine)
-        entries[vine] = phi.values[0]
+        for eps in islice(epsilon_stream(seed), 50):
+            phi = vine_phi(vine, base + eps)
+            if (is_nondegenerate(graph, phi)
+                    and is_small_perturbation(graph, phi)
+                    and is_stable(graph, phi, bundle)):
+                entries[vine] = phi.values[0]
+                break
+        else:
+            raise PhiConstructionError(
+                "no admissible perturbation for %s" % vine)
     return VinePhiTable(g, n, entries)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from jacstab import abel_jacobi
 from jacstab.abel_jacobi import (
     AJDatum,
     ExtendsResult,
@@ -83,6 +84,22 @@ class TestAJMultidegree:
         g = genus1_unmarked_vine()
         with pytest.raises(JacstabError):
             aj_multidegree(g, AJDatum(0, (0, 0), 3, 2))
+
+    @pytest.mark.parametrize("aj", [
+        AJDatum(1, (2.0,), 2, 1),
+        AJDatum(1.0, (2,), 2, 1),
+        AJDatum(0, (0.5, -0.5), 2, 2),
+        AJDatum(0, (True, -1), 2, 2),
+        AJDatum(0, (Fraction(1), -1), 2, 2),
+    ], ids=["float-a", "float-k", "half-a", "bool-a", "fraction-a"])
+    def test_non_int_twist_refused(self, aj):
+        # no line bundle has a non-integer degree, so no answer is given;
+        # a float would otherwise reach the report's bidegree
+        with pytest.raises(PreconditionError,
+                           match="twist data must be integers"):
+            classify_extension(aj.g, aj.n, aj)
+        with pytest.raises(PreconditionError):
+            aj.check(aj.g, aj.n)
 
 
 @pytest.mark.parametrize("call", [
@@ -341,6 +358,33 @@ class TestClassifyExtension:
             classify_extension(1, 21, aj)
         assert time.monotonic() - start < 1
         assert built == []
+
+    @pytest.mark.parametrize("seed", [0.9, "0", True])
+    def test_yes_refuses_non_int_seed_before_any_vine(self, monkeypatch,
+                                                      seed):
+        built = []
+        monkeypatch.setattr(VineCurve, "__init__",
+                            lambda self, *args: built.append(args))
+        with pytest.raises(PreconditionError, match="seed must be an integer"):
+            classify_extension(3, 2, AJDatum(0, (1, -1), 3, 2), seed)
+        assert built == []
+
+    def test_certificate_cache_holds_no_graph(self, monkeypatch):
+        # the only cross-call cache on the classify path keeps Fractions and
+        # ints: no vine, graph or sheaf datum outlives a call
+        cache = {}
+        monkeypatch.setattr(abel_jacobi, "_SMALL_CHAMBER_ROWS", cache)
+        for aj in _twists():
+            classify_extension(aj.g, aj.n, aj)
+        assert cache
+        for e, rows in cache.items():
+            assert type(e) is int and type(rows) is tuple
+            for row in rows:
+                assert type(row) is tuple and len(row) == 3
+                lo, hi, degs = row
+                assert type(lo) is Fraction and type(hi) is Fraction
+                assert type(degs) is tuple
+                assert all(type(d) is int for d in degs)
 
     def test_trivial_twist_raises(self):
         with pytest.raises(TrivialTwistError):

@@ -1,4 +1,3 @@
-import logging
 import random
 import time
 from fractions import Fraction
@@ -25,7 +24,6 @@ from jacstab.errors import (
     DegenerateParameterError,
     InvalidGraphError,
     MismatchedGraphError,
-    PhiConstructionError,
     PreconditionError,
     UnknownEdgeError,
 )
@@ -43,7 +41,6 @@ from jacstab.stability import (
     equivalent_small_perturbation_check,
     exact_rational,
     find_equality_witness,
-    first_admissible,
     is_nondegenerate,
     is_small_perturbation,
     is_stable,
@@ -492,15 +489,29 @@ class TestSupportLemma:
 
 
 def t_stable_phi(vine, t, seed):
-    """The first phi(side 1) = t + eps, eps drawn from the seed's epsilon
-    stream, that is off the walls and makes the bundle (t, -t) stable."""
-    graph = vine.to_graph()
-    target = SheafDatum(graph, (), {0: t, 1: -t})
-    return first_admissible(
-        (vine_phi(vine, t + eps) for eps in epsilon_stream(seed)),
-        lambda phi: (is_nondegenerate(graph, phi)
-                     and is_stable(graph, phi, target)),
-        "no admissible perturbation for %s, t=%d" % (vine, t))
+    """phi(side 1) = t + eps, eps the first draw of the seed's epsilon
+    stream, which is off the walls and makes the bundle (t, -t) stable."""
+    return vine_phi(vine, t + next(epsilon_stream(seed)))
+
+
+def test_first_epsilon_is_admissible_for_every_class():
+    # the construct_prop_phi docstring's proof, checked: for each of the 997
+    # starting eps and every (e, m) class, m/2 + eps passes all three checks
+    starts = [next(epsilon_stream(k)) for k in range(997)]
+    cases = 0
+    for e in range(2, 10):
+        vine = make_vine(0, 0, e, (1,), 2)
+        for m in (-1, 0, 1):
+            for eps in starts:
+                phi = vine_phi(vine, Fraction(m, 2) + eps)
+                graph = phi.graph
+                bundle = SheafDatum(graph, frozenset(), {0: m, 1: -m})
+                assert is_nondegenerate(graph, phi), (e, m, eps)
+                assert is_small_perturbation(graph, phi), (e, m, eps)
+                assert is_stable(graph, phi, bundle), (e, m, eps)
+                cases += 1
+    assert cases == 997 * 8 * 3 == 23_928
+    assert max(starts) == Fraction(1, 200)
 
 
 class TestMakeTStablePhi:
@@ -524,39 +535,16 @@ class TestMakeTStablePhi:
         assert first_50[0] == Fraction(1, 788300)
         assert first_50[49] == Fraction(1, 835300)
 
+    @pytest.mark.parametrize("seed", [0.9, "0", True])
+    def test_epsilon_stream_refuses_non_int_seed(self, seed):
+        # int() would read these as 0, 0 and 1: the seed must be an int
+        with pytest.raises(PreconditionError, match="seed must be an integer"):
+            next(epsilon_stream(seed))
+
     def test_deterministic(self):
         vine = make_vine(0, 1, 2, (1,), 1)
         assert t_stable_phi(vine, 3, seed=4).values == \
             t_stable_phi(vine, 3, seed=4).values
-
-
-class TestFirstAdmissible:
-    def test_debug_log_names_each_rejected_candidate(self, caplog):
-        # phi = 0 and phi = 1 lie on walls of every e = 2 vine
-        vine = make_vine(0, 1, 2, (1,), 1)
-        graph = vine.to_graph()
-        candidates = (vine_phi(vine, x) for x in (0, 1, Fraction(1, 3)))
-        with caplog.at_level(logging.DEBUG, logger="jacstab.stability"):
-            phi = first_admissible(
-                candidates, lambda phi: is_nondegenerate(graph, phi), "none")
-        assert phi.values[0] == Fraction(1, 3)
-        assert caplog.messages == [
-            "candidate 0 rejected: PhiVector({0: '0', 1: '0'})",
-            "candidate 1 rejected: PhiVector({0: '1', 1: '-1'})"]
-
-    def test_nothing_formatted_below_debug(self, caplog):
-        formatted = []
-
-        class Candidate:
-            def __repr__(self):
-                formatted.append(self)
-                return "Candidate()"
-
-        with caplog.at_level(logging.INFO, logger="jacstab.stability"):
-            with pytest.raises(PhiConstructionError, match="none"):
-                first_admissible((Candidate() for _ in range(3)),
-                                 lambda c: False, "none")
-        assert formatted == [] and caplog.messages == []
 
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(3, 10), Fraction(-7, 4),
