@@ -294,7 +294,8 @@ def certify_unstable_on_vine(vine: VineCurve, m: int) -> ChamberCertificate | No
     Returns a certificate if the bidegree is stable in none of them, else
     None.  The stable-bidegree set is constant per chamber, so the check is
     finite and exact.  Walls and stable tables depend on a vine only
-    through e, so the chambers are searched once per edge count.
+    through e, so one chamber per edge count is searched and the rest are
+    translated (see ``atlas.chambers``), once per process.
     """
     rows = _SMALL_CHAMBER_ROWS.get(vine.e)
     if rows is None:

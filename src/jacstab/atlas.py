@@ -6,7 +6,8 @@ line: the walls are exactly {m - e/2 : m integer}.  Each chamber carries the
 (constant) table of stable sheaf data computed at its midpoint.
 
 Walls and chamber tables depend on a vine only through its edge count e, so
-an atlas lists walls and searches chambers once per edge count, and every
+an atlas lists walls and searches one chamber per edge count and translates
+the rest (a chamber's table is its neighbour's moved by (1, -1)), and every
 vine with that e shares the one ``WallSet`` and the one ``chambers`` tuple,
 whose data live on the graph of the first such vine.  An atlas is built
 serially in one process.  Its JSON is the bytes of ``json.dumps(indent=2)``,
@@ -103,15 +104,34 @@ def chambers(vine: VineCurve, window: tuple[Fraction, Fraction],
 
 def _chambers(vine: VineCurve, wall_set: WallSet,
               include_nonfree: bool) -> list[Chamber]:
-    """``chambers`` of ``vine`` between the walls ``wall_set`` lists."""
+    """``chambers`` of ``vine`` between the walls ``wall_set`` lists.
+
+    Only the first chamber is searched; every other table is that one
+    translated.  The walls are the points m - e/2, so the chamber with
+    representative ``rep`` has the label k = floor(rep + e/2), and
+    consecutive chambers have consecutive labels.  On a vine both sides
+    are crossed by all e edges, so delta = |S| on each.  Moving phi from
+    (x, -x) to (x + t, -x - t) and D from (D1, D2) to (D1 + t, D2 - t)
+    leaves deg - phi + delta/2 unchanged on either side, and the total
+    D1 + D2 + |S| too; so, free or not, the stable set of label k0 + t is
+    that of k0 with every (S, (D1, D2)) made (S, (D1 + t, D2 - t)).  The
+    translate keeps the sort by ``F.key``: within one S, D2 = -|S| - D1.
+    """
     lo, hi = wall_set.lo, wall_set.hi
-    cuts = sorted({lo, hi} | {w for w in wall_set.walls if lo < w < hi})
+    cuts = ([lo, *(w for w in wall_set.walls if lo < w < hi), hi]
+            if lo < hi else [])
+    half_e = Fraction(vine.e, 2)
+    graph = vine.to_graph()
     out = []
-    for a, b in zip(cuts, cuts[1:]):
+    for t, (a, b) in enumerate(zip(cuts, cuts[1:])):
         rep = (a + b) / 2
-        phi = vine_phi(vine, rep)
-        table = tuple(stable_sheaf_data(phi.graph, phi, 0, include_nonfree))
-        half_e = Fraction(vine.e, 2)
+        if t == 0:
+            table = first = tuple(stable_sheaf_data(
+                graph, vine_phi(vine, rep), 0, include_nonfree))
+        else:
+            table = tuple(SheafDatum._from_kernel(
+                graph, F.mask, (F.degrees[0] + t, F.degrees[1] - t))
+                for F in first)
         out.append(Chamber(a, b, rep, table,
                            a >= -half_e and b <= half_e))
     return out
@@ -124,9 +144,12 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
     Walls and stable tables depend on a vine only through e, so ``walls``
     and ``chambers`` run on the first vine of each edge count alone, and
     every vine with that count shares its ``WallSet``, ``chambers`` tuple
-    and deltas.  The data live on that first vine's graph; every e-edge
-    vine graph has vertex ids (0, 1) and edge order 0..e-1, so a datum's
-    mask, degrees, ``S``, ``D`` and key hold on any vine with that e, and
+    and deltas: one chamber per edge count is searched and the rest are
+    translated (see ``_chambers``), and likewise the first wall's delta,
+    from key sets, is translated by t at the t-th wall after it.  The
+    data live on that first vine's graph; every e-edge vine graph has
+    vertex ids (0, 1) and edge order 0..e-1, so a datum's mask, degrees,
+    ``S``, ``D`` and key hold on any vine with that e, and
     ``SheafDatum(vine.to_graph(), F.S, F.D)`` rebuilds ``F`` on ``vine``'s
     own graph.  Runs serially: ``jobs`` has no effect.
     """
@@ -145,9 +168,14 @@ def atlas(g: int, n: int, window: tuple[Fraction, Fraction],
     for group in groups:
         shared = walls(group[0], window)
         first = tuple(_chambers(group[0], shared, include_nonfree))
-        keys = [set(c.table_keys) for c in first]
-        deltas = tuple((tuple(sorted(rk - lk)), tuple(sorted(lk - rk)))
-                       for lk, rk in zip(keys, keys[1:]))
+        deltas = ()
+        if len(first) > 1:
+            lk, rk = set(first[0].table_keys), set(first[1].table_keys)
+            added, removed = sorted(rk - lk), sorted(lk - rk)
+            deltas = tuple(tuple(tuple((S, (D1 + t, D2 - t))
+                                       for S, (D1, D2) in keys)
+                                 for keys in (added, removed))
+                           for t in range(len(first) - 1))
         records += (AtlasRecord(vine, shared, first, deltas)
                     for vine in group)
     return records
@@ -213,8 +241,9 @@ def _strs(values, depth: int) -> str:
     return _wrap("[]", ['"%s"' % v for v in values], depth)
 
 
-def _chamber_block(record: AtlasRecord, data: dict) -> str:
-    """The chambers and deltas members, each datum rendered once in ``data``."""
+def _chamber_block(record: AtlasRecord, data: dict, keys: dict) -> str:
+    """The chambers and deltas members, each datum rendered once in ``data``
+    and each delta key once in ``keys``."""
     chambers = []
     for c in record.chambers:
         table = []
@@ -229,9 +258,12 @@ def _chamber_block(record: AtlasRecord, data: dict) -> str:
             c.lo, c.hi, c.representative,
             "true" if c.is_small_perturbation else "false",
             _wrap("[]", table, 5)))
-    deltas = [_DELTA % tuple(
-        _wrap("[]", [_KEY % (_ints(S, 7), _ints(D, 7)) for S, D in keys], 5)
-        for keys in delta) for delta in record.deltas]
+    for added, removed in record.deltas:
+        for key in added + removed:
+            if key not in keys:
+                keys[key] = _KEY % (_ints(key[0], 7), _ints(key[1], 7))
+    deltas = [_DELTA % tuple(_wrap("[]", [keys[k] for k in side], 5)
+                             for side in delta) for delta in record.deltas]
     return _BLOCK % (_wrap("[]", chambers, 3), _wrap("[]", deltas, 3))
 
 
@@ -244,12 +276,13 @@ def atlas_to_json(records: list[AtlasRecord]) -> str:
     rendered once per call, keyed on the identity of the record's
     ``chambers`` and ``deltas`` tuples (every record is alive for the whole
     call, so equal ids mean the same immutable objects); each distinct datum
-    in them is rendered once, keyed on plain-int content, and each
-    ``WallSet`` once, keyed on its identity.
+    in them is rendered once, keyed on plain-int content, each delta key
+    once, keyed on its ``(S, D)`` tuple, and each ``WallSet`` once, keyed
+    on its identity.
     """
     if not records:
         return '{\n  "records": []\n}\n'
-    windows, blocks, data = {}, {}, {}
+    windows, blocks, data, keys = {}, {}, {}, {}
     parts = ['{\n  "g": %d,\n  "n": %d,\n  "records": [\n    '
              % (records[0].vine.g, records[0].vine.n)]
     for r in records:
@@ -259,7 +292,7 @@ def atlas_to_json(records: list[AtlasRecord]) -> str:
         key = (id(r.chambers), id(r.deltas))
         block = blocks.get(key)
         if block is None:
-            block = blocks[key] = _chamber_block(r, data)
+            block = blocks[key] = _chamber_block(r, data, keys)
         v = r.vine
         parts += (_RECORD % (v.g, v.n, v.g1, v.g2, v.e, _ints(v.S, 4),
                              *windows[id(ws)]), block, ",\n    ")

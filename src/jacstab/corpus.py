@@ -25,13 +25,25 @@ def _relabel(ends, perm):
     return tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in ends))
 
 
-def _edge_multiset_classes(num_vertices: int, num_edges: int):
-    """Connected edge multisets up to relabeling, with their automorphisms;
-    each is the first, hence smallest, member of its class."""
+def _edge_multiset_classes(num_vertices: int, num_edges: int,
+                           max_low: int):
+    """Connected edge multisets up to relabeling, with their automorphisms
+    and vertex valences; each is the first, hence smallest, member of its
+    class.  On 2 or more vertices, one with a vertex of valence 0 or with
+    more than ``max_low`` vertices of valence <= 2 is skipped before any
+    other test: a stable vertex of valence <= 2 needs genus or a marking,
+    so ``max_low`` is the genus the edges leave plus the markings."""
     pair_types = [(i, j) for i in range(num_vertices)
                   for j in range(i, num_vertices)]
     perms = list(permutations(range(num_vertices)))
     for ends in combinations_with_replacement(pair_types, num_edges):
+        valence = [0] * num_vertices
+        for a, b in ends:
+            valence[a] += 1
+            valence[b] += 1
+        if num_vertices > 1 and (0 in valence or
+                                 sum(v <= 2 for v in valence) > max_low):
+            continue
         if not _connected(num_vertices, ends):
             continue
         auts = []
@@ -42,7 +54,7 @@ def _edge_multiset_classes(num_vertices: int, num_edges: int):
             if image == ends:
                 auts.append(p)
         else:
-            yield ends, auts
+            yield ends, auts, valence
 
 
 def stable_graph_corpus(max_vertices: int = 4, max_edges: int = 7,
@@ -54,11 +66,8 @@ def stable_graph_corpus(max_vertices: int = 4, max_edges: int = 7,
         max_e = min(max_edges, nv + max_genus - 1)  # keeps b1 <= max_genus
         for ne in range(min_e, max_e + 1):
             b1 = ne - nv + 1
-            for ends, auts in _edge_multiset_classes(nv, ne):
-                valence = [0] * nv
-                for a, b in ends:
-                    valence[a] += 1
-                    valence[b] += 1
+            for ends, auts, valence in _edge_multiset_classes(
+                    nv, ne, max_genus - b1 + max_markings):
                 for n in range(1, max_markings + 1):
                     # kept when no automorphism maps (hs, assign) to a smaller
                     # pair; auts is a group, so hs o p covers every image

@@ -21,7 +21,7 @@ from .abel_jacobi import (
     vine_bidegree,
     vine_phi,
 )
-from .atlas import chambers
+from .atlas import walls
 from .corpus import (
     random_nondegenerate_phi,
     random_phi,
@@ -163,16 +163,18 @@ def _is_unit_difference(a) -> bool:
 
 def brute_force_extends(g: int, n: int, aj: AJDatum) -> bool:
     """Independent decision: every e >= 2 vine must admit a chamber of the
-    small-perturbation interval whose stable table contains the AJ bidegree."""
+    small-perturbation interval whose stable table contains the AJ bidegree.
+    Each chamber's table is searched at its midpoint, not read from
+    ``chambers``; the ends -e/2 and e/2 are walls themselves, so the walls
+    of the closed interval are its cuts."""
     for vine in iter_vines(g, n, 2):
         m = vine_bidegree(vine, aj)
+        graph = vine.to_graph()
         half_e = Fraction(vine.e, 2)
-        found = False
-        for ch in chambers(vine, (-half_e, half_e)):
-            if any(F.degrees[0] == m for F in ch.stable_table):
-                found = True
-                break
-        if not found:
+        cuts = walls(vine, (-half_e, half_e)).walls
+        if not any(F.degrees[0] == m for a, b in zip(cuts, cuts[1:])
+                   for F in stable_sheaf_data(
+                       graph, vine_phi(vine, (a + b) / 2), 0)):
             return False
     return True
 

@@ -9,7 +9,7 @@ from itertools import (chain, combinations, combinations_with_replacement,
 from operator import attrgetter
 
 from jacstab.abel_jacobi import VinePhiTable
-from jacstab.atlas import vine_phi
+from jacstab.atlas import Chamber, vine_phi, walls
 from jacstab.errors import (DegenerateParameterError, InvalidGraphError,
                             JacstabError, PhiConstructionError,
                             PreconditionError)
@@ -17,7 +17,8 @@ from jacstab.graph import (MAX_NONFREE_EDGES, DualGraph, _side_stable,
                            enumerate_vines, make_vine)
 from jacstab.stability import (PhiVector, SheafDatum, _check_same_graph,
                                epsilon_stream, is_nondegenerate,
-                               is_small_perturbation, is_stable)
+                               is_small_perturbation, is_stable,
+                               stable_sheaf_data)
 
 
 def count_spanning_trees_exhaustive(graph):
@@ -465,6 +466,28 @@ def vine_stable_keys(e: int, x: Fraction, include_nonfree: bool) -> set:
             for s in sizes for S in combinations(range(e), s)
             for d in range(math.floor(x - half) + 1,
                            math.ceil(x + half - s))}
+
+
+# --- The per-chamber search that the translated tables replaced -----------
+#
+# Every chamber runs its own stable_sheaf_data at its representative;
+# jacstab.atlas.chambers, which searches the first chamber and translates
+# the rest, must return the same chambers.
+
+def reference_chambers(vine, window, include_nonfree: bool) -> list:
+    """Maximal open intervals between the walls of ``window``, each with the
+    stable table searched afresh at its midpoint."""
+    wall_set = walls(vine, window)
+    lo, hi = wall_set.lo, wall_set.hi
+    cuts = sorted({lo, hi} | {w for w in wall_set.walls if lo < w < hi})
+    half_e = Fraction(vine.e, 2)
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        rep = (a + b) / 2
+        phi = vine_phi(vine, rep)
+        table = tuple(stable_sheaf_data(phi.graph, phi, 0, include_nonfree))
+        out.append(Chamber(a, b, rep, table, a >= -half_e and b <= half_e))
+    return out
 
 
 # --- The per-vine admissibility loop of construct_prop_phi -----------------

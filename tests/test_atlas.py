@@ -7,7 +7,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from oracles import atlas_json_reference, vine_stable_keys
+from oracles import (atlas_json_reference, reference_chambers,
+                     vine_stable_keys)
 
 from jacstab.atlas import (
     MAX_WALLS,
@@ -332,6 +333,42 @@ def test_chamber_tables_match_vine_closed_form():
                     r.vine.e, c.representative, nonfree), (r.vine, c)
                 tables += 1
     assert tables == 16208
+
+
+# Windows with integer, half-integer and other ends, on and off walls, one
+# empty and one inside a single chamber.
+TRANSLATE_WINDOWS = [
+    (Fraction(-3), Fraction(3)), (Fraction(-7, 3), Fraction(5, 2)),
+    (Fraction(10), Fraction(13)), (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(-1, 2), Fraction(1, 2)), (Fraction(0), Fraction(0)),
+    (Fraction(-5, 2), Fraction(-1, 2)), (Fraction(2, 7), Fraction(9, 7)),
+]
+
+
+def _chamber_fields(c):
+    return (c.lo, c.hi, c.representative, c.is_small_perturbation,
+            c.table_keys)
+
+
+@pytest.mark.parametrize("nonfree", [False, True])
+def test_translated_chambers_match_fresh_search(nonfree):
+    # chambers() searches the first chamber and translates the others;
+    # the reference searches every chamber at its representative, and the
+    # atlas deltas, translated from the first wall's, are rebuilt from it
+    for e in range(1, 8):
+        for window in TRANSLATE_WINDOWS:
+            assert list(map(_chamber_fields, chambers(vine(e), window,
+                                                      nonfree))) == \
+                list(map(_chamber_fields, reference_chambers(
+                    vine(e), window, nonfree))), (e, window)
+    for g, n in itertools.product(range(2, 5), range(1, 3)):
+        for window in TRANSLATE_WINDOWS:
+            for r in atlas(g, n, window, nonfree):
+                keys = [set(c.table_keys)
+                        for c in reference_chambers(r.vine, window, nonfree)]
+                assert r.deltas == tuple(
+                    (tuple(sorted(rk - lk)), tuple(sorted(lk - rk)))
+                    for lk, rk in zip(keys, keys[1:])), (r.vine, window)
 
 
 def test_table_string():

@@ -96,10 +96,10 @@ def test_vertex_count_stops_at_2g_minus_2_plus_n(monkeypatch):
     # of 9 vertices would never finish
     classes = corpus._edge_multiset_classes
 
-    def capped(num_vertices, num_edges):
+    def capped(num_vertices, *args):
         if num_vertices > 1:
             raise AssertionError("enumerated %d vertices" % num_vertices)
-        return classes(num_vertices, num_edges)
+        return classes(num_vertices, *args)
 
     monkeypatch.setattr(corpus, "_edge_multiset_classes", capped)
     assert [graph_to_json(g) for g in stable_graph_corpus(9, 7, 1, 1)] == \
