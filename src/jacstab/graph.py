@@ -72,6 +72,7 @@ class _SubcurveData:
     entry of ``DualGraph.subcurve_data`` (-1 for a singleton), and ``last``
     is that vertex's position in ``DualGraph.vertex_ids``, so a per-subcurve
     sum is one addition.  Bit ``i`` of an edge mask is ``edge_order[i]``.
+    The stability kernel reads them from ``DualGraph.subcurve_rows``.
     """
 
     __slots__ = ("vertices", "prefix", "last", "cr", "crossing_mask",
@@ -188,6 +189,15 @@ class DualGraph:
         if not all(info.crossing_mask for info in out):
             raise InvalidGraphError("graph not connected")
         return tuple(out)
+
+    @cached_property
+    def subcurve_rows(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        """:attr:`subcurve_data` as one plain tuple ``(i, prefix, last,
+        internal_mask, crossing_mask, cr)`` per entry: CPython unpacks an
+        exact tuple faster than a tuple subclass or attribute reads."""
+        return tuple((i, info.prefix, info.last, info.internal_mask,
+                      info.crossing_mask, info.cr)
+                     for i, info in enumerate(self.subcurve_data))
 
 
 def _structural_faults(graph: DualGraph) -> list[str]:

@@ -24,6 +24,10 @@ an edge mask (bit ``i`` for ``graph.edge_order[i]``) and ``D`` as a tuple in
 3.10).  The search builds objects only for its results.  Each sum over a
 subcurve, of phi or of degrees, is one addition: the sum on its ``prefix``
 (itself without its last vertex, earlier in the table) plus one value.
+The kernel loops walk that table as :attr:`DualGraph.subcurve_rows`,
+plain tuples built once per graph (only the oracle
+:func:`find_equality_witness` reads ``subcurve_data``), and the search
+turns each singleton row into a closed-form degree window once per phi.
 
 Wall criterion
 --------------
@@ -47,7 +51,6 @@ from functools import cached_property
 from itertools import product, takewhile
 from math import gcd, lcm
 from numbers import Rational
-from operator import attrgetter
 
 from .errors import (
     DegenerateParameterError,
@@ -135,8 +138,8 @@ class PhiVector:
         if self._sums is None:
             # the table starts with the singletons: their sums are the values
             sums = [self.numerators[vid] for vid in self.graph.vertex_ids]
-            for info in self.graph.subcurve_data[len(sums):]:
-                sums.append(sums[info.prefix] + sums[info.last])
+            for row in self.graph.subcurve_rows[len(sums):]:
+                sums.append(sums[row[1]] + sums[row[2]])
             self._sums = tuple(sums) if len(sums) > 1 else ()   # one vertex
         return self._sums
 
@@ -181,11 +184,13 @@ class SheafDatum:
         self._key = None
 
     @classmethod
-    def _from_kernel(cls, graph: DualGraph, mask: int, degrees: tuple):
+    def _from_kernel(cls, graph: DualGraph, mask: int, degrees: tuple,
+                     key=None):
         """The datum ``(mask, degrees)`` of a search result on ``graph``,
-        unchecked: both are already in the graph's edge and vertex order."""
+        unchecked: both are already in the graph's edge and vertex order,
+        and ``key``, if given, is its :attr:`key`."""
         F = cls.__new__(cls)
-        F.graph, F.mask, F.degrees, F._key = graph, mask, degrees, None
+        F.graph, F.mask, F.degrees, F._key = graph, mask, degrees, key
         return F
 
     @property
@@ -222,35 +227,23 @@ def _check_same_graph(graph, *objs):
             raise MismatchedGraphError("object attached to a different graph")
 
 
-def _phi_context(graph, phi):
-    # Scaled to integers: with phi(C0) = s/q, the inequality
-    # |deg - s/q + delta/2| < (cr - delta)/2 becomes
-    # |2q*deg - 2s + q*delta| < q*(cr - delta).  Lazy: a caller that tests
-    # once stops building at the first failing subcurve.
-    q = phi.q
-    return ((i, info.prefix, info.last, info.internal_mask,
-             info.crossing_mask, info.cr, 2 * s, q)
-            for i, (info, s) in enumerate(zip(graph.subcurve_data,
-                                              phi.subcurve_sums())))
-
-
-def _satisfies_ctx(ctx, S: int, D: tuple, size: int) -> bool:
-    """The inequality on every subcurve in ``ctx`` for ``S`` a mask and ``D``
-    a degree tuple, as a :class:`SheafDatum` stores them; ``ctx`` is the
-    table or its part after the singletons, ``size`` the table's length.
-    Each degree sum is its prefix's plus one vertex, built as the test goes
-    (``degs[-1]`` is the empty one)."""
-    degs = list(D) + [0] * size
-    for i, prefix, last, internal, crossing, cr, twos, q in ctx:
+def _satisfies(rows, sums: tuple, q: int, S: int, D: tuple) -> bool:
+    """The inequality for ``S`` a mask and ``D`` a degree tuple on every
+    row of ``rows`` (``subcurve_rows`` or its part after the singletons),
+    scaled to integers: with phi(C0) = s/q, ``s`` in ``sums``, it reads
+    |2q*deg - 2s + q*delta| < q*(cr - delta).  Each degree sum is its
+    prefix's plus one vertex, built as the test goes (``degs[-1]`` is the
+    empty one)."""
+    degs = list(D) + [0] * len(rows)
+    q2 = 2 * q
+    for i, prefix, last, internal, crossing, cr in rows:
         deg = degs[i] = degs[prefix] + D[last]
         if S:
             deg += (S & internal).bit_count()
             delta = (S & crossing).bit_count()
-        else:
-            delta = 0
-        lhs = abs(2 * q * deg - twos + q * delta)
-        rhs = q * (cr - delta)
-        if lhs >= rhs:
+            if abs(q2 * deg - 2 * sums[i] + q * delta) >= q * (cr - delta):
+                return False
+        elif abs(q2 * deg - 2 * sums[i]) >= q * cr:
             return False
     return True
 
@@ -262,8 +255,8 @@ def is_stable(graph: DualGraph, phi: PhiVector, F: SheafDatum) -> bool:
     Single-vertex graphs have no proper subcurves and are vacuously stable.
     """
     _check_same_graph(graph, phi, F)
-    return _satisfies_ctx(_phi_context(graph, phi), F.mask, F.degrees,
-                          len(graph.subcurve_data))
+    return _satisfies(graph.subcurve_rows, phi.subcurve_sums(), phi.q,
+                      F.mask, F.degrees)
 
 
 def is_nondegenerate(graph: DualGraph, phi: PhiVector) -> bool:
@@ -273,8 +266,8 @@ def is_nondegenerate(graph: DualGraph, phi: PhiVector) -> bool:
     """
     _check_same_graph(graph, phi)
     q = phi.q
-    for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
-        if (2 * s + q * info.cr) % (2 * q) == 0:
+    for row, s in zip(graph.subcurve_rows, phi.subcurve_sums()):
+        if (2 * s + q * row[5]) % (2 * q) == 0:
             return False
     return True
 
@@ -309,8 +302,8 @@ def is_small_perturbation(graph: DualGraph, phi: PhiVector) -> bool:
     """
     _check_same_graph(graph, phi)
     q = phi.q
-    for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
-        if not abs(2 * s) < q * info.cr:
+    for row, s in zip(graph.subcurve_rows, phi.subcurve_sums()):
+        if not abs(2 * s) < q * row[5]:
             return False
     return True
 
@@ -321,7 +314,7 @@ def equivalent_small_perturbation_check(graph: DualGraph, phi: PhiVector) -> boo
     Must agree with :func:`is_small_perturbation` on every input; the test
     suite exercises the equivalence as an oracle.
     """
-    trivial = SheafDatum(graph, frozenset(), {vid: 0 for vid in graph.vertex_ids})
+    trivial = SheafDatum._from_kernel(graph, 0, (0,) * len(graph.vertex_ids))
     return is_stable(graph, phi, trivial)
 
 
@@ -333,7 +326,13 @@ def _integer_window(low: int, high: int, den: int) -> range:
 def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
                   include_nonfree: bool) -> list[tuple[int, tuple]]:
     """Every phi-stable (mask, degrees) of total degree d, in search order;
-    a ``d`` that is not an ``int`` raises :class:`PreconditionError`."""
+    a ``d`` that is not an ``int`` raises :class:`PreconditionError`.
+
+    No singleton row is tested: with s = q*phi(v), its inequality puts
+    2q*(D(v) + loops of S at v) in (2s - q*cr, 2s + q*(cr - 2*delta)).  So
+    each vertex's window ``_integer_window(2s - q*cr, 2s + q*cr, 2q)`` is
+    found once per phi, and a mask lowers its top by the integer delta and
+    shifts it by the loops: two bit counts and a subtraction."""
     if type(d) is not int:
         raise PreconditionError("total degree must be an integer: %r" % (d,))
     _check_same_graph(graph, phi)
@@ -345,43 +344,40 @@ def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
         raise InvalidGraphError("%d edges, non-free limit is %d"
                                 % (ne, MAX_NONFREE_EDGES))
     masks = range(1 << ne) if include_nonfree else (0,)
-    vids = graph.vertex_ids
-    nv = len(vids)
+    nv = len(graph.vertex_ids)
     if nv == 1:
         # No proper subcurves: D is pinned by the total degree and every
         # datum is vacuously stable.
         return [(S, (d - S.bit_count(),)) for S in masks]
 
-    # subcurve_data starts with the singletons in vertex order; the windows
-    # below are their strict inequalities, so only larger subcurves are
-    # tested
-    singletons = graph.subcurve_data[:nv]
-    ctx = list(_phi_context(graph, phi))[nv:]
-    size = len(graph.subcurve_data)
+    # the table starts with the singletons in vertex order
+    rows = graph.subcurve_rows
+    sums = phi.subcurve_sums()
     q = phi.q
-    twos = [2 * phi.numerators[vid] for vid in vids]
+    singles = []
+    for (_, _, _, internal, crossing, cr), s in zip(rows[:nv], sums):
+        window = _integer_window(2 * s - q * cr, 2 * s + q * cr, 2 * q)
+        singles.append((window.start, window.stop, internal, crossing))
+    rows = rows[nv:]
     found = []
     for S in masks:
         windows = []
-        for info, two in zip(singletons, twos):
-            delta = (S & info.crossing_mask).bit_count()
-            loops_in_S = (S & info.internal_mask).bit_count()
-            # 2q * (center -+ half) with center = phi(v) - delta/2 and
-            # half = (cr - delta)/2
-            degs = _integer_window(two - q * info.cr,
-                                   two + q * (info.cr - 2 * delta), 2 * q)
-            windows.append(range(degs.start - loops_in_S,
-                                 degs.stop - loops_in_S))
-        if not all(windows):
-            continue
-        target = d - S.bit_count()
-        last = windows[-1]
-        for head in product(*windows[:-1]):
-            rest = target - sum(head)
-            if rest in last:
-                D = head + (rest,)
-                if _satisfies_ctx(ctx, S, D, size):
-                    found.append((S, D))
+        for start, stop, internal, crossing in singles:
+            loops = (S & internal).bit_count()
+            window = range(start - loops,
+                           stop - (S & crossing).bit_count() - loops)
+            if not window:
+                break
+            windows.append(window)
+        else:
+            target = d - S.bit_count()
+            last = windows.pop()
+            for head in product(*windows):
+                rest = target - sum(head)
+                if rest in last:
+                    D = head + (rest,)
+                    if _satisfies(rows, sums, q, S, D):
+                        found.append((S, D))
     return found
 
 
@@ -400,13 +396,36 @@ def stable_sheaf_data(graph: DualGraph, phi: PhiVector, d: int,
     vertex is solved from the total-degree constraint and kept only if it
     lies in its own window.  Candidates are (mask, degrees) pairs, the
     integers a :class:`SheafDatum` stores; the windows already enforce the
-    singleton inequalities, so each is tested on the larger subcurves only,
-    and only stable ones become objects.  Output is sorted by ``F.key``.
+    singleton inequalities, so each is tested on the larger subcurves only.
+    The stable pairs are sorted by ``F.key`` and only then become objects.
     """
-    data = [SheafDatum._from_kernel(graph, S, D)
-            for S, D in _stable_pairs(graph, phi, d, include_nonfree)]
-    data.sort(key=attrgetter("key"))
-    return data
+    keyed = sorted((_edge_ids(graph.edge_order, S), D, S)
+                   for S, D in _stable_pairs(graph, phi, d, include_nonfree))
+    return [SheafDatum._from_kernel(graph, S, D, (ids, D))
+            for ids, D, S in keyed]
+
+
+def _support_lemma_count(graph: DualGraph, phi: PhiVector):
+    """(number of stable degree-0 data, :func:`verify_support_lemma`'s
+    outcome), from one search."""
+    if not is_small_perturbation(graph, phi):
+        raise PreconditionError("phi is not a small perturbation of 0")
+    rows = graph.subcurve_rows
+    pairs = _stable_pairs(graph, phi, 0, include_nonfree=True)
+    violations = []
+    for S, D in pairs:
+        degs = [0] * (len(rows) + 1)   # as in _satisfies
+        for i, prefix, last, internal, crossing, cr in rows:
+            deg = degs[i] = degs[prefix] + D[last]
+            deg += (S & internal).bit_count()
+            if not deg < cr - (S & crossing).bit_count():
+                violations.append((_edge_ids(graph.edge_order, S), D, i))
+                break
+    if not violations:
+        return len(pairs), True
+    S, D, i = min(violations)
+    return len(pairs), (SheafDatum(graph, S, dict(zip(graph.vertex_ids, D))),
+                        graph.subcurve_data[i].vertex_set)
 
 
 def verify_support_lemma(graph: DualGraph, phi: PhiVector):
@@ -420,22 +439,7 @@ def verify_support_lemma(graph: DualGraph, phi: PhiVector):
     phi that is no small perturbation raises :class:`PreconditionError`, a
     degenerate one its subclass :class:`DegenerateParameterError`.
     """
-    if not is_small_perturbation(graph, phi):
-        raise PreconditionError("phi is not a small perturbation of 0")
-    violations = []
-    for S, D in _stable_pairs(graph, phi, 0, include_nonfree=True):
-        degs = [0] * (len(graph.subcurve_data) + 1)   # as in _satisfies_ctx
-        for i, info in enumerate(graph.subcurve_data):
-            deg = degs[i] = degs[info.prefix] + D[info.last]
-            deg += (S & info.internal_mask).bit_count()
-            if not deg < info.cr - (S & info.crossing_mask).bit_count():
-                violations.append((_edge_ids(graph.edge_order, S), D, info))
-                break
-    if not violations:
-        return True
-    S, D, info = min(violations, key=lambda v: v[:2])
-    return (SheafDatum(graph, S, dict(zip(graph.vertex_ids, D))),
-            info.vertex_set)
+    return _support_lemma_count(graph, phi)[1]
 
 
 # Primes in order, grown by trial division as draws reach further; shared by

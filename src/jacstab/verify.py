@@ -39,8 +39,8 @@ from .stability import (
     is_small_perturbation,
     is_stable,
     stable_sheaf_data,
-    verify_support_lemma,
     SheafDatum,
+    _support_lemma_count,
 )
 
 log = logging.getLogger(__name__)
@@ -134,12 +134,20 @@ def _wall_cases(graph, rng, trials, seed):
 # --- Support lemma shadow ---------------------------------------------------
 
 def _support_cases(graph, rng, trials, seed):
+    # each S carries tau(G - S) stable data, one per spanning tree avoiding
+    # S, and each of the tau(G) trees avoids 2^b1 sets S
+    expected = spanning_tree_count(graph) << (
+        len(graph.edges) - len(graph.vertices) + 1)
     for _ in range(trials):
         phi = random_small_perturbation_phi(graph, rng)
-        outcome = verify_support_lemma(graph, phi)
-        yield None if outcome is True else (
-            "%r phi=%r: %r violates on C0=%s"
-            % (graph, phi, outcome[0], sorted(outcome[1])))
+        count, outcome = _support_lemma_count(graph, phi)
+        if outcome is not True:
+            yield "%r phi=%r: %r violates on C0=%s" % (
+                graph, phi, outcome[0], sorted(outcome[1]))
+        else:
+            yield None if count == expected else (
+                "%r phi=%r: %d stable degree-0 data, expected %d"
+                % (graph, phi, count, expected))
 
 
 # --- Spanning-tree count of stable multidegrees ------------------------------

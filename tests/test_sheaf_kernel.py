@@ -19,6 +19,7 @@ from jacstab.graph import DualGraph, Edge, Vertex, spanning_tree_count
 from jacstab.stability import (
     PhiVector,
     SheafDatum,
+    _integer_window,
     is_nondegenerate,
     stable_sheaf_data,
     verify_support_lemma,
@@ -85,6 +86,30 @@ def test_stable_sheaf_data_matches_frozenset_reference(phis, d,
                                                    include_nonfree)
         assert views(got) == views(want), graph
         assert all(F.graph is graph for F in got)
+
+
+def test_subcurve_rows_match_subcurve_data():
+    for graph in GRAPHS:
+        rows = graph.subcurve_rows
+        assert type(rows) is tuple
+        assert len(rows) == len(graph.subcurve_data), graph
+        for i, (row, info) in enumerate(zip(rows, graph.subcurve_data)):
+            assert type(row) is tuple
+            assert row == (i, info.prefix, info.last, info.internal_mask,
+                           info.crossing_mask, info.cr), graph
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 12])
+def test_delta_lowers_only_the_top_of_the_singleton_window(q):
+    # _stable_pairs finds each vertex's delta-0 window once and, for a
+    # mask, only lowers its stop by delta
+    for two in range(-9 * q, 9 * q + 1):
+        for cr in range(8):
+            base = _integer_window(two - q * cr, two + q * cr, 2 * q)
+            for delta in range(cr + 1):
+                assert range(base.start, base.stop - delta) == \
+                    _integer_window(two - q * cr, two + q * (cr - 2 * delta),
+                                    2 * q), (two, q, cr, delta)
 
 
 def outcome(result):

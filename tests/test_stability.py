@@ -108,6 +108,28 @@ class TestPhiOf:
         with pytest.raises(MismatchedGraphError):
             is_stable(g, phi, SheafDatum(g, (), {0: 0, 1: 0}))
 
+    @pytest.mark.parametrize("entry", [
+        lambda g, phi: is_stable(g, phi, SheafDatum(g, (), {0: 0, 1: 0})),
+        is_nondegenerate,
+        is_small_perturbation,
+        equivalent_small_perturbation_check,
+        find_equality_witness,
+        lambda g, phi: stable_sheaf_data(g, phi, 0),
+        verify_support_lemma,
+    ], ids=["is_stable", "is_nondegenerate", "is_small_perturbation",
+            "equivalent_small_perturbation_check", "find_equality_witness",
+            "stable_sheaf_data", "verify_support_lemma"])
+    def test_every_kernel_entry_refuses_a_phi_on_another_graph(self, entry):
+        # the phi is a nondegenerate small perturbation on its own graph,
+        # so only the graph check can refuse it
+        g = vine_graph(2)
+        other = vine_graph(2)
+        phi = vine_phi2(other, Fraction(1, 7))
+        assert is_nondegenerate(other, phi)
+        assert is_small_perturbation(other, phi)
+        with pytest.raises(MismatchedGraphError):
+            entry(g, phi)
+
 
 class TestExactInput:
     @pytest.mark.parametrize("x,expected", [

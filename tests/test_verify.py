@@ -104,11 +104,19 @@ _LIES = {
                         121, "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0:"
                         " '-20/31', 1: '20/31'}): closed form False, brute "
                         "force True")],
-    "support-lemma": [("verify_support_lemma", lambda true, g, phi: (
-        stable_sheaf_data(g, phi, 0)[0], frozenset(g.vertex_ids))
-        if _two_vertices(g) else true(g, phi), 121,
-        "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: '-1/31', 1: "
-        "'1/31'}): SheafDatum(S=[], D=(0, 0)) violates on C0=[0, 1]")],
+    "support-lemma": [
+        ("_support_lemma_count", lambda true, g, phi: (
+            true(g, phi)[0],
+            (stable_sheaf_data(g, phi, 0)[0], frozenset(g.vertex_ids)))
+         if _two_vertices(g) else true(g, phi), 121,
+         "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: '-1/31', 1: "
+         "'1/31'}): SheafDatum(S=[], D=(0, 0)) violates on C0=[0, 1]"),
+        # a search that loses a datum but finds no violation
+        ("_support_lemma_count", lambda true, g, phi: (
+            true(g, phi)[0] - _two_vertices(g), true(g, phi)[1]), 121,
+         "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: '-1/31', 1: "
+         "'1/31'}): 0 stable degree-0 data, expected 1"),
+    ],
     "tree-count": [("spanning_tree_count",
                     lambda true, g: true(g) + _two_vertices(g), 121,
                     "DualGraph(g=2, n=1, V=2, E=1) phi=PhiVector({0: "
