@@ -93,7 +93,7 @@ def vine_phi(vine: VineCurve, x: Fraction) -> PhiVector:
     ``PhiVector(graph, {0: x, 1: -x})``."""
     x = exact_rational(x)
     return PhiVector._from_numerators(vine.to_graph(), x.denominator,
-                                      {0: x.numerator, 1: -x.numerator})
+                                      (x.numerator, -x.numerator))
 
 
 def chambers(vine: VineCurve, window: tuple[Fraction, Fraction],

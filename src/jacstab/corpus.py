@@ -6,6 +6,13 @@ relabeling, by orderly generation (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998): candidates come in lexicographic
 order and one is kept exactly when no relabeling makes it smaller.  Each
 vertex adds at least 1 to 2g - 2 + n, which caps the vertex count.
+
+The samplers' ``rng`` calls and their order are a replay contract: a
+``verify`` seed must draw the same phis again.  A draw is a list of
+integer numerators over one ``q``, accepted or rejected on its subcurve
+sums by the predicates behind ``is_nondegenerate`` and
+``is_small_perturbation`` before any object exists; only an accepted draw
+becomes a :class:`PhiVector`, its sums and wall verdict already set.
 """
 
 from __future__ import annotations
@@ -16,7 +23,12 @@ from itertools import combinations_with_replacement, permutations, product
 
 from .errors import PhiConstructionError
 from .graph import DualGraph, _connected, _side_stable
-from .stability import PhiVector, is_nondegenerate, is_small_perturbation
+from .stability import (
+    PhiVector,
+    _nondegenerate_sums,
+    _small_perturbation_sums,
+    _subcurve_sums,
+)
 
 _DENOMINATORS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -95,28 +107,30 @@ def stable_graph_corpus(max_vertices: int = 4, max_edges: int = 7,
     return graphs
 
 
-def _balanced_phi(graph: DualGraph, rng: random.Random, q: int,
-                  bound: int) -> PhiVector:
-    """Phi with numerators over ``q`` drawn from [-bound, bound] on every
-    vertex but the last (in id order); the last one balances the sum."""
-    vids = graph.vertex_ids
-    nums = [rng.randint(-bound, bound) for _ in vids[:-1]]
+def _draw(graph: DualGraph, rng: random.Random, bound: int) -> list:
+    """Numerators drawn from [-bound, bound] on every vertex but the last
+    (in id order); the last one balances the sum."""
+    nums = [rng.randint(-bound, bound) for _ in graph.vertex_ids[1:]]
     nums.append(-sum(nums))
-    return PhiVector._from_numerators(graph, q, dict(zip(vids, nums)))
+    return nums
 
 
 def random_phi(graph: DualGraph, rng: random.Random) -> PhiVector:
     """Random exact rational phi summing to zero."""
     q = rng.choice(_DENOMINATORS)
-    return _balanced_phi(graph, rng, q, 3 * q)
+    return PhiVector._from_numerators(graph, q, _draw(graph, rng, 3 * q))
 
 
 def random_nondegenerate_phi(graph: DualGraph,
                              rng: random.Random) -> PhiVector:
+    """The first :func:`random_phi` draw off every wall."""
+    rows = graph.subcurve_rows
     for _ in range(1000):
-        phi = random_phi(graph, rng)
-        if is_nondegenerate(graph, phi):
-            return phi
+        q = rng.choice(_DENOMINATORS)
+        nums = _draw(graph, rng, 3 * q)
+        sums = _subcurve_sums(rows, nums)
+        if _nondegenerate_sums(rows, sums, q):
+            return PhiVector._from_numerators(graph, q, nums, sums, True)
     raise PhiConstructionError("failed to sample a nondegenerate phi")
 
 
@@ -126,27 +140,28 @@ def random_small_perturbation_phi(graph: DualGraph,
     nv = len(graph.vertices)
     if nv == 1:
         return PhiVector(graph, {graph.vertex_ids[0]: Fraction(0)})
-    min_cr = min(info.cr for info in graph.subcurve_data)
+    rows = graph.subcurve_rows
+    min_cr = min(row[5] for row in rows)
     for _ in range(1000):
         q = rng.choice(_DENOMINATORS)
         # numerator box keeps every subcurve sum inside the bound
-        phi = _balanced_phi(graph, rng, q, max(1, (min_cr * q) // (4 * nv)))
-        if is_small_perturbation(graph, phi) and is_nondegenerate(graph, phi):
-            return phi
+        nums = _draw(graph, rng, max(1, (min_cr * q) // (4 * nv)))
+        sums = _subcurve_sums(rows, nums)
+        if (_small_perturbation_sums(rows, sums, q)
+                and _nondegenerate_sums(rows, sums, q)):
+            return PhiVector._from_numerators(graph, q, nums, sums, True)
     raise PhiConstructionError("failed to sample a small-perturbation phi")
 
 
 def random_wall_phi(graph: DualGraph, rng: random.Random) -> PhiVector | None:
-    """Phi placed exactly on a wall of some subcurve, or None for 1 vertex."""
+    """Phi placed exactly on a wall of some subcurve, or None for 1 vertex:
+    phi(C0) = k - cr(C0)/2, k in [-2, 2], on C0's first vertex against the
+    first vertex outside it."""
     if len(graph.vertices) < 2:
         return None
     info = rng.choice(graph.subcurve_data)
-    cr = info.cr
-    target = Fraction(rng.randint(-2, 2)) - Fraction(cr, 2)
-    inside = sorted(info.vertex_set)
-    outside = sorted(set(graph.vertex_ids) - info.vertex_set)
-    vals = {vid: Fraction(0) for vid in graph.vertex_ids}
-    vals[inside[0]] = target
-    vals[outside[0]] = -target
-    return PhiVector(graph, vals)
-
+    x = 2 * rng.randint(-2, 2) - info.cr   # over q = 2
+    nums = dict.fromkeys(graph.vertex_ids, 0)
+    nums[info.vertices[0]] = x
+    nums[min(nums.keys() - info.vertex_set)] = -x
+    return PhiVector._from_numerators(graph, 2, list(nums.values()))

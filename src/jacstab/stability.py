@@ -28,6 +28,8 @@ The kernel loops walk that table as :attr:`DualGraph.subcurve_rows`,
 plain tuples built once per graph (only the oracle
 :func:`find_equality_witness` reads ``subcurve_data``), and the search
 turns each singleton row into a closed-form degree window once per phi.
+A phi keeps its sums and its wall verdict, which :func:`is_nondegenerate`
+computes once or a sampler sets, so the search does not test walls again.
 
 Wall criterion
 --------------
@@ -111,20 +113,27 @@ class PhiVector:
         if sum(self.numerators.values()) != 0:
             raise ValueError("phi values must sum to 0, got %s"
                              % sum(values.values()))
-        self._sums = None
+        self._sums = self._nondegenerate = None
 
     @classmethod
-    def _from_numerators(cls, graph: DualGraph, q: int, numerators: dict):
-        """The vector ``numerators[v] / q``, for callers that guarantee the
-        numerators cover the vertex set and sum to 0.  Reduced by
+    def _from_numerators(cls, graph: DualGraph, q: int, numerators,
+                         sums=None, nondegenerate=None):
+        """The vector with ``numerators`` over ``q`` in vertex order, for
+        callers that guarantee they sum to 0.  Reduced by
         ``gcd(q, *numerators)``, so ``q`` and ``numerators`` equal those of
-        the Fraction route."""
+        the Fraction route.  ``sums`` (of the unreduced numerators) and
+        ``nondegenerate`` are kept as :meth:`subcurve_sums` and the
+        verdict of :func:`is_nondegenerate`."""
         phi = cls.__new__(cls)
         phi.graph = graph
-        common = gcd(q, *numerators.values())
-        phi.q = q // common
-        phi.numerators = {vid: x // common for vid, x in numerators.items()}
-        phi._sums = None
+        common = gcd(q, *numerators)
+        if common > 1:
+            q //= common
+            numerators = [x // common for x in numerators]
+            if sums:
+                sums = tuple(s // common for s in sums)
+        phi.q, phi.numerators = q, dict(zip(graph.vertex_ids, numerators))
+        phi._sums, phi._nondegenerate = sums, nondegenerate
         return phi
 
     @cached_property
@@ -136,15 +145,45 @@ class PhiVector:
         """``q * phi(C0)`` for every subcurve, in ``self.graph.subcurve_data``
         order.  Computed once per vector."""
         if self._sums is None:
-            # the table starts with the singletons: their sums are the values
-            sums = [self.numerators[vid] for vid in self.graph.vertex_ids]
-            for row in self.graph.subcurve_rows[len(sums):]:
-                sums.append(sums[row[1]] + sums[row[2]])
-            self._sums = tuple(sums) if len(sums) > 1 else ()   # one vertex
+            self._sums = _subcurve_sums(
+                self.graph.subcurve_rows,
+                [self.numerators[vid] for vid in self.graph.vertex_ids])
         return self._sums
 
     def __repr__(self):
         return "PhiVector(%s)" % {k: str(v) for k, v in sorted(self.values.items())}
+
+
+def _subcurve_sums(rows, numerators: list) -> tuple[int, ...]:
+    """``q * phi(C0)`` for every row of a graph's ``subcurve_rows``, from
+    the numerators in vertex order: the singletons come first, and every
+    later sum is its prefix's plus its last vertex's."""
+    if not rows:
+        return ()   # one vertex
+    sums = list(numerators)
+    for row in rows[len(sums):]:
+        sums.append(sums[row[1]] + sums[row[2]])
+    return tuple(sums)
+
+
+def _nondegenerate_sums(rows, sums, q: int) -> bool:
+    """The wall test of :func:`is_nondegenerate`: no 2s + q*cr is divisible
+    by 2q.  Scaling q and every s by one c > 0 changes neither this answer
+    nor that of :func:`_small_perturbation_sums`, so both hold for a draw's
+    unreduced numerators exactly when they hold for the reduced vector."""
+    q2 = 2 * q
+    for row, s in zip(rows, sums):
+        if (2 * s + q * row[5]) % q2 == 0:
+            return False
+    return True
+
+
+def _small_perturbation_sums(rows, sums, q: int) -> bool:
+    """The test of :func:`is_small_perturbation`: |2s| < q*cr everywhere."""
+    for row, s in zip(rows, sums):
+        if not abs(2 * s) < q * row[5]:
+            return False
+    return True
 
 
 def _edge_ids(edge_order, mask) -> tuple[int, ...]:
@@ -262,14 +301,15 @@ def is_stable(graph: DualGraph, phi: PhiVector, F: SheafDatum) -> bool:
 def is_nondegenerate(graph: DualGraph, phi: PhiVector) -> bool:
     """Closed-form wall test: degenerate iff some phi(C0) + cr(C0)/2 in Z.
 
-    With phi(C0) = s/q that is (2s + q*cr) divisible by 2q.
+    With phi(C0) = s/q that is (2s + q*cr) divisible by 2q.  The verdict
+    is kept on ``phi``: computed on the first call, unless the sampler
+    that drew ``phi`` set it, and read on later ones.
     """
     _check_same_graph(graph, phi)
-    q = phi.q
-    for row, s in zip(graph.subcurve_rows, phi.subcurve_sums()):
-        if (2 * s + q * row[5]) % (2 * q) == 0:
-            return False
-    return True
+    if phi._nondegenerate is None:
+        phi._nondegenerate = _nondegenerate_sums(
+            graph.subcurve_rows, phi.subcurve_sums(), phi.q)
+    return phi._nondegenerate
 
 
 def find_equality_witness(graph: DualGraph, phi: PhiVector):
@@ -279,19 +319,26 @@ def find_equality_witness(graph: DualGraph, phi: PhiVector):
     every delta in [0, cr] and every integer degree in the window
     |deg - phi + delta/2| <= (cr + 1)/2, testing the equality scaled by 2q:
     |2q*deg - 2s + q*delta| == q*(cr - delta) with phi(C0) = s/q.
-    Returns (vertex set of C0, deg, delta) or None.
+    Returns the first (vertex set of C0, deg, delta) or None; reads
+    neither the kept verdict nor the closed form.  The value
+    2q*deg - 2s + q*delta steps by 2q per degree, so the scan covers the
+    same (subcurve, delta, deg) in the same order as one that recomputes it.
     """
     _check_same_graph(graph, phi)
     q = phi.q
+    q2 = 2 * q
     for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
         cr = info.cr
         for delta in range(cr + 1):
-            # 2q * (center -+ half) with center = s/q - delta/2, half = (cr+1)/2
-            low = 2 * s - q * delta - q * (cr + 1)
-            high = 2 * s - q * delta + q * (cr + 1)
-            for deg in range(-(-low // (2 * q)), high // (2 * q) + 1):
-                if abs(2 * q * deg - 2 * s + q * delta) == q * (cr - delta):
+            # 2q * (center -+ half), center = s/q - delta/2, half = (cr+1)/2
+            center = 2 * s - q * delta
+            low = -(-(center - q * (cr + 1)) // q2)
+            value = q2 * low - center
+            bound = q * (cr - delta)
+            for deg in range(low, (center + q * (cr + 1)) // q2 + 1):
+                if abs(value) == bound:
                     return (info.vertex_set, deg, delta)
+                value += q2
     return None
 
 
@@ -301,11 +348,8 @@ def is_small_perturbation(graph: DualGraph, phi: PhiVector) -> bool:
     Does not imply nondegeneracy; check that separately.
     """
     _check_same_graph(graph, phi)
-    q = phi.q
-    for row, s in zip(graph.subcurve_rows, phi.subcurve_sums()):
-        if not abs(2 * s) < q * row[5]:
-            return False
-    return True
+    return _small_perturbation_sums(graph.subcurve_rows, phi.subcurve_sums(),
+                                    phi.q)
 
 
 def equivalent_small_perturbation_check(graph: DualGraph, phi: PhiVector) -> bool:

@@ -435,8 +435,13 @@ def reference_verify_support_lemma(graph: DualGraph, phi: PhiVector):
 
 # --- The Fraction route of the phi samplers --------------------------------
 #
-# jacstab.corpus._balanced_phi as it was before PhiVector._from_numerators;
-# the samplers must draw the same vectors through either.
+# The samplers of jacstab.corpus as they were before they drew integer
+# numerators and tested them before building any object: every draw is a
+# PhiVector built from Fractions and tested by the Fraction predicates
+# above.  The samplers must draw the same vectors, with the same rng calls.
+
+REFERENCE_DENOMINATORS = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 def fraction_balanced_phi(graph: DualGraph, rng, q: int,
                           bound: int) -> PhiVector:
@@ -447,6 +452,75 @@ def fraction_balanced_phi(graph: DualGraph, rng, q: int,
     vals = {vid: Fraction(x, q) for vid, x in zip(vids, nums)}
     vals[vids[-1]] = Fraction(-sum(nums), q)
     return PhiVector(graph, vals)
+
+
+def reference_random_phi(graph: DualGraph, rng) -> PhiVector:
+    q = rng.choice(REFERENCE_DENOMINATORS)
+    return fraction_balanced_phi(graph, rng, q, 3 * q)
+
+
+def reference_random_nondegenerate_phi(graph: DualGraph, rng) -> PhiVector:
+    for _ in range(1000):
+        phi = reference_random_phi(graph, rng)
+        if fraction_is_nondegenerate(graph, phi):
+            return phi
+    raise PhiConstructionError("failed to sample a nondegenerate phi")
+
+
+def reference_random_small_perturbation_phi(graph: DualGraph,
+                                            rng) -> PhiVector:
+    vids = sorted(graph.vertex_ids)
+    if len(vids) == 1:
+        return PhiVector(graph, {vids[0]: Fraction(0)})
+    min_cr = min(len(crossing_edges(graph, info.vertices))
+                 for info in graph.subcurve_data)
+    for _ in range(1000):
+        q = rng.choice(REFERENCE_DENOMINATORS)
+        phi = fraction_balanced_phi(graph, rng, q,
+                                    max(1, (min_cr * q) // (4 * len(vids))))
+        if (fraction_is_small_perturbation(graph, phi)
+                and fraction_is_nondegenerate(graph, phi)):
+            return phi
+    raise PhiConstructionError("failed to sample a small-perturbation phi")
+
+
+def reference_random_wall_phi(graph: DualGraph, rng):
+    if len(graph.vertices) < 2:
+        return None
+    info = rng.choice(graph.subcurve_data)
+    cr = len(crossing_edges(graph, info.vertices))
+    target = Fraction(rng.randint(-2, 2)) - Fraction(cr, 2)
+    inside = sorted(info.vertex_set)
+    outside = sorted(set(graph.vertex_ids) - info.vertex_set)
+    vals = {vid: Fraction(0) for vid in graph.vertex_ids}
+    vals[inside[0]] = target
+    vals[outside[0]] = -target
+    return PhiVector(graph, vals)
+
+
+# --- The brute-force wall oracle as it was before its stepped scan ---------
+
+def reference_equality_witness(graph: DualGraph, phi: PhiVector):
+    """Brute-force search for an equality instance of the inequality.
+
+    Independent oracle for :func:`is_nondegenerate`: scans every subcurve,
+    every delta in [0, cr] and every integer degree in the window
+    |deg - phi + delta/2| <= (cr + 1)/2, testing the equality scaled by 2q:
+    |2q*deg - 2s + q*delta| == q*(cr - delta) with phi(C0) = s/q.
+    Returns (vertex set of C0, deg, delta) or None.
+    """
+    _check_same_graph(graph, phi)
+    q = phi.q
+    for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
+        cr = info.cr
+        for delta in range(cr + 1):
+            # 2q * (center -+ half) with center = s/q - delta/2, half = (cr+1)/2
+            low = 2 * s - q * delta - q * (cr + 1)
+            high = 2 * s - q * delta + q * (cr + 1)
+            for deg in range(-(-low // (2 * q)), high // (2 * q) + 1):
+                if abs(2 * q * deg - 2 * s + q * delta) == q * (cr - delta):
+                    return (info.vertex_set, deg, delta)
+    return None
 
 
 # --- The stable table of a vine in closed form -----------------------------

@@ -46,14 +46,30 @@ def test_first_phi_per_seed_is_pinned(sampler):
         == PINNED[sampler]
 
 
-def test_nondegenerate_sampling_failure_is_a_jacstab_error(monkeypatch):
-    # every draw is refused, so each sampler gives up after its 1,000 tries
-    monkeypatch.setattr(corpus, "is_nondegenerate", lambda graph, phi: False)
+class ZeroRandom(random.Random):
+    """Draws every numerator as 0, so every phi drawn is phi = 0, and
+    counts the draws."""
+
+    draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return 0
+
+
+def test_nondegenerate_sampling_failure_is_a_jacstab_error():
+    # phi = 0 lies on the wall of the 2-edge vine's sides (0 + 2/2 in Z),
+    # so every draw is refused and each sampler gives up after its 1,000
+    # tries, one numerator each
     graph = make_vine(0, 1, 2, (1,), 1).to_graph()
+    rng = ZeroRandom(0)
     with pytest.raises(PhiConstructionError, match="nondegenerate"):
-        random_nondegenerate_phi(graph, random.Random(0))
+        random_nondegenerate_phi(graph, rng)
+    assert rng.draws == 1000
+    rng = ZeroRandom(0)
     with pytest.raises(PhiConstructionError, match="small-perturbation"):
-        random_small_perturbation_phi(graph, random.Random(0))
+        random_small_perturbation_phi(graph, rng)
+    assert rng.draws == 1000
     assert issubclass(PhiConstructionError, JacstabError)
 
 

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from jacstab import corpus, stability
+from jacstab import stability
 from jacstab.corpus import (
     random_nondegenerate_phi,
     random_phi,
     random_small_perturbation_phi,
+    random_wall_phi,
     stable_graph_corpus,
 )
 from jacstab.graph import DualGraph, Edge, Vertex, spanning_tree_count
@@ -209,22 +210,42 @@ def test_support_violation_builds_one_datum_and_one_subcurve(monkeypatch):
     assert c0 in [info.vertex_set for info in graph.subcurve_data]
 
 
-@pytest.mark.parametrize(
-    "sampler", [random_phi, random_nondegenerate_phi,
-                random_small_perturbation_phi], ids=lambda f: f.__name__)
-def test_sampler_phis_match_fraction_route(sampler, monkeypatch):
-    graphs = CORPUS + [UNSORTED]
+SAMPLER_ROUTES = [
+    pytest.param(sampler, reference, id=sampler.__name__)
+    for sampler, reference in [
+        (random_phi, oracles.reference_random_phi),
+        (random_nondegenerate_phi,
+         oracles.reference_random_nondegenerate_phi),
+        (random_small_perturbation_phi,
+         oracles.reference_random_small_perturbation_phi),
+        (random_wall_phi, oracles.reference_random_wall_phi),
+    ]
+]
 
-    def draw():
-        return [sampler(g, random.Random(i)) for i, g in enumerate(graphs)]
 
+@pytest.mark.parametrize("sampler, reference", SAMPLER_ROUTES)
+def test_sampler_phis_match_fraction_route(sampler, reference):
+    # Two draws per graph from one seed: each phi, its kept subcurve sums
+    # and wall verdict, and the rng state after it match the route that
+    # builds every draw from Fractions and tests it on Fraction sums.
     def fields(phi):
         return (phi.q, list(phi.numerators.items()), list(phi.values.items()))
 
-    integer = draw()
-    monkeypatch.setattr(corpus, "_balanced_phi", oracles.fraction_balanced_phi)
-    fraction = draw()
-    assert [fields(p) for p in integer] == [fields(p) for p in fraction]
+    for i, graph in enumerate(CORPUS + [UNSORTED]):
+        rng, ref_rng = random.Random(i), random.Random(i)
+        for _ in range(2):
+            phi, ref = sampler(graph, rng), reference(graph, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+            if ref is None:
+                assert phi is None
+                continue
+            assert fields(phi) == fields(ref)
+            assert phi.subcurve_sums() == tuple(
+                oracles.fraction_subcurve_sum(ref, info) * ref.q
+                for info in graph.subcurve_data)
+            if phi._nondegenerate is not None:
+                assert phi._nondegenerate == \
+                    oracles.fraction_is_nondegenerate(graph, ref)
 
 
 def test_integer_constructor_reduces_like_fractions():
@@ -232,7 +253,7 @@ def test_integer_constructor_reduces_like_fractions():
     for q, nums in [(6, (2, -4, 0, 2)), (7, (0, 0, 0, 0)), (5, (3, -1, -1, -1)),
                     (12, (8, -2, -3, -3))]:
         numerators = dict(zip(graph.vertex_ids, nums))
-        phi = PhiVector._from_numerators(graph, q, numerators)
+        phi = PhiVector._from_numerators(graph, q, nums)
         ref = PhiVector(graph, {v: Fraction(x, q) for v, x in numerators.items()})
         assert (phi.q, phi.numerators, phi.values) == \
             (ref.q, ref.numerators, ref.values)

@@ -10,6 +10,7 @@ from oracles import (
     fraction_is_small_perturbation,
     fraction_subcurve_sum,
     internal_edges,
+    reference_equality_witness,
     reference_is_semistable,
 )
 
@@ -343,6 +344,48 @@ class TestAdditivity:
                     + (F.mask & info.internal_mask).bit_count() \
                     == degree_on(info.vertices)
                 assert (F.mask & info.crossing_mask).bit_count() == delta
+
+
+def test_equality_witness_matches_reference_scan():
+    # the stepped scan returns the very witness of the per-degree scan, on
+    # random draws (mostly off the walls) and on wall draws
+    rng = random.Random(32)
+    phis = witnessed = 0
+    for graph in stable_graph_corpus(4, 7):
+        for k in range(20):
+            phi = (random_wall_phi(graph, rng) if k % 5 == 4
+                   else random_phi(graph, rng))
+            if phi is None:
+                continue
+            witness = find_equality_witness(graph, phi)
+            assert witness == reference_equality_witness(graph, phi)
+            phis += 1
+            witnessed += witness is not None
+    assert phis >= 20_000 and witnessed >= 7_000
+
+
+def test_stable_data_move_with_integer_shifts():
+    # an integer t of total 0 moves deg_C0 and phi(C0) by t(C0) and leaves
+    # delta alone, so the stable data of phi + t are those of phi with
+    # every D moved to D + t, free and non-free alike
+    rng = random.Random(13)
+    compared = 0
+    for graph in stable_graph_corpus(4, 7)[::3]:
+        vids = graph.vertex_ids
+        if len(vids) < 2:
+            continue
+        phi = random_nondegenerate_phi(graph, rng)
+        t = [rng.randint(-3, 3) for _ in vids[1:]]
+        t = dict(zip(vids, t + [-sum(t)]))
+        shifted = PhiVector(graph, {v: x + t[v] for v, x in phi.values.items()})
+        for nonfree in (False, True):
+            moved = [(F.S, {v: d + t[v] for v, d in F.D.items()})
+                     for F in stable_sheaf_data(graph, phi, 0, nonfree)]
+            assert moved
+            assert [(F.S, F.D) for F in
+                    stable_sheaf_data(graph, shifted, 0, nonfree)] == moved
+            compared += 1
+    assert compared >= 600
 
 
 class TestNondegeneracy:
