@@ -12,7 +12,10 @@ The samplers' ``rng`` calls and their order are a replay contract: a
 integer numerators over one ``q``, accepted or rejected on its subcurve
 sums by the predicates behind ``is_nondegenerate`` and
 ``is_small_perturbation`` before any object exists; only an accepted draw
-becomes a :class:`PhiVector`, its sums and wall verdict already set.
+becomes a :class:`PhiVector`, its sums and wall verdict already set.  Both
+predicates read the same on a subcurve and its complement, so a draw is
+summed on one subcurve of each complementary pair, the first half of the
+graph's table.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .errors import PhiConstructionError
 from .graph import DualGraph, _connected, _side_stable
 from .stability import (
     PhiVector,
+    _half,
     _nondegenerate_sums,
     _small_perturbation_sums,
     _subcurve_sums,
@@ -124,13 +128,14 @@ def random_phi(graph: DualGraph, rng: random.Random) -> PhiVector:
 def random_nondegenerate_phi(graph: DualGraph,
                              rng: random.Random) -> PhiVector:
     """The first :func:`random_phi` draw off every wall."""
-    rows = graph.subcurve_rows
+    rows = _half(graph.subcurve_rows)
     for _ in range(1000):
         q = rng.choice(_DENOMINATORS)
         nums = _draw(graph, rng, 3 * q)
         sums = _subcurve_sums(rows, nums)
         if _nondegenerate_sums(rows, sums, q):
-            return PhiVector._from_numerators(graph, q, nums, sums, True)
+            return PhiVector._from_numerators(graph, q, nums, (rows, sums),
+                                              True)
     raise PhiConstructionError("failed to sample a nondegenerate phi")
 
 
@@ -140,7 +145,7 @@ def random_small_perturbation_phi(graph: DualGraph,
     nv = len(graph.vertices)
     if nv == 1:
         return PhiVector(graph, {graph.vertex_ids[0]: Fraction(0)})
-    rows = graph.subcurve_rows
+    rows = _half(graph.subcurve_rows)   # cr(C0^c) = cr(C0)
     min_cr = min(row[5] for row in rows)
     for _ in range(1000):
         q = rng.choice(_DENOMINATORS)
@@ -149,7 +154,8 @@ def random_small_perturbation_phi(graph: DualGraph,
         sums = _subcurve_sums(rows, nums)
         if (_small_perturbation_sums(rows, sums, q)
                 and _nondegenerate_sums(rows, sums, q)):
-            return PhiVector._from_numerators(graph, q, nums, sums, True)
+            return PhiVector._from_numerators(graph, q, nums, (rows, sums),
+                                              True)
     raise PhiConstructionError("failed to sample a small-perturbation phi")
 
 

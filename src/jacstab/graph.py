@@ -148,7 +148,8 @@ class DualGraph:
         """Incidence data for all nonempty proper vertex subsets.
 
         Deterministic order: by subset size, then by sorted vertex tuple, so
-        the singletons come first and every ``prefix`` points back.  An
+        the singletons come first, every ``prefix`` points back, and the
+        first half holds one subcurve of each complementary pair.  An
         entry's edge masks, like any sum over it, take one step from its
         prefix's and its last vertex's.  This is the structural chokepoint
         of every subcurve test: it raises :class:`InvalidGraphError` above

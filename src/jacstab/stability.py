@@ -31,6 +31,32 @@ turns each singleton row into a closed-form degree window once per phi.
 A phi keeps its sums and its wall verdict, which :func:`is_nondegenerate`
 computes once or a sampler sets, so the search does not test walls again.
 
+Complementary pairs
+-------------------
+The complement C0^c of a subcurve has the same crossing edges, so the
+same cr and delta, and phi(C0^c) = -phi(C0) as phi sums to 0.  For a
+datum of total degree d = sum D + |S|, deg_C0^c = d - delta - deg_C0.
+So, scaled by 2q, with X = 2q*deg - 2s + q*delta and B = q*(cr - delta),
+the inequality on C0 reads -B < X < B and the one on C0^c reads
+2qd - B < X < B + 2qd: both hold exactly when
+max(0, 2qd) - B < X < B + min(0, 2qd), that is when |X - qd| < B - q|d|.
+At d = 0 the two tests are one (the usual reduction of phi-stability to
+one side of each pair; Melo-Viviani, arXiv:1009.3205).  The wall test
+(phi(C0) + cr/2 in Z) and the small-perturbation test (|phi(C0)| < cr/2)
+read the same for C0 and C0^c.  The table comes by size, then vertex
+tuple, so its first half (:func:`_half`) holds one subcurve of each pair:
+all with fewer than V/2 vertices and those with exactly V/2 that hold the
+first vertex.  The samplers, :func:`is_nondegenerate`,
+:func:`is_small_perturbation`, the search and the support walk read that
+half only, and a phi computes its sums on it first; the search folds each
+complement into its row's test and each singleton's window.  The oracle
+:func:`find_equality_witness`, :func:`is_stable` and the public
+:meth:`PhiVector.subcurve_sums` stay on the whole table, so the suites
+compare the half against whole-table readings (``wall-criterion`` the wall
+test against the oracle, ``cor25`` the small-perturbation test against
+:func:`is_stable`); on the 2-vertex vines, where extension
+classification calls :func:`is_stable`, the half is the whole table.
+
 Wall criterion
 --------------
 Equality in the inequality above forces
@@ -113,27 +139,29 @@ class PhiVector:
         if sum(self.numerators.values()) != 0:
             raise ValueError("phi values must sum to 0, got %s"
                              % sum(values.values()))
-        self._sums = self._nondegenerate = None
+        self._table = self._nondegenerate = None
 
     @classmethod
     def _from_numerators(cls, graph: DualGraph, q: int, numerators,
-                         sums=None, nondegenerate=None):
+                         table=None, nondegenerate=None):
         """The vector with ``numerators`` over ``q`` in vertex order, for
         callers that guarantee they sum to 0.  Reduced by
         ``gcd(q, *numerators)``, so ``q`` and ``numerators`` equal those of
-        the Fraction route.  ``sums`` (of the unreduced numerators) and
-        ``nondegenerate`` are kept as :meth:`subcurve_sums` and the
-        verdict of :func:`is_nondegenerate`."""
+        the Fraction route.  ``table`` (the :func:`_half` of the graph's
+        rows and the unreduced numerators' sums on it) and
+        ``nondegenerate`` are kept as :meth:`_half_table` and the verdict
+        of :func:`is_nondegenerate`."""
         phi = cls.__new__(cls)
         phi.graph = graph
         common = gcd(q, *numerators)
         if common > 1:
             q //= common
             numerators = [x // common for x in numerators]
-            if sums:
-                sums = tuple(s // common for s in sums)
+            if table:
+                rows, sums = table
+                table = (rows, tuple([s // common for s in sums]))
         phi.q, phi.numerators = q, dict(zip(graph.vertex_ids, numerators))
-        phi._sums, phi._nondegenerate = sums, nondegenerate
+        phi._table, phi._nondegenerate = table, nondegenerate
         return phi
 
     @cached_property
@@ -141,26 +169,51 @@ class PhiVector:
         q = self.q
         return {vid: Fraction(x, q) for vid, x in self.numerators.items()}
 
+    def _half_table(self) -> tuple[tuple, tuple[int, ...]]:
+        """The :func:`_half` of the graph's ``subcurve_rows`` and
+        ``q * phi(C0)`` on at least those rows, computed once per vector:
+        all that the stability kernel reads."""
+        if self._table is None:
+            rows = _half(self.graph.subcurve_rows)
+            self._table = (rows, _subcurve_sums(
+                rows, [self.numerators[vid] for vid in self.graph.vertex_ids]))
+        return self._table
+
     def subcurve_sums(self) -> tuple[int, ...]:
         """``q * phi(C0)`` for every subcurve, in ``self.graph.subcurve_data``
-        order.  Computed once per vector."""
-        if self._sums is None:
-            self._sums = _subcurve_sums(
-                self.graph.subcurve_rows,
-                [self.numerators[vid] for vid in self.graph.vertex_ids])
-        return self._sums
+        order.  The vector keeps the sums on the first half of the table,
+        which is all the stability kernel reads (a complement's sum is the
+        negated one); the first call here extends them to the whole
+        table, once per vector."""
+        rows, sums = self._table or self._half_table()
+        every = self.graph.subcurve_rows
+        if len(sums) < len(every):
+            sums = _subcurve_sums(every, sums)
+            self._table = (rows, sums)
+        return sums
 
     def __repr__(self):
         return "PhiVector(%s)" % {k: str(v) for k, v in sorted(self.values.items())}
 
 
-def _subcurve_sums(rows, numerators: list) -> tuple[int, ...]:
-    """``q * phi(C0)`` for every row of a graph's ``subcurve_rows``, from
-    the numerators in vertex order: the singletons come first, and every
-    later sum is its prefix's plus its last vertex's."""
+def _half(rows):
+    """The first half of a ``subcurve_rows`` table: one subcurve of each
+    complementary pair (see the module docstring), and both singletons
+    on 2 vertices, where they are each other's complement.  That is the
+    first ``len >> 1`` rows, or 2 on 2 vertices: ``len >> 1`` is
+    2^(V-1) - 1, all ones in binary, so ``| 2`` changes it only at V <= 2."""
+    return rows[:len(rows) >> 1 | 2]
+
+
+def _subcurve_sums(rows, sums) -> tuple[int, ...]:
+    """Vertex sums for every row of ``rows`` (a ``subcurve_rows`` table or
+    its first part), extending ``sums``, which covers the first rows: the
+    singletons come first, so the values in vertex order (phi numerators,
+    degrees) are a start, and every later sum is its prefix's plus its
+    last vertex's."""
     if not rows:
         return ()   # one vertex
-    sums = list(numerators)
+    sums = list(sums)
     for row in rows[len(sums):]:
         sums.append(sums[row[1]] + sums[row[2]])
     return tuple(sums)
@@ -170,7 +223,9 @@ def _nondegenerate_sums(rows, sums, q: int) -> bool:
     """The wall test of :func:`is_nondegenerate`: no 2s + q*cr is divisible
     by 2q.  Scaling q and every s by one c > 0 changes neither this answer
     nor that of :func:`_small_perturbation_sums`, so both hold for a draw's
-    unreduced numerators exactly when they hold for the reduced vector."""
+    unreduced numerators exactly when they hold for the reduced vector.
+    Both read the same on a subcurve and its complement, so callers pass
+    the :func:`_half` of the table."""
     q2 = 2 * q
     for row, s in zip(rows, sums):
         if (2 * s + q * row[5]) % q2 == 0:
@@ -268,11 +323,11 @@ def _check_same_graph(graph, *objs):
 
 def _satisfies(rows, sums: tuple, q: int, S: int, D: tuple) -> bool:
     """The inequality for ``S`` a mask and ``D`` a degree tuple on every
-    row of ``rows`` (``subcurve_rows`` or its part after the singletons),
-    scaled to integers: with phi(C0) = s/q, ``s`` in ``sums``, it reads
-    |2q*deg - 2s + q*delta| < q*(cr - delta).  Each degree sum is its
-    prefix's plus one vertex, built as the test goes (``degs[-1]`` is the
-    empty one)."""
+    row of ``rows`` (``subcurve_rows`` or a part of it after the
+    singletons), scaled to integers: with phi(C0) = s/q, ``s`` in
+    ``sums``, it reads |2q*deg - 2s + q*delta| < q*(cr - delta).  Each
+    degree sum is its prefix's plus one vertex, built as the test goes
+    (``degs[-1]`` is the empty one)."""
     degs = list(D) + [0] * len(rows)
     q2 = 2 * q
     for i, prefix, last, internal, crossing, cr in rows:
@@ -301,14 +356,15 @@ def is_stable(graph: DualGraph, phi: PhiVector, F: SheafDatum) -> bool:
 def is_nondegenerate(graph: DualGraph, phi: PhiVector) -> bool:
     """Closed-form wall test: degenerate iff some phi(C0) + cr(C0)/2 in Z.
 
-    With phi(C0) = s/q that is (2s + q*cr) divisible by 2q.  The verdict
-    is kept on ``phi``: computed on the first call, unless the sampler
-    that drew ``phi`` set it, and read on later ones.
+    With phi(C0) = s/q that is (2s + q*cr) divisible by 2q; tested on one
+    subcurve of each complementary pair.  The verdict is kept on ``phi``:
+    computed on the first call, unless the sampler that drew ``phi`` set
+    it, and read on later ones.
     """
     _check_same_graph(graph, phi)
     if phi._nondegenerate is None:
-        phi._nondegenerate = _nondegenerate_sums(
-            graph.subcurve_rows, phi.subcurve_sums(), phi.q)
+        rows, sums = phi._half_table()
+        phi._nondegenerate = _nondegenerate_sums(rows, sums, phi.q)
     return phi._nondegenerate
 
 
@@ -343,13 +399,14 @@ def find_equality_witness(graph: DualGraph, phi: PhiVector):
 
 
 def is_small_perturbation(graph: DualGraph, phi: PhiVector) -> bool:
-    """|phi(C0)| < cr(C0)/2 for every subcurve, i.e. |2s| < q*cr.
+    """|phi(C0)| < cr(C0)/2 for every subcurve, i.e. |2s| < q*cr, tested
+    on one subcurve of each complementary pair.
 
     Does not imply nondegeneracy; check that separately.
     """
     _check_same_graph(graph, phi)
-    return _small_perturbation_sums(graph.subcurve_rows, phi.subcurve_sums(),
-                                    phi.q)
+    rows, sums = phi._half_table()
+    return _small_perturbation_sums(rows, sums, phi.q)
 
 
 def equivalent_small_perturbation_check(graph: DualGraph, phi: PhiVector) -> bool:
@@ -372,11 +429,18 @@ def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
     """Every phi-stable (mask, degrees) of total degree d, in search order;
     a ``d`` that is not an ``int`` raises :class:`PreconditionError`.
 
-    No singleton row is tested: with s = q*phi(v), its inequality puts
-    2q*(D(v) + loops of S at v) in (2s - q*cr, 2s + q*(cr - 2*delta)).  So
-    each vertex's window ``_integer_window(2s - q*cr, 2s + q*cr, 2q)`` is
-    found once per phi, and a mask lowers its top by the integer delta and
-    shifts it by the loops: two bit counts and a subtraction."""
+    Only the :func:`_half` of the table is read, and each row's test takes
+    in its complement's (see the module docstring).  No singleton row is
+    tested: with s = q*phi(v), its inequality puts
+    2q*(D(v) + loops of S at v) in (2s - q*cr, 2s + q*(cr - 2*delta)), and
+    its complement's moves that interval by 2q*d.  So each vertex's window
+    ``_integer_window(2s - q*cr, 2s + q*cr, 2q)`` is found once per phi,
+    its start raised by max(d, 0) and its stop lowered by -min(d, 0), and a
+    mask lowers its top by the integer delta and shifts it by the loops:
+    two bit counts and a subtraction.  A later row and its complement hold
+    together when |X - q*d| < q*(cr - delta - |d|), X as in
+    :func:`_satisfies`; that is its test for the phi sums 2s + q*d over 2q
+    and the crossing number cr - |d|, which are handed to it at d != 0."""
     if type(d) is not int:
         raise PreconditionError("total degree must be an integer: %r" % (d,))
     _check_same_graph(graph, phi)
@@ -395,14 +459,20 @@ def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
         return [(S, (d - S.bit_count(),)) for S in masks]
 
     # the table starts with the singletons in vertex order
-    rows = graph.subcurve_rows
-    sums = phi.subcurve_sums()
+    rows, sums = phi._half_table()
     q = phi.q
     singles = []
     for (_, _, _, internal, crossing, cr), s in zip(rows[:nv], sums):
         window = _integer_window(2 * s - q * cr, 2 * s + q * cr, 2 * q)
         singles.append((window.start, window.stop, internal, crossing))
     rows = rows[nv:]
+    if d:
+        up, down = max(d, 0), min(d, 0)
+        singles = [(start + up, stop + down, internal, crossing)
+                   for start, stop, internal, crossing in singles]
+        sums = [2 * s + q * d for s in sums]
+        rows = [row[:5] + (row[5] - abs(d),) for row in rows]
+        q *= 2
     found = []
     for S in masks:
         windows = []
@@ -455,20 +525,28 @@ def _support_lemma_count(graph: DualGraph, phi: PhiVector):
     if not is_small_perturbation(graph, phi):
         raise PreconditionError("phi is not a small perturbation of 0")
     rows = graph.subcurve_rows
+    half = _half(rows)
     pairs = _stable_pairs(graph, phi, 0, include_nonfree=True)
     violations = []
     for S, D in pairs:
-        degs = [0] * (len(rows) + 1)   # as in _satisfies
-        for i, prefix, last, internal, crossing, cr in rows:
+        degs = [0] * (len(half) + 1)   # as in _satisfies
+        for i, prefix, last, internal, crossing, cr in half:
             deg = degs[i] = degs[prefix] + D[last]
             deg += (S & internal).bit_count()
-            if not deg < cr - (S & crossing).bit_count():
-                violations.append((_edge_ids(graph.edge_order, S), D, i))
+            # deg_C0^c = -delta - deg_C0 at total degree 0, so the bound
+            # on the complement reads -cr < deg_C0
+            if not -cr < deg < cr - (S & crossing).bit_count():
+                violations.append((_edge_ids(graph.edge_order, S), D, S))
                 break
     if not violations:
         return len(pairs), True
-    S, D, i = min(violations)
-    return len(pairs), (SheafDatum(graph, S, dict(zip(graph.vertex_ids, D))),
+    ids, D, S = min(violations)
+    # the first violating subcurve in whole-table order
+    i = next(i for (i, _, _, internal, crossing, cr), deg in zip(
+        rows, _subcurve_sums(rows, D))
+        if not deg + (S & internal).bit_count()
+        < cr - (S & crossing).bit_count())
+    return len(pairs), (SheafDatum(graph, ids, dict(zip(graph.vertex_ids, D))),
                         graph.subcurve_data[i].vertex_set)
 
 
@@ -479,7 +557,9 @@ def verify_support_lemma(graph: DualGraph, phi: PhiVector):
     bound deg_C0(F) < cr(C0) - delta_C0(F) must hold, so a nonzero section
     (which would force deg_C0(F) >= cr(C0)) cannot exist.  Returns True or
     the first violating (F, vertex set of C0) in canonical order, checked on
-    the search's (S, D) pairs; objects are built only for a violation.  A
+    the search's (S, D) pairs and one subcurve of each complementary pair
+    (the whole table is read only to name the subcurve); objects are built
+    only for a violation.  A
     phi that is no small perturbation raises :class:`PreconditionError`, a
     degenerate one its subclass :class:`DegenerateParameterError`.
     """

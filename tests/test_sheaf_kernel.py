@@ -20,8 +20,10 @@ from jacstab.graph import DualGraph, Edge, Vertex, spanning_tree_count
 from jacstab.stability import (
     PhiVector,
     SheafDatum,
+    _half,
     _integer_window,
     is_nondegenerate,
+    is_small_perturbation,
     stable_sheaf_data,
     verify_support_lemma,
 )
@@ -78,10 +80,13 @@ def views(data):
 
 
 @pytest.mark.parametrize("include_nonfree", [False, True])
-@pytest.mark.parametrize("d", [-1, 0, 1])
+@pytest.mark.parametrize("d", [-2, -1, 0, 1, 2])
 def test_stable_sheaf_data_matches_frozenset_reference(phis, d,
                                                       include_nonfree):
-    for graph, phi in zip(GRAPHS, phis):
+    # At |d| = 2 the singleton windows, moved by max(d, 0) and min(d, 0)
+    # for the complements, can be empty; every fourth graph covers that.
+    step = 4 if abs(d) > 1 else 1
+    for graph, phi in zip(GRAPHS[::step], phis[::step]):
         got = stable_sheaf_data(graph, phi, d, include_nonfree)
         want = oracles.reference_stable_sheaf_data(graph, phi, d,
                                                    include_nonfree)
@@ -103,14 +108,80 @@ def test_subcurve_rows_match_subcurve_data():
 @pytest.mark.parametrize("q", [1, 2, 3, 7, 12])
 def test_delta_lowers_only_the_top_of_the_singleton_window(q):
     # _stable_pairs finds each vertex's delta-0 window once and, for a
-    # mask, only lowers its stop by delta
+    # mask, only lowers its stop by delta; at total degree d the window of
+    # the complement is the same one moved by d, and the search keeps
+    # their overlap by moving the start by max(d, 0) and the stop by
+    # min(d, 0)
     for two in range(-9 * q, 9 * q + 1):
         for cr in range(8):
             base = _integer_window(two - q * cr, two + q * cr, 2 * q)
             for delta in range(cr + 1):
-                assert range(base.start, base.stop - delta) == \
-                    _integer_window(two - q * cr, two + q * (cr - 2 * delta),
-                                    2 * q), (two, q, cr, delta)
+                own = _integer_window(two - q * cr,
+                                      two + q * (cr - 2 * delta), 2 * q)
+                assert range(base.start, base.stop - delta) == own, \
+                    (two, q, cr, delta)
+                for d in range(-3, 4):
+                    both = [x for x in own if x - d in own]
+                    got = range(base.start + max(d, 0),
+                                base.stop - delta + min(d, 0))
+                    assert list(got) == both, (two, q, cr, delta, d)
+
+
+def path_with_loops(nv):
+    """A path on ``nv`` vertices with sparse, unsorted ids, a loop at one
+    end and a double edge at the other."""
+    ids = [3 * v + 7 for v in reversed(range(nv))]
+    edges = [(ids[v], ids[v + 1]) for v in range(nv - 1)]
+    edges += [(ids[0], ids[0]), (ids[-2], ids[-1])]
+    return DualGraph([Vertex(vid, 1, frozenset()) for vid in ids],
+                     [Edge(40 - i, tuple(sorted(ends)))
+                      for i, ends in enumerate(edges)], 0)
+
+
+LARGER = [path_with_loops(nv) for nv in range(5, 9)]
+
+
+def test_first_half_of_the_table_is_one_subcurve_of_each_pair():
+    # _half(subcurve_rows) holds the first len >> 1 rows (both singletons
+    # at 2 vertices): every singleton, and one subcurve of each
+    # complementary pair
+    for graph in GRAPHS + LARGER:
+        rows, nv = graph.subcurve_rows, len(graph.vertex_ids)
+        half = _half(rows)
+        assert half == rows[:2 if nv == 2 else len(rows) >> 1], graph
+        table = [info.vertex_set for info in graph.subcurve_data]
+        kept = table[:len(half)]
+        whole = frozenset(graph.vertex_ids)
+        pairs = {frozenset((c, whole - c)) for c in table}
+        assert {frozenset((c, whole - c)) for c in kept} == pairs, graph
+        if nv > 1:
+            assert {frozenset([v]) for v in graph.vertex_ids} <= set(kept)
+        if nv > 2:
+            assert len(kept) == len(pairs), graph
+
+
+def test_half_table_verdicts_match_whole_table():
+    # is_nondegenerate and is_small_perturbation read one subcurve of each
+    # complementary pair; the Fraction oracles read every subcurve
+    seen = Counter()
+    for i, graph in enumerate(GRAPHS):
+        rng = random.Random(i)
+        for sampler in (random_phi, random_small_perturbation_phi,
+                        random_wall_phi):
+            drawn = sampler(graph, rng)
+            if drawn is None:
+                continue
+            fresh = PhiVector(graph, drawn.values)   # nothing kept yet
+            for phi in (drawn, fresh):
+                verdicts = (is_nondegenerate(graph, phi),
+                            is_small_perturbation(graph, phi))
+                assert verdicts == (
+                    oracles.fraction_is_nondegenerate(graph, phi),
+                    oracles.fraction_is_small_perturbation(graph, phi)), \
+                    (graph, phi)
+                seen.update(enumerate(verdicts))
+    # both predicates met both answers
+    assert len(seen) == 4, seen
 
 
 def outcome(result):
