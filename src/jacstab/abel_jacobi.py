@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .atlas import chambers, vine_phi
 from .errors import (
     IncompleteTableError,
     JacstabError,
@@ -38,6 +37,7 @@ from .stability import (
     is_nondegenerate,
     is_small_perturbation,
     is_stable,
+    vine_phi,
 )
 
 log = logging.getLogger(__name__)
@@ -264,12 +264,19 @@ def construct_prop_phi(g: int, n: int, i: int, j: int,
 
 @dataclass(frozen=True)
 class ChamberCertificate:
-    """Exhaustive evidence that a bidegree is stable in no chamber."""
+    """Evidence that (m, -m) is stable in no chamber of (-e/2, e/2)."""
 
     vine: VineCurve
     bidegree: int
-    # (lo, hi, line-bundle side-1 degrees) per small-perturbation chamber
-    chambers: tuple[tuple[Fraction, Fraction, tuple[int, ...]], ...]
+
+    @property
+    def chambers(self) -> tuple[tuple[Fraction, Fraction, tuple[int, ...]], ...]:
+        """(lo, hi, stable line-bundle side-1 degrees) per chamber, built on
+        each read: the walls are k - e/2, and above k - e/2 the D with
+        |D - x| < e/2 are k - e + 1, ..., k, for k = 0..e-1."""
+        e = self.vine.e
+        return tuple((Fraction(2 * k - e, 2), Fraction(2 * k + 2 - e, 2),
+                      tuple(range(k - e + 1, k + 1))) for k in range(e))
 
 
 def _unit_difference_markings(a: tuple[int, ...]):
@@ -281,31 +288,21 @@ def _unit_difference_markings(a: tuple[int, ...]):
     return None
 
 
-# Certificate rows of the small-perturbation interval (-e/2, e/2) per edge
-# count e, filled from the first vine with that e that asks.  Only Fractions
-# and ints: no graph or sheaf datum outlives a call.
-_SMALL_CHAMBER_ROWS: dict[int, tuple] = {}
-
-
 def certify_unstable_on_vine(vine: VineCurve, m: int) -> ChamberCertificate | None:
     """Check the bidegree (m, -m) against all chambers of the
-    small-perturbation interval.
+    small-perturbation interval (-e/2, e/2).
 
-    Returns a certificate if the bidegree is stable in none of them, else
-    None.  The stable-bidegree set is constant per chamber, so the check is
-    finite and exact.  Walls and stable tables depend on a vine only
-    through e, so one chamber per edge count is searched and the rest are
-    translated (see ``atlas.chambers``), once per process.
+    The bundle is stable at phi = (x, -x) exactly when |m - x| < e/2, so
+    some chamber makes it stable exactly when -e < m < e; then this returns
+    None, and otherwise a certificate, whose rows are a formula in e.  No
+    graph is built and nothing is searched.  An ``m`` that is not an
+    ``int`` (``bool`` included) raises :class:`PreconditionError`.
     """
-    rows = _SMALL_CHAMBER_ROWS.get(vine.e)
-    if rows is None:
-        half_e = Fraction(vine.e, 2)
-        rows = _SMALL_CHAMBER_ROWS[vine.e] = tuple(
-            (ch.lo, ch.hi, tuple(F.degrees[0] for F in ch.stable_table))
-            for ch in chambers(vine, (-half_e, half_e)))
-    if any(m in degs for _, _, degs in rows):
+    if type(m) is not int:
+        raise PreconditionError("bidegree must be an integer: %r" % (m,))
+    if -vine.e < m < vine.e:
         return None
-    return ChamberCertificate(vine, m, rows)
+    return ChamberCertificate(vine, m)
 
 
 def classify_extension(g: int, n: int, aj: AJDatum,
@@ -316,9 +313,9 @@ def classify_extension(g: int, n: int, aj: AJDatum,
     "yes" answers carry the table from :func:`construct_prop_phi`, whose
     acceptance, once per (e, m) class, is the check :func:`sigma_extends`
     makes per vine, so it is not run twice; "no" answers carry the first
-    obstructing vine in canonical order together with an exhaustive chamber
-    certificate, and build no vine after it.  Only a "yes" reads ``seed``,
-    which must be an ``int``.
+    obstructing vine in canonical order with its chamber certificate, both
+    read off (e, m), so they build no graph and no vine after the witness
+    and run no search.  Only a "yes" reads ``seed``, an ``int``.
     """
     aj.check(g, n)
     if aj.is_trivial:

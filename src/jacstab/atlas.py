@@ -30,7 +30,7 @@ from operator import attrgetter
 
 from .errors import InvalidGraphError, PreconditionError
 from .graph import MAX_NONFREE_EDGES, VineCurve, enumerate_vines
-from .stability import PhiVector, SheafDatum, exact_rational, stable_sheaf_data
+from .stability import SheafDatum, exact_rational, stable_sheaf_data, vine_phi
 
 log = logging.getLogger(__name__)
 
@@ -86,14 +86,6 @@ def walls(vine: VineCurve, window: tuple[Fraction, Fraction]) -> WallSet:
                                                   vine, MAX_WALLS))
     positions = [Fraction(m) - half_e for m in range(first, last + 1)]
     return WallSet(lo, hi, tuple(positions))
-
-
-def vine_phi(vine: VineCurve, x: Fraction) -> PhiVector:
-    """phi = (x, -x) on the vine's graph, with the ``q`` and numerators of
-    ``PhiVector(graph, {0: x, 1: -x})``."""
-    x = exact_rational(x)
-    return PhiVector._from_numerators(vine.to_graph(), x.denominator,
-                                      (x.numerator, -x.numerator))
 
 
 def chambers(vine: VineCurve, window: tuple[Fraction, Fraction],

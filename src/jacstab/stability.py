@@ -87,7 +87,7 @@ from .errors import (
     PreconditionError,
     UnknownEdgeError,
 )
-from .graph import MAX_NONFREE_EDGES, DualGraph
+from .graph import MAX_NONFREE_EDGES, DualGraph, VineCurve
 
 # ASCII only: int() and Fraction() also read other Unicode digits and spaces
 _RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*", re.ASCII)
@@ -194,6 +194,14 @@ class PhiVector:
 
     def __repr__(self):
         return "PhiVector(%s)" % {k: str(v) for k, v in sorted(self.values.items())}
+
+
+def vine_phi(vine: VineCurve, x: Fraction) -> PhiVector:
+    """phi = (x, -x) on the vine's graph, with the ``q`` and numerators of
+    ``PhiVector(graph, {0: x, 1: -x})``."""
+    x = exact_rational(x)
+    return PhiVector._from_numerators(vine.to_graph(), x.denominator,
+                                      (x.numerator, -x.numerator))
 
 
 def _half(rows):

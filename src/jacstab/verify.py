@@ -19,7 +19,6 @@ from .abel_jacobi import (
     classify_extension,
     sigma_extends,
     vine_bidegree,
-    vine_phi,
 )
 from .atlas import walls
 from .corpus import (
@@ -41,6 +40,7 @@ from .stability import (
     stable_sheaf_data,
     SheafDatum,
     _support_lemma_count,
+    vine_phi,
 )
 
 log = logging.getLogger(__name__)
@@ -188,17 +188,18 @@ def brute_force_extends(g: int, n: int, aj: AJDatum) -> bool:
 
 
 def _recheck_certificate(cert) -> bool:
-    """Re-verify a negative certificate with direct stability evaluations
-    at two interior points of every chamber."""
+    """Re-verify a negative certificate: a search at each chamber's midpoint
+    must find its row's degrees, and two interior points no stable bundle."""
     vine = cert.vine
     graph = vine.to_graph()
     bundle = SheafDatum(graph, frozenset(),
                         {0: cert.bidegree, 1: -cert.bidegree})
-    for lo, hi, _degs in cert.chambers:
-        width = hi - lo
-        for x in ((lo + hi) / 2, lo + width / 4):
-            if is_stable(graph, vine_phi(vine, x), bundle):
-                return False
+    for lo, hi, degs in cert.chambers:
+        phis = [vine_phi(vine, x) for x in ((lo + hi) / 2, (3 * lo + hi) / 4)]
+        found = stable_sheaf_data(graph, phis[0], 0)
+        if (degs != tuple(F.degrees[0] for F in found)
+                or any(is_stable(graph, phi, bundle) for phi in phis)):
+            return False
     return True
 
 

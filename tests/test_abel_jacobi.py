@@ -4,13 +4,14 @@ import json
 import logging
 import random
 import re
+import sys
 import time
 from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 
-from jacstab import abel_jacobi
+from jacstab import stability
 from jacstab.abel_jacobi import (
     AJDatum,
     ExtendsResult,
@@ -33,8 +34,8 @@ from jacstab.errors import (
 )
 from jacstab.graph import DualGraph, VineCurve, enumerate_vines, make_vine
 from jacstab.stability import SheafDatum, is_nondegenerate, is_small_perturbation
-from oracles import (random_stable_graph, reference_construct_prop_phi,
-                     vine_stable_keys)
+from oracles import (random_stable_graph, reference_chambers,
+                     reference_construct_prop_phi)
 
 
 def genus1_unmarked_vine():
@@ -193,6 +194,15 @@ class TestCertify:
         for lo, hi, degs in cert.chambers:
             assert 2 not in degs
             assert len(degs) == vine.e
+
+    @pytest.mark.parametrize("m", [Fraction(1, 2), Fraction(2), True, 1.0,
+                                   "2"])
+    def test_non_int_bidegree_refused(self, m):
+        # a bidegree is a line bundle's degree: 1/2, True or 1.0 is none
+        vine = make_vine(0, 1, 2, (1,), 1)
+        with pytest.raises(PreconditionError,
+                           match="bidegree must be an integer"):
+            certify_unstable_on_vine(vine, m)
 
     def test_matches_direct_chamber_search(self):
         # the certificate rows come from one search per edge count; a fresh
@@ -369,22 +379,34 @@ class TestClassifyExtension:
             classify_extension(3, 2, AJDatum(0, (1, -1), 3, 2), seed)
         assert built == []
 
-    def test_certificate_cache_holds_no_graph(self, monkeypatch):
-        # the only cross-call cache on the classify path keeps Fractions and
-        # ints: no vine, graph or sheaf datum outlives a call
-        cache = {}
-        monkeypatch.setattr(abel_jacobi, "_SMALL_CHAMBER_ROWS", cache)
-        for aj in _twists():
-            classify_extension(aj.g, aj.n, aj)
-        assert cache
-        for e, rows in cache.items():
-            assert type(e) is int and type(rows) is tuple
-            for row in rows:
-                assert type(row) is tuple and len(row) == 3
-                lo, hi, degs = row
-                assert type(lo) is Fraction and type(hi) is Fraction
-                assert type(degs) is tuple
-                assert all(type(d) is int for d in degs)
+    def test_no_answers_build_no_graph_and_run_no_search(self, monkeypatch):
+        # a "no" and its certificate rows are read off each vine's (e, m):
+        # no DualGraph is built and no stable_sheaf_data search runs
+        calls = []
+        build = DualGraph.build.__func__
+        search = stability.stable_sheaf_data
+
+        def counted_build(cls, *args, **kwargs):
+            calls.append("build")
+            return build(cls, *args, **kwargs)
+
+        def counted_search(*args, **kwargs):
+            calls.append("search")
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(DualGraph, "build", classmethod(counted_build))
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("jacstab")
+                    and getattr(module, "stable_sheaf_data", None) is search):
+                monkeypatch.setattr(module, "stable_sheaf_data",
+                                    counted_search)
+        noes = [aj for aj in _twists()
+                if _unit_difference_markings(aj.a) is None]
+        assert len(noes) == 796
+        for aj in noes:
+            result = classify_extension(aj.g, aj.n, aj)
+            assert not result.extends and result.certificate.chambers
+        assert calls == []
 
     def test_trivial_twist_raises(self):
         with pytest.raises(TrivialTwistError):
@@ -415,18 +437,16 @@ class TestClassifyExtension:
 @pytest.mark.parametrize("e", range(2, 10))
 def test_certificate_rows_match_vine_closed_form(e):
     # m = e lies outside every window (x - e/2, x + e/2) with |x| < e/2, so
-    # a certificate comes back; its rows tile (-e/2, e/2) and list the
-    # closed-form line-bundle degrees of each chamber
+    # a certificate comes back; its closed-form rows must be the chambers
+    # of (-e/2, e/2) with the line-bundle degrees that a search of each
+    # chamber afresh finds
     vine = make_vine(0, 0, e, (1,), 2)
     cert = certify_unstable_on_vine(vine, e)
     assert (cert.vine, cert.bidegree) == (vine, e)
-    los = [lo for lo, _, _ in cert.chambers]
-    his = [hi for _, hi, _ in cert.chambers]
-    assert (los[0], his[-1]) == (Fraction(-e, 2), Fraction(e, 2))
-    assert los[1:] == his[:-1]
-    for lo, hi, degs in cert.chambers:
-        keys = vine_stable_keys(e, (lo + hi) / 2, False)
-        assert degs == tuple(sorted(D[0] for _, D in keys))
+    half_e = Fraction(e, 2)
+    assert cert.chambers == tuple(
+        (ch.lo, ch.hi, tuple(F.degrees[0] for F in ch.stable_table))
+        for ch in reference_chambers(vine, (-half_e, half_e), False))
 
 
 def test_extends_is_read_from_the_witness():

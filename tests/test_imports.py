@@ -5,7 +5,8 @@ No linter runs on this repository, so these AST scans keep unused imports,
 orphaned helpers and test-only API from creeping back.
 ``__init__.py`` is skipped by the import scan: its imports are the public
 re-exports.  A last test imports the library in a fresh interpreter, where
-neither the CLI's click nor the suites' process pool may load.
+neither the CLI's click nor the suites' process pool may load.  A layer
+test reads which jacstab modules each module imports.
 """
 
 import ast
@@ -106,6 +107,45 @@ def test_every_public_name_is_used_in_the_package():
               and not any(public in used for stmt, used in uses
                           if stmt is not node)}
     assert sorted(unused) == sorted(UNUSED_PUBLIC)
+
+
+def jacstab_imports(path):
+    """The jacstab modules ``path`` imports, at module level or inside a
+    function, by their short names; a name taken from the package itself
+    (``from . import x``) counts as module ``x``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            parts = (["jacstab"] * (node.level == 1)
+                     + (node.module or "").split("."))
+            parts = [p for p in parts if p]
+            if parts == ["jacstab"]:
+                found.update(a.name for a in node.names)
+            elif parts[0] == "jacstab":
+                found.add(parts[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("jacstab."))
+    return found
+
+
+# The bottom layers, lowest first, each with the modules it may import.
+LAYERS = {
+    "errors": set(),
+    "graph": {"errors"},
+    "stability": {"errors", "graph"},
+}
+
+
+def test_modules_import_only_below_them():
+    table = {p.stem: jacstab_imports(p) for p in sorted(SRC.glob("*.py"))}
+    assert set(LAYERS) <= set(table)
+    assert {name: sorted(table[name] - allowed)
+            for name, allowed in LAYERS.items()
+            if table[name] - allowed} == {}
+    # a vine certificate is a formula in e, so extension classification
+    # needs no chamber search
+    assert "atlas" not in table["abel_jacobi"]
 
 
 def test_library_imports_without_click_or_multiprocessing():
