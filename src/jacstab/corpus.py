@@ -128,7 +128,7 @@ def random_phi(graph: DualGraph, rng: random.Random) -> PhiVector:
 def random_nondegenerate_phi(graph: DualGraph,
                              rng: random.Random) -> PhiVector:
     """The first :func:`random_phi` draw off every wall."""
-    rows = _half(graph.subcurve_rows)
+    rows = _half(graph.subcurve_data)
     for _ in range(1000):
         q = rng.choice(_DENOMINATORS)
         nums = _draw(graph, rng, 3 * q)
@@ -145,7 +145,7 @@ def random_small_perturbation_phi(graph: DualGraph,
     nv = len(graph.vertices)
     if nv == 1:
         return PhiVector(graph, {graph.vertex_ids[0]: Fraction(0)})
-    rows = _half(graph.subcurve_rows)   # cr(C0^c) = cr(C0)
+    rows = _half(graph.subcurve_data)   # cr(C0^c) = cr(C0)
     min_cr = min(row[5] for row in rows)
     for _ in range(1000):
         q = rng.choice(_DENOMINATORS)
@@ -165,9 +165,9 @@ def random_wall_phi(graph: DualGraph, rng: random.Random) -> PhiVector | None:
     first vertex outside it."""
     if len(graph.vertices) < 2:
         return None
-    info = rng.choice(graph.subcurve_data)
-    x = 2 * rng.randint(-2, 2) - info.cr   # over q = 2
+    *_, cr, vertices = rng.choice(graph.subcurve_data)
+    x = 2 * rng.randint(-2, 2) - cr   # over q = 2
     nums = dict.fromkeys(graph.vertex_ids, 0)
-    nums[info.vertices[0]] = x
-    nums[min(nums.keys() - info.vertex_set)] = -x
+    nums[vertices[0]] = x
+    nums[min(nums.keys() - set(vertices))] = -x
     return PhiVector._from_numerators(graph, 2, list(nums.values()))

@@ -64,33 +64,6 @@ class Edge:
         return self.ends[0] == self.ends[1]
 
 
-class _SubcurveData:
-    """Precomputed incidence data for one subcurve (internal); immutable by
-    convention.
-
-    ``prefix`` indexes the same subcurve without its last vertex, an earlier
-    entry of ``DualGraph.subcurve_data`` (-1 for a singleton), and ``last``
-    is that vertex's position in ``DualGraph.vertex_ids``, so a per-subcurve
-    sum is one addition.  Bit ``i`` of an edge mask is ``edge_order[i]``.
-    The stability kernel reads them from ``DualGraph.subcurve_rows``.
-    """
-
-    __slots__ = ("vertices", "prefix", "last", "cr", "crossing_mask",
-                 "internal_mask")
-
-    def __init__(self, vertices, prefix, last, crossing_mask, internal_mask):
-        self.vertices: tuple[int, ...] = vertices
-        self.prefix = prefix
-        self.last = last
-        self.cr = crossing_mask.bit_count()   # number of crossing edges
-        self.crossing_mask = crossing_mask    # exactly one endpoint inside
-        self.internal_mask = internal_mask    # both endpoints inside, loops incl.
-
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-
 class DualGraph:
     """Vertex-weighted multigraph with markings; immutable by convention.
 
@@ -144,15 +117,23 @@ class DualGraph:
             if a in index and b in index])
 
     @cached_property
-    def subcurve_data(self) -> tuple[_SubcurveData, ...]:
-        """Incidence data for all nonempty proper vertex subsets.
+    def subcurve_data(self) -> tuple[tuple, ...]:
+        """One row ``(i, prefix, last, internal_mask, crossing_mask, cr,
+        vertices)`` per nonempty proper vertex subset: its index, the row
+        of itself without its last vertex (-1 for a singleton), that
+        vertex's position in :attr:`vertex_ids`, the masks (bit ``i`` for
+        ``edge_order[i]``) of its edges with both ends inside, loops
+        included, and with exactly one, the count of the latter, and its
+        vertex ids.
 
         Deterministic order: by subset size, then by sorted vertex tuple, so
         the singletons come first, every ``prefix`` points back, and the
-        first half holds one subcurve of each complementary pair.  An
-        entry's edge masks, like any sum over it, take one step from its
-        prefix's and its last vertex's.  This is the structural chokepoint
-        of every subcurve test: it raises :class:`InvalidGraphError` above
+        first half holds one subcurve of each complementary pair.  A row's
+        edge masks, like any sum over it, take one step from its prefix's
+        and its last vertex's.  Rows are exact tuples: CPython unpacks
+        those in the kernel's inner loops faster than a tuple subclass or
+        attribute reads.  This is the structural chokepoint of every
+        subcurve test: it raises :class:`InvalidGraphError` above
         ``MAX_SUBCURVE_VERTICES``, for no vertices, repeated vertex or edge
         ids, an edge with an unknown end, and a disconnected graph.  Vertex
         stability and the genus formula are not enforced here;
@@ -174,31 +155,22 @@ class DualGraph:
             second[b] |= 1 << bit
         # by position; a vertex joining a subcurve turns the crossing edges at
         # it internal and its other non-loop edges (touch) crossing.  out grows
-        # as it is read, so entries come breadth first: lexicographic by size
+        # as it is read, so rows come breadth first: lexicographic by size
         touch = [first[v] ^ second[v] for v in ids]
         loops = [first[v] & second[v] for v in ids]
-        out = [_SubcurveData((vid,), -1, i, touch[i], loops[i])
+        out = [(i, -1, i, loops[i], touch[i], touch[i].bit_count(), (vid,))
                for i, vid in enumerate(ids)] if nv > 1 else []
-        for prefix, p in enumerate(out):
-            if len(p.vertices) == nv - 1:
+        for prefix, _, p_last, internal, cross, _, vertices in out:
+            if len(vertices) == nv - 1:
                 break
-            for last in range(p.last + 1, nv):
-                cross, t = p.crossing_mask, touch[last]
-                out.append(_SubcurveData(
-                    p.vertices + (ids[last],), prefix, last, cross ^ t,
-                    p.internal_mask | cross & t | loops[last]))
-        if not all(info.crossing_mask for info in out):
+            for last in range(p_last + 1, nv):
+                mask = cross ^ touch[last]
+                out.append((len(out), prefix, last,
+                            internal | cross & touch[last] | loops[last],
+                            mask, mask.bit_count(), vertices + (ids[last],)))
+        if not all(row[4] for row in out):
             raise InvalidGraphError("graph not connected")
         return tuple(out)
-
-    @cached_property
-    def subcurve_rows(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
-        """:attr:`subcurve_data` as one plain tuple ``(i, prefix, last,
-        internal_mask, crossing_mask, cr)`` per entry: CPython unpacks an
-        exact tuple faster than a tuple subclass or attribute reads."""
-        return tuple((i, info.prefix, info.last, info.internal_mask,
-                      info.crossing_mask, info.cr)
-                     for i, info in enumerate(self.subcurve_data))
 
 
 def _structural_faults(graph: DualGraph) -> list[str]:

@@ -24,10 +24,10 @@ an edge mask (bit ``i`` for ``graph.edge_order[i]``) and ``D`` as a tuple in
 3.10).  The search builds objects only for its results.  Each sum over a
 subcurve, of phi or of degrees, is one addition: the sum on its ``prefix``
 (itself without its last vertex, earlier in the table) plus one value.
-The kernel loops walk that table as :attr:`DualGraph.subcurve_rows`,
-plain tuples built once per graph (only the oracle
-:func:`find_equality_witness` reads ``subcurve_data``), and the search
-turns each singleton row into a closed-form degree window once per phi.
+The kernel loops and the oracle :func:`find_equality_witness` walk that
+one table, :attr:`DualGraph.subcurve_data` (a plain tuple per subcurve,
+built once per graph), and the search turns each singleton row into a
+closed-form degree window once per phi.
 A phi keeps its sums and its wall verdict, which :func:`is_nondegenerate`
 computes once or a sampler sets, so the search does not test walls again.
 
@@ -170,11 +170,11 @@ class PhiVector:
         return {vid: Fraction(x, q) for vid, x in self.numerators.items()}
 
     def _half_table(self) -> tuple[tuple, tuple[int, ...]]:
-        """The :func:`_half` of the graph's ``subcurve_rows`` and
+        """The :func:`_half` of the graph's ``subcurve_data`` and
         ``q * phi(C0)`` on at least those rows, computed once per vector:
         all that the stability kernel reads."""
         if self._table is None:
-            rows = _half(self.graph.subcurve_rows)
+            rows = _half(self.graph.subcurve_data)
             self._table = (rows, _subcurve_sums(
                 rows, [self.numerators[vid] for vid in self.graph.vertex_ids]))
         return self._table
@@ -186,7 +186,7 @@ class PhiVector:
         negated one); the first call here extends them to the whole
         table, once per vector."""
         rows, sums = self._table or self._half_table()
-        every = self.graph.subcurve_rows
+        every = self.graph.subcurve_data
         if len(sums) < len(every):
             sums = _subcurve_sums(every, sums)
             self._table = (rows, sums)
@@ -205,7 +205,7 @@ def vine_phi(vine: VineCurve, x: Fraction) -> PhiVector:
 
 
 def _half(rows):
-    """The first half of a ``subcurve_rows`` table: one subcurve of each
+    """The first half of a ``subcurve_data`` table: one subcurve of each
     complementary pair (see the module docstring), and both singletons
     on 2 vertices, where they are each other's complement.  That is the
     first ``len >> 1`` rows, or 2 on 2 vertices: ``len >> 1`` is
@@ -214,7 +214,7 @@ def _half(rows):
 
 
 def _subcurve_sums(rows, sums) -> tuple[int, ...]:
-    """Vertex sums for every row of ``rows`` (a ``subcurve_rows`` table or
+    """Vertex sums for every row of ``rows`` (a ``subcurve_data`` table or
     its first part), extending ``sums``, which covers the first rows: the
     singletons come first, so the values in vertex order (phi numerators,
     degrees) are a start, and every later sum is its prefix's plus its
@@ -331,14 +331,14 @@ def _check_same_graph(graph, *objs):
 
 def _satisfies(rows, sums: tuple, q: int, S: int, D: tuple) -> bool:
     """The inequality for ``S`` a mask and ``D`` a degree tuple on every
-    row of ``rows`` (``subcurve_rows`` or a part of it after the
+    row of ``rows`` (``subcurve_data`` or a part of it after the
     singletons), scaled to integers: with phi(C0) = s/q, ``s`` in
     ``sums``, it reads |2q*deg - 2s + q*delta| < q*(cr - delta).  Each
-    degree sum is its prefix's plus one vertex, built as the test goes
-    (``degs[-1]`` is the empty one)."""
+    degree sum is its prefix's plus one vertex (``degs[-1]`` is the empty
+    one), built as the test goes and not past the first failing row."""
     degs = list(D) + [0] * len(rows)
     q2 = 2 * q
-    for i, prefix, last, internal, crossing, cr in rows:
+    for i, prefix, last, internal, crossing, cr, _ in rows:
         deg = degs[i] = degs[prefix] + D[last]
         if S:
             deg += (S & internal).bit_count()
@@ -357,7 +357,7 @@ def is_stable(graph: DualGraph, phi: PhiVector, F: SheafDatum) -> bool:
     Single-vertex graphs have no proper subcurves and are vacuously stable.
     """
     _check_same_graph(graph, phi, F)
-    return _satisfies(graph.subcurve_rows, phi.subcurve_sums(), phi.q,
+    return _satisfies(graph.subcurve_data, phi.subcurve_sums(), phi.q,
                       F.mask, F.degrees)
 
 
@@ -391,8 +391,8 @@ def find_equality_witness(graph: DualGraph, phi: PhiVector):
     _check_same_graph(graph, phi)
     q = phi.q
     q2 = 2 * q
-    for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
-        cr = info.cr
+    for (_, _, _, _, _, cr, vertices), s in zip(graph.subcurve_data,
+                                                phi.subcurve_sums()):
         for delta in range(cr + 1):
             # 2q * (center -+ half), center = s/q - delta/2, half = (cr+1)/2
             center = 2 * s - q * delta
@@ -401,7 +401,7 @@ def find_equality_witness(graph: DualGraph, phi: PhiVector):
             bound = q * (cr - delta)
             for deg in range(low, (center + q * (cr + 1)) // q2 + 1):
                 if abs(value) == bound:
-                    return (info.vertex_set, deg, delta)
+                    return (frozenset(vertices), deg, delta)
                 value += q2
     return None
 
@@ -470,7 +470,7 @@ def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
     rows, sums = phi._half_table()
     q = phi.q
     singles = []
-    for (_, _, _, internal, crossing, cr), s in zip(rows[:nv], sums):
+    for (_, _, _, internal, crossing, cr, _), s in zip(rows[:nv], sums):
         window = _integer_window(2 * s - q * cr, 2 * s + q * cr, 2 * q)
         singles.append((window.start, window.stop, internal, crossing))
     rows = rows[nv:]
@@ -479,7 +479,7 @@ def _stable_pairs(graph: DualGraph, phi: PhiVector, d: int,
         singles = [(start + up, stop + down, internal, crossing)
                    for start, stop, internal, crossing in singles]
         sums = [2 * s + q * d for s in sums]
-        rows = [row[:5] + (row[5] - abs(d),) for row in rows]
+        rows = [row[:5] + (row[5] - abs(d), row[6]) for row in rows]
         q *= 2
     found = []
     for S in masks:
@@ -532,14 +532,13 @@ def _support_lemma_count(graph: DualGraph, phi: PhiVector):
     outcome), from one search."""
     if not is_small_perturbation(graph, phi):
         raise PreconditionError("phi is not a small perturbation of 0")
-    rows = graph.subcurve_rows
+    rows = graph.subcurve_data
     half = _half(rows)
     pairs = _stable_pairs(graph, phi, 0, include_nonfree=True)
     violations = []
     for S, D in pairs:
-        degs = [0] * (len(half) + 1)   # as in _satisfies
-        for i, prefix, last, internal, crossing, cr in half:
-            deg = degs[i] = degs[prefix] + D[last]
+        for (_, _, _, internal, crossing, cr, _), deg in zip(
+                half, _subcurve_sums(half, D)):
             deg += (S & internal).bit_count()
             # deg_C0^c = -delta - deg_C0 at total degree 0, so the bound
             # on the complement reads -cr < deg_C0
@@ -550,12 +549,12 @@ def _support_lemma_count(graph: DualGraph, phi: PhiVector):
         return len(pairs), True
     ids, D, S = min(violations)
     # the first violating subcurve in whole-table order
-    i = next(i for (i, _, _, internal, crossing, cr), deg in zip(
-        rows, _subcurve_sums(rows, D))
-        if not deg + (S & internal).bit_count()
-        < cr - (S & crossing).bit_count())
+    vertices = next(vertices for (_, _, _, internal, crossing, cr, vertices),
+                    deg in zip(rows, _subcurve_sums(rows, D))
+                    if not deg + (S & internal).bit_count()
+                    < cr - (S & crossing).bit_count())
     return len(pairs), (SheafDatum(graph, ids, dict(zip(graph.vertex_ids, D))),
-                        graph.subcurve_data[i].vertex_set)
+                        frozenset(vertices))
 
 
 def verify_support_lemma(graph: DualGraph, phi: PhiVector):

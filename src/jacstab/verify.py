@@ -70,11 +70,12 @@ def _per_graph_rng(seed: int, index: int) -> random.Random:
     """The RNG for the item (a corpus graph, or a twist) at ``index``.
 
     Its seed is the integer ``seed * 1_000_003 + index``, distinct for every
-    ``(seed, index)`` with ``0 <= index < 1_000_003``, so a failing case is
-    replayed with ``random.Random(seed * 1_000_003 + index)``.  Earlier
-    versions seeded with the tuple ``(seed, index)``, which Python 3.11 no
-    longer accepts, so a given ``seed`` now draws different phis than it did
-    under Python 3.10.
+    ``(seed, index)`` with ``seed >= 0`` and ``0 <= index < 1_000_003``
+    (``random.Random`` seeds by absolute value, so :func:`run_suite` refuses
+    a negative seed), and a failing case is replayed with
+    ``random.Random(seed * 1_000_003 + index)``.  Earlier versions seeded
+    with the tuple ``(seed, index)``, which Python 3.11 no longer accepts,
+    so a given ``seed`` now draws different phis than it did under 3.10.
     """
     return random.Random(seed * 1_000_003 + index)
 
@@ -272,6 +273,8 @@ def run_suite(name: str, max_vertices=4, max_edges=7, trials=50,
             "need trials >= 1, max_vertices >= 1 and max_edges >= 0")
     if jobs < 1:
         raise PreconditionError("need jobs >= 1, got %d" % jobs)
+    if type(seed) is not int or seed < 0:
+        raise PreconditionError("need an int seed >= 0, got %r" % (seed,))
     build, noun, case, cap = _SUITES[name]
     fn = partial(_run_item, case,
                  trials if cap is None else min(trials, cap), seed)

@@ -85,7 +85,13 @@ def random_stable_graph(rng: random.Random, max_vertices: int = 5) -> DualGraph:
 # --- Subcurve edges read off graph.edges ------------------------------------
 #
 # The kernel keeps a subcurve's edges as masks in DualGraph.subcurve_data;
-# the references below work them out from the edge list instead.
+# the references below take only its vertex tuples, in table order, and
+# work out the edges from the edge list instead.
+
+def subcurve_vertices(graph):
+    """The vertex tuple of every row of graph.subcurve_data, in order."""
+    return [row[-1] for row in graph.subcurve_data]
+
 
 def internal_edges(graph, vertices):
     """Ids of the edges with both ends in ``vertices``, loops included."""
@@ -106,16 +112,16 @@ def crossing_edges(graph, vertices):
 # These re-sum phi as Fractions per subcurve, the way jacstab.stability did
 # before it kept phi over one common denominator.
 
-def fraction_subcurve_sum(phi, info):
-    """phi(C0) for one entry of graph.subcurve_data, summed as Fractions."""
-    return sum((phi.values[v] for v in info.vertices), Fraction(0))
+def fraction_subcurve_sum(phi, vertices):
+    """phi(C0) for the subcurve on ``vertices``, summed as Fractions."""
+    return sum((phi.values[v] for v in vertices), Fraction(0))
 
 
 def fraction_is_nondegenerate(graph, phi):
     """No subcurve has phi(C0) + cr(C0)/2 in Z."""
-    for info in graph.subcurve_data:
-        x = fraction_subcurve_sum(phi, info)
-        cr = len(crossing_edges(graph, info.vertices))
+    for vertices in subcurve_vertices(graph):
+        x = fraction_subcurve_sum(phi, vertices)
+        cr = len(crossing_edges(graph, vertices))
         if (x + Fraction(cr, 2)).denominator == 1:
             return False
     return True
@@ -123,9 +129,9 @@ def fraction_is_nondegenerate(graph, phi):
 
 def fraction_is_small_perturbation(graph, phi):
     """|phi(C0)| < cr(C0)/2 for every subcurve."""
-    return all(abs(2 * fraction_subcurve_sum(phi, info))
-               < len(crossing_edges(graph, info.vertices))
-               for info in graph.subcurve_data)
+    return all(abs(2 * fraction_subcurve_sum(phi, vertices))
+               < len(crossing_edges(graph, vertices))
+               for vertices in subcurve_vertices(graph))
 
 
 # --- stdlib reference for the atlas JSON export ----------------------------
@@ -305,10 +311,10 @@ def _phi_context(graph, phi):
     # phi(C0) summed as Fractions per subcurve, not read from the kernel's
     # PhiVector.subcurve_sums
     ctx = []
-    for info in graph.subcurve_data:
-        crossing = crossing_edges(graph, info.vertices)
-        ctx.append((info.vertices, internal_edges(graph, info.vertices),
-                    crossing, len(crossing), fraction_subcurve_sum(phi, info)))
+    for vertices in subcurve_vertices(graph):
+        crossing = crossing_edges(graph, vertices)
+        ctx.append((vertices, internal_edges(graph, vertices), crossing,
+                    len(crossing), fraction_subcurve_sum(phi, vertices)))
     return ctx
 
 
@@ -421,9 +427,9 @@ def reference_verify_support_lemma(graph: DualGraph, phi: PhiVector):
         raise PreconditionError("phi is not a small perturbation of 0")
     if not fraction_is_nondegenerate(graph, phi):
         raise PreconditionError("phi is degenerate")
-    subcurves = [(info.vertices, internal_edges(graph, info.vertices),
-                  crossing_edges(graph, info.vertices))
-                 for info in graph.subcurve_data]
+    subcurves = [(vertices, internal_edges(graph, vertices),
+                  crossing_edges(graph, vertices))
+                 for vertices in subcurve_vertices(graph)]
     for F in reference_stable_sheaf_data(graph, phi, 0, include_nonfree=True):
         S, D = F.S, F.D
         for verts, internal, crossing in subcurves:
@@ -472,8 +478,8 @@ def reference_random_small_perturbation_phi(graph: DualGraph,
     vids = sorted(graph.vertex_ids)
     if len(vids) == 1:
         return PhiVector(graph, {vids[0]: Fraction(0)})
-    min_cr = min(len(crossing_edges(graph, info.vertices))
-                 for info in graph.subcurve_data)
+    min_cr = min(len(crossing_edges(graph, vertices))
+                 for vertices in subcurve_vertices(graph))
     for _ in range(1000):
         q = rng.choice(REFERENCE_DENOMINATORS)
         phi = fraction_balanced_phi(graph, rng, q,
@@ -487,11 +493,11 @@ def reference_random_small_perturbation_phi(graph: DualGraph,
 def reference_random_wall_phi(graph: DualGraph, rng):
     if len(graph.vertices) < 2:
         return None
-    info = rng.choice(graph.subcurve_data)
-    cr = len(crossing_edges(graph, info.vertices))
+    vertices = rng.choice(subcurve_vertices(graph))
+    cr = len(crossing_edges(graph, vertices))
     target = Fraction(rng.randint(-2, 2)) - Fraction(cr, 2)
-    inside = sorted(info.vertex_set)
-    outside = sorted(set(graph.vertex_ids) - info.vertex_set)
+    inside = sorted(vertices)
+    outside = sorted(set(graph.vertex_ids) - set(vertices))
     vals = {vid: Fraction(0) for vid in graph.vertex_ids}
     vals[inside[0]] = target
     vals[outside[0]] = -target
@@ -511,15 +517,15 @@ def reference_equality_witness(graph: DualGraph, phi: PhiVector):
     """
     _check_same_graph(graph, phi)
     q = phi.q
-    for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
-        cr = info.cr
+    for vertices, s in zip(subcurve_vertices(graph), phi.subcurve_sums()):
+        cr = len(crossing_edges(graph, vertices))
         for delta in range(cr + 1):
             # 2q * (center -+ half) with center = s/q - delta/2, half = (cr+1)/2
             low = 2 * s - q * delta - q * (cr + 1)
             high = 2 * s - q * delta + q * (cr + 1)
             for deg in range(-(-low // (2 * q)), high // (2 * q) + 1):
                 if abs(2 * q * deg - 2 * s + q * delta) == q * (cr - delta):
-                    return (info.vertex_set, deg, delta)
+                    return (frozenset(vertices), deg, delta)
     return None
 
 

@@ -205,7 +205,7 @@ class TestCertify:
             certify_unstable_on_vine(vine, m)
 
     def test_matches_direct_chamber_search(self):
-        # the certificate rows come from one search per edge count; a fresh
+        # the certificate rows are a formula in e; a fresh atlas.chambers
         # search on each vine must agree for every bidegree in [-e, e]
         for g in range(1, 7):
             for n in range(1, 4):

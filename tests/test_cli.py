@@ -566,6 +566,14 @@ class TestOtherCommands:
             1, "", "error: need trials >= 1, max_vertices >= 1 and "
                    "max_edges >= 0\n")
 
+    def test_verify_refuses_negative_seed(self):
+        result = CliRunner().invoke(
+            cli.main, ["verify", "--suite", "tree-count", "--seed", "-1"])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            1, "", "error: need an int seed >= 0, got -1\n")
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+
     def test_verify_refuses_jobs_below_one(self):
         result = CliRunner().invoke(
             cli.main, ["verify", "--suite", "prop41", "--jobs", "0"])

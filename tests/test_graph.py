@@ -74,43 +74,43 @@ class TestValidate:
 
 
 def vertex_sets(graph):
-    return [sorted(info.vertices) for info in graph.subcurve_data]
+    return [sorted(row[6]) for row in graph.subcurve_data]
 
 
 class TestCrossingCount:
-    """``cr`` of each ``subcurve_data`` entry, the mask its edges come
-    from, against the edges read off ``graph.edges``."""
+    """``cr`` of each ``subcurve_data`` row, the mask its edges come
+    from, against the edges read off ``graph.edges``.  A row is
+    ``(i, prefix, last, internal_mask, crossing_mask, cr, vertices)``."""
 
     def test_vine_three_edges(self):
         g = make_vine(1, 1, 3, (1,), 1).to_graph()
         assert vertex_sets(g) == [[0], [1]]
-        assert g.subcurve_data[0].cr == 3
+        assert g.subcurve_data[0][5] == 3
 
     def test_triangle_single_vertex(self):
-        assert triangle().subcurve_data[0].cr == 2
+        assert triangle().subcurve_data[0][5] == 2
 
     def test_loop_is_internal(self):
         g = DualGraph.build([(0, 1, (1,)), (1, 1, ())],
                             [(0, 0), (0, 1)], 1)
-        side = g.subcurve_data[0]
-        assert side.vertices == (0,)
-        assert (side.cr, side.crossing_mask, side.internal_mask) == \
-            (1, 0b10, 0b01)
+        *_, internal, crossing, cr, vertices = g.subcurve_data[0]
+        assert vertices == (0,)
+        assert (cr, crossing, internal) == (1, 0b10, 0b01)
 
     def test_symmetric_under_complement(self):
         for g in (triangle(), two_vertex(edges=3)):
-            data = {frozenset(info.vertices): info for info in g.subcurve_data}
-            for vertices, info in data.items():
+            data = {frozenset(row[6]): row for row in g.subcurve_data}
+            for vertices, row in data.items():
                 other = data[frozenset(g.vertex_ids) - vertices]
-                assert info.cr == other.cr \
+                assert row[5] == other[5] \
                     == len(crossing_edges(g, vertices))
-                assert info.crossing_mask == other.crossing_mask
-                assert info.internal_mask.bit_count() \
+                assert row[4] == other[4]
+                assert row[3].bit_count() \
                     == len(internal_edges(g, vertices))
 
     def test_improper_subcurve_rejected(self):
         # the table holds the nonempty proper vertex subsets only
-        sizes = [len(info.vertices) for info in triangle().subcurve_data]
+        sizes = [len(row[6]) for row in triangle().subcurve_data]
         assert sizes == [1, 1, 1, 2, 2, 2]
 
 
@@ -153,27 +153,34 @@ def _prefix_link_graphs():
 
 
 class TestPrefixLinks:
-    """Each entry's prefix is itself without its last vertex, earlier in
-    the table, and the masks built from it are those of the edges read off
-    ``graph.edges``."""
+    """Each row is an exact tuple ``(i, prefix, last, internal_mask,
+    crossing_mask, cr, vertices)`` holding its own index; its prefix is
+    itself without its last vertex, earlier in the table, and the masks
+    built from it are those of the edges read off ``graph.edges``."""
 
     def test_prefix_links_and_masks(self):
         checked = 0
         for graph in _prefix_link_graphs():
             data = graph.subcurve_data
             ids = graph.vertex_ids
-            assert [info.vertices for info in data] == [
+            assert type(data) is tuple
+            assert [row[6] for row in data] == [
                 c for k in range(1, len(ids)) for c in combinations(ids, k)]
-            for i, info in enumerate(data):
-                if len(info.vertices) == 1:
-                    assert info.prefix == -1
+            for i, row in enumerate(data):
+                # the kernel unpacks rows on CPython's exact-tuple path
+                assert type(row) is tuple
+                index, prefix, last, internal_mask, crossing_mask, cr, \
+                    vertices = row
+                assert index == i
+                if len(vertices) == 1:
+                    assert prefix == -1
                 else:
-                    assert 0 <= info.prefix < i
-                    assert data[info.prefix].vertices == info.vertices[:-1]
-                assert graph.vertex_ids[info.last] == info.vertices[-1]
-                internal = internal_edges(graph, info.vertices)
-                crossing = crossing_edges(graph, info.vertices)
-                assert (info.cr, info.internal_mask, info.crossing_mask) == (
+                    assert 0 <= prefix < i
+                    assert data[prefix][6] == vertices[:-1]
+                assert graph.vertex_ids[last] == vertices[-1]
+                internal = internal_edges(graph, vertices)
+                crossing = crossing_edges(graph, vertices)
+                assert (cr, internal_mask, crossing_mask) == (
                     len(crossing), _edge_mask(graph, internal),
                     _edge_mask(graph, crossing))
                 checked += 1
@@ -387,12 +394,12 @@ class TestStructuralChokepoint:
         graph = DualGraph([(0, 0, ()), (1, 0, (1,))], [Edge(0, (0, 1))], 1, g=5)
         assert any("instability" in d for d in validate(graph))
         assert any("genus formula" in d for d in validate(graph))
-        assert [info.cr for info in graph.subcurve_data] == [1, 1]
+        assert [row[5] for row in graph.subcurve_data] == [1, 1]
         # nor the ranges: a negative vertex genus, g < 1 and no marking
         graph = DualGraph([(0, -1, ()), (1, 0, ())], [Edge(0, (0, 1))], 0)
         assert {"negative genus at vertex 0", "total genus below 1",
                 "fewer than 1 marking"} <= set(validate(graph))
-        assert [info.cr for info in graph.subcurve_data] == [1, 1]
+        assert [row[5] for row in graph.subcurve_data] == [1, 1]
 
 
 class TestGraphFromDict:

@@ -94,17 +94,6 @@ def test_stable_sheaf_data_matches_frozenset_reference(phis, d,
         assert all(F.graph is graph for F in got)
 
 
-def test_subcurve_rows_match_subcurve_data():
-    for graph in GRAPHS:
-        rows = graph.subcurve_rows
-        assert type(rows) is tuple
-        assert len(rows) == len(graph.subcurve_data), graph
-        for i, (row, info) in enumerate(zip(rows, graph.subcurve_data)):
-            assert type(row) is tuple
-            assert row == (i, info.prefix, info.last, info.internal_mask,
-                           info.crossing_mask, info.cr), graph
-
-
 @pytest.mark.parametrize("q", [1, 2, 3, 7, 12])
 def test_delta_lowers_only_the_top_of_the_singleton_window(q):
     # _stable_pairs finds each vertex's delta-0 window once and, for a
@@ -142,14 +131,14 @@ LARGER = [path_with_loops(nv) for nv in range(5, 9)]
 
 
 def test_first_half_of_the_table_is_one_subcurve_of_each_pair():
-    # _half(subcurve_rows) holds the first len >> 1 rows (both singletons
+    # _half(subcurve_data) holds the first len >> 1 rows (both singletons
     # at 2 vertices): every singleton, and one subcurve of each
     # complementary pair
     for graph in GRAPHS + LARGER:
-        rows, nv = graph.subcurve_rows, len(graph.vertex_ids)
+        rows, nv = graph.subcurve_data, len(graph.vertex_ids)
         half = _half(rows)
         assert half == rows[:2 if nv == 2 else len(rows) >> 1], graph
-        table = [info.vertex_set for info in graph.subcurve_data]
+        table = [frozenset(row[6]) for row in rows]
         kept = table[:len(half)]
         whole = frozenset(graph.vertex_ids)
         pairs = {frozenset((c, whole - c)) for c in table}
@@ -278,7 +267,7 @@ def test_support_violation_builds_one_datum_and_one_subcurve(monkeypatch):
     assert calls == ["SheafDatum"]
     assert isinstance(F, SheafDatum)
     # the subcurve is its row's vertex set in the graph's subcurve table
-    assert c0 in [info.vertex_set for info in graph.subcurve_data]
+    assert c0 in [frozenset(row[6]) for row in graph.subcurve_data]
 
 
 SAMPLER_ROUTES = [
@@ -312,8 +301,8 @@ def test_sampler_phis_match_fraction_route(sampler, reference):
                 continue
             assert fields(phi) == fields(ref)
             assert phi.subcurve_sums() == tuple(
-                oracles.fraction_subcurve_sum(ref, info) * ref.q
-                for info in graph.subcurve_data)
+                oracles.fraction_subcurve_sum(ref, vertices) * ref.q
+                for vertices in oracles.subcurve_vertices(graph))
             if phi._nondegenerate is not None:
                 assert phi._nondegenerate == \
                     oracles.fraction_is_nondegenerate(graph, ref)

@@ -60,18 +60,17 @@ def vine_phi2(graph, x):
     return PhiVector(graph, {0: Fraction(x), 1: -Fraction(x)})
 
 
-def subcurve_entry(graph, vertices):
-    """The ``graph.subcurve_data`` entry whose vertex set is ``vertices``."""
-    return next(info for info in graph.subcurve_data
-                if info.vertex_set == frozenset(vertices))
+def subcurve_index(graph, vertices):
+    """The index of the ``graph.subcurve_data`` row on ``vertices``."""
+    return next(i for i, row in enumerate(graph.subcurve_data)
+                if frozenset(row[6]) == frozenset(vertices))
 
 
 def phi_on(phi, vertices):
     """phi(C0) from the integer kernel, checked against the Fraction sum."""
-    graph = phi.graph
-    info = subcurve_entry(graph, vertices)
-    x = Fraction(phi.subcurve_sums()[graph.subcurve_data.index(info)], phi.q)
-    assert x == fraction_subcurve_sum(phi, info)
+    x = Fraction(phi.subcurve_sums()[subcurve_index(phi.graph, vertices)],
+                 phi.q)
+    assert x == fraction_subcurve_sum(phi, vertices)
     return x
 
 
@@ -198,11 +197,11 @@ def _kernel_phis(graph, rng):
     yield random_wall_phi(graph, rng), True
     yield PhiVector(graph, _spread(vids, Fraction(0), rng)), False
     # a wall of one subcurve, with mixed denominators on both sides
-    info = rng.choice(graph.subcurve_data)
+    vertices = rng.choice(graph.subcurve_data)[6]
     target = (rng.randint(-2, 2)
-              - Fraction(len(crossing_edges(graph, info.vertices)), 2))
-    outside = sorted(set(vids) - info.vertex_set)
-    vals = _spread(list(info.vertices), target, rng)
+              - Fraction(len(crossing_edges(graph, vertices)), 2))
+    outside = sorted(set(vids) - set(vertices))
+    vals = _spread(list(vertices), target, rng)
     vals.update(_spread(outside, -target, rng))
     yield PhiVector(graph, vals), True
     if len(vids) >= 3:
@@ -220,8 +219,8 @@ def test_integer_kernel_matches_fraction_reference():
             assert all(Fraction(phi.numerators[v], phi.q) == x
                        for v, x in phi.values.items())
             mixed += len({x.denominator for x in phi.values.values()}) > 1
-            for info, s in zip(graph.subcurve_data, phi.subcurve_sums()):
-                x = fraction_subcurve_sum(phi, info)
+            for row, s in zip(graph.subcurve_data, phi.subcurve_sums()):
+                x = fraction_subcurve_sum(phi, row[6])
                 assert Fraction(s, phi.q) == x
             nondegenerate = fraction_is_nondegenerate(graph, phi)
             if on_wall:
@@ -234,8 +233,7 @@ def test_integer_kernel_matches_fraction_reference():
             assert (witness is None) == nondegenerate
             if witness is not None:
                 c0, deg, delta = witness
-                info = subcurve_entry(graph, c0)
-                assert abs(deg - fraction_subcurve_sum(phi, info)
+                assert abs(deg - fraction_subcurve_sum(phi, c0)
                            + Fraction(delta, 2)) \
                     == Fraction(len(crossing_edges(graph, c0))
                                 - delta, 2)
@@ -334,16 +332,17 @@ class TestAdditivity:
                 return sum(D[v] for v in vertices) \
                     + len(S & internal_edges(graph, vertices))
 
-            for info in graph.subcurve_data:
-                rest = set(graph.vertex_ids) - info.vertex_set
-                delta = len(S & crossing_edges(graph, info.vertices))
-                assert degree_on(info.vertices) + degree_on(rest) + delta \
+            for _, _, _, internal_mask, crossing_mask, _, vertices \
+                    in graph.subcurve_data:
+                rest = set(graph.vertex_ids) - set(vertices)
+                delta = len(S & crossing_edges(graph, vertices))
+                assert degree_on(vertices) + degree_on(rest) + delta \
                     == total_degree(F)
                 # the kernel's masks give the same degree and delta
-                assert sum(F.D[v] for v in info.vertices) \
-                    + (F.mask & info.internal_mask).bit_count() \
-                    == degree_on(info.vertices)
-                assert (F.mask & info.crossing_mask).bit_count() == delta
+                assert sum(F.D[v] for v in vertices) \
+                    + (F.mask & internal_mask).bit_count() \
+                    == degree_on(vertices)
+                assert (F.mask & crossing_mask).bit_count() == delta
 
 
 def test_equality_witness_matches_reference_scan():

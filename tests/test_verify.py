@@ -212,6 +212,15 @@ def test_jobs_below_one_rejected(jobs):
         run_suite("prop41", jobs=jobs)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "1"], ids=repr)
+def test_seed_not_a_nonnegative_int_rejected(seed):
+    # random.Random seeds by absolute value, so seed -s would replay the
+    # streams of seed s
+    with pytest.raises(PreconditionError,
+                       match="need an int seed >= 0, got %r" % (seed,)):
+        run_suite("tree-count", max_vertices=2, max_edges=2, seed=seed)
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, starts no
     process and maps in this one."""
